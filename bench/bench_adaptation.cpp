@@ -9,11 +9,6 @@
 // afterwards, while per-phase location times stay flat.
 //
 // Flags: --tagents=40 --phase-s=60 --nodes=16 --seed=1
-//        --lp-threads=0 (accepted for CLI parity with bench_experiment1/2
-//        and bench_scale; this bench scripts mid-run interventions —
-//        set_residence at phase edges — that the sharded LP engine cannot
-//        express, so it always runs the sequential engine and records
-//        lp_threads_effective=1)
 //        --json-out=BENCH_adaptation.json
 
 #include <cstdio>
@@ -38,14 +33,6 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
   const double phase_s = flags.get_double("phase-s", 60.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
-  if (lp_threads > 1) {
-    std::printf(
-        "note: --lp-threads=%zu requested; this bench's phase interventions "
-        "need the sequential engine (lp_threads_effective=1)\n",
-        lp_threads);
-  }
   const std::string json_out =
       flags.get_string("json-out", "BENCH_adaptation.json");
 
@@ -143,9 +130,7 @@ int main(int argc, char** argv) {
       .set("tagents", static_cast<std::uint64_t>(tagents))
       .set("nodes", static_cast<std::uint64_t>(nodes))
       .set("phase_s", phase_s)
-      .set("seed", seed)
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
-      .set("lp_threads_effective", static_cast<std::uint64_t>(1));
+      .set("seed", seed);
   const auto& stats = scheme.hagent().stats();
   report.add_row()
       .set("iagents_calm", static_cast<std::uint64_t>(peak_calm))

@@ -10,9 +10,12 @@
 // Flags: --agents=10,20,30,50,100 --queries=2000 --repeats=2 --nodes=16
 //        --residence-ms=500 --seed=1 --schemes=centralized,hash
 //        --threads=0 (0 = one worker per hardware thread)
-//        --lp-threads=0 (>=1 shards the platform onto the parallel LP
-//        engine with that many workers; see DESIGN.md §16)
 //        --json-out=BENCH_experiment1.json
+//
+// Rows are named exp1/<scheme>/tagents=<n>. Every field except threads,
+// wall_seconds and events_per_sec is fixed by the seed, so CI compares a
+// fresh --repeats=2 run against the committed record exactly
+// (scripts/check_bench_exact.py).
 
 #include <algorithm>
 #include <chrono>
@@ -41,8 +44,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
   if (threads == 0) threads = util::ThreadPool::default_threads();
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
   const std::string json_out =
       flags.get_string("json-out", "BENCH_experiment1.json");
   const std::string schemes_flag =
@@ -81,7 +82,6 @@ int main(int argc, char** argv) {
       config.residence = sim::SimTime::millis(residence_ms);
       config.total_queries = queries;
       config.seed = seed;
-      config.lp_threads = lp_threads;
       const auto start = std::chrono::steady_clock::now();
       const ExperimentResult result =
           workload::run_parallel(config, repeats, threads);
@@ -106,10 +106,10 @@ int main(int argc, char** argv) {
       series.emplace_back(scheme + " n=" + std::to_string(count),
                           result.location_ms.mean());
       report.add_row()
+          .set("name", "exp1/" + scheme + "/tagents=" + std::to_string(count))
           .set("scheme", scheme)
           .set("tagents", static_cast<std::int64_t>(count))
           .set("threads", static_cast<std::uint64_t>(threads))
-          .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
           .set("wall_seconds", wall)
           .set("events", result.events_executed)
           .set("events_per_sec",
@@ -137,7 +137,6 @@ int main(int argc, char** argv) {
   report.meta()
       .set("repeats", static_cast<std::uint64_t>(repeats))
       .set("threads", static_cast<std::uint64_t>(threads))
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
       .set("hardware_threads",
            static_cast<std::uint64_t>(util::ThreadPool::default_threads()))
       .set("queries", static_cast<std::uint64_t>(queries))

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "core/config.hpp"
 #include "core/scheme.hpp"
 #include "core/tracker_table.hpp"
@@ -42,19 +39,6 @@ class CentralizedLocationScheme : public LocationScheme {
                             MechanismConfig config,
                             net::NodeId tracker_node = 0);
 
-  /// Client instance for a sharded deployment (DESIGN.md §16): no tracker of
-  /// its own, reports and queries go to the injected address (the tracker
-  /// created by the shard owning `tracker_node`).
-  CentralizedLocationScheme(platform::AgentSystem& system,
-                            MechanismConfig config,
-                            platform::AgentAddress tracker);
-
-  /// One scheme instance per shard (shard index == node id); the tracker
-  /// lives on `tracker_node`'s shard, every other instance is a client.
-  static std::vector<std::unique_ptr<CentralizedLocationScheme>> build_sharded(
-      const std::vector<platform::AgentSystem*>& systems,
-      const MechanismConfig& config, net::NodeId tracker_node = 0);
-
   std::string name() const override { return "centralized"; }
 
   void register_agent(platform::Agent& self,
@@ -65,26 +49,17 @@ class CentralizedLocationScheme : public LocationScheme {
   void locate(platform::Agent& requester, platform::AgentId target,
               std::function<void(const LocateOutcome&)> done) override;
 
-  /// Sharded client instances report 0 so the cross-shard sum stays 1.
-  std::size_t tracker_count() const override {
-    return tracker_ != nullptr ? 1 : 0;
-  }
-
-  /// Per-agent update seq, moved with a client that crosses shards.
-  ClientState export_client_state(platform::AgentId agent) override;
-  void import_client_state(platform::AgentId agent,
-                           const ClientState& state) override;
+  std::size_t tracker_count() const override { return 1; }
 
   std::size_t estimated_resident_bytes() const noexcept override {
-    std::size_t bytes = seqs_.capacity() *
-                        (sizeof(platform::AgentId) + sizeof(std::uint64_t));
-    if (tracker_ != nullptr) bytes += tracker_->resident_bytes();
-    return bytes;
+    return seqs_.capacity() *
+               (sizeof(platform::AgentId) + sizeof(std::uint64_t)) +
+           tracker_->resident_bytes();
   }
 
   void reserve(std::size_t agents) override {
     seqs_.reserve(agents);
-    if (tracker_ != nullptr) tracker_->reserve(agents);
+    tracker_->reserve(agents);
   }
 
   CentralTracker& tracker() noexcept { return *tracker_; }

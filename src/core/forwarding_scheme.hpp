@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/centralized_scheme.hpp"
@@ -74,14 +73,6 @@ class ForwardingLocationScheme : public LocationScheme {
                            MechanismConfig config,
                            net::NodeId name_service_node = 0);
 
-  /// Sharded deployment (DESIGN.md §16): one instance per shard (shard index
-  /// == node id), each creating its own node's forwarder; the name service
-  /// lives on `name_service_node`'s shard. The full forwarder address table
-  /// is shared so chases can hop to any node.
-  static std::vector<std::unique_ptr<ForwardingLocationScheme>> build_sharded(
-      const std::vector<platform::AgentSystem*>& systems,
-      const MechanismConfig& config, net::NodeId name_service_node = 0);
-
   std::string name() const override { return "forwarding"; }
 
   void register_agent(platform::Agent& self,
@@ -92,11 +83,8 @@ class ForwardingLocationScheme : public LocationScheme {
   void locate(platform::Agent& requester, platform::AgentId target,
               std::function<void(const LocateOutcome&)> done) override;
 
-  /// Name service plus one forwarder per node (sharded instances report only
-  /// what they host, so the cross-shard sum matches the legacy value).
-  std::size_t tracker_count() const override {
-    return (name_service_ != nullptr ? 1 : 0) + forwarders_.size();
-  }
+  /// Name service plus one forwarder per node.
+  std::size_t tracker_count() const override { return 1 + forwarders_.size(); }
 
   std::size_t estimated_resident_bytes() const noexcept override {
     std::size_t bytes =
@@ -104,8 +92,8 @@ class ForwardingLocationScheme : public LocationScheme {
             (sizeof(platform::AgentId) + sizeof(std::uint64_t)) +
         last_node_.capacity() *
             (sizeof(platform::AgentId) + sizeof(net::NodeId)) +
-        forwarders_.capacity() * sizeof(ForwarderAgent*);
-    if (name_service_ != nullptr) bytes += name_service_->resident_bytes();
+        forwarders_.capacity() * sizeof(ForwarderAgent*) +
+        name_service_->resident_bytes();
     for (const ForwarderAgent* forwarder : forwarders_) {
       bytes += forwarder->resident_bytes();
     }
@@ -113,17 +101,12 @@ class ForwardingLocationScheme : public LocationScheme {
   }
 
   void reserve(std::size_t agents) override {
-    // Sharded: `agents` is the global population; the per-client tables on
-    // this shard only ever hold the agents resident here.
-    const std::size_t shards =
-        forwarder_addresses_.empty() ? 1 : forwarder_addresses_.size();
-    seqs_.reserve(agents / shards + 1);
-    last_node_.reserve(agents / shards + 1);
-    if (name_service_ != nullptr) name_service_->reserve(agents);
+    seqs_.reserve(agents + 1);
+    last_node_.reserve(agents + 1);
+    name_service_->reserve(agents);
     // Pointers concentrate where agents linger; a uniform share is the best
     // static guess and growth past it is just a normal rehash.
-    if (forwarders_.empty()) return;
-    const std::size_t share = agents / (shards > 1 ? shards : forwarders_.size()) + 1;
+    const std::size_t share = agents / forwarders_.size() + 1;
     for (ForwarderAgent* forwarder : forwarders_) forwarder->reserve(share);
   }
 
@@ -133,22 +116,11 @@ class ForwardingLocationScheme : public LocationScheme {
   /// Maximum pointer-chain hops a locate will follow.
   static constexpr int kMaxHops = 64;
 
-  /// Per-agent update seq and last-reported node, moved with a client that
-  /// crosses shards.
-  ClientState export_client_state(platform::AgentId agent) override;
-  void import_client_state(platform::AgentId agent,
-                           const ClientState& state) override;
-
  private:
-  struct ShardedTag {};
-  ForwardingLocationScheme(ShardedTag, platform::AgentSystem& system,
-                           MechanismConfig config);
-
   void chase(platform::AgentId requester, platform::AgentId target,
              net::NodeId at, int hops, int attempt,
              std::function<void(const LocateOutcome&)> done);
   platform::AgentAddress forwarder_at(net::NodeId node) const {
-    if (!forwarder_addresses_.empty()) return forwarder_addresses_[node];
     return platform::AgentAddress{node, forwarders_[node]->id()};
   }
 
@@ -156,9 +128,7 @@ class ForwardingLocationScheme : public LocationScheme {
   MechanismConfig config_;
   CentralTracker* name_service_ = nullptr;
   platform::AgentAddress name_service_address_;
-  std::vector<ForwarderAgent*> forwarders_;  ///< sharded: own node's only
-  /// Sharded: full forwarder address table, indexed by node (else empty).
-  std::vector<platform::AgentAddress> forwarder_addresses_;
+  std::vector<ForwarderAgent*> forwarders_;
   /// Per-agent update sequence numbers and last-reported nodes (flat
   /// storage; see HashLocationScheme).
   util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <unordered_map>
 
@@ -71,21 +70,6 @@ class HAgent : public platform::Agent {
   /// Register the standby that every mutation is streamed to.
   void set_backup(platform::AgentAddress backup);
 
-  /// How this coordinator creates IAgents. Unhooked (the default), new
-  /// IAgents are `create`d in the HAgent's own system. A sharded deployment
-  /// (DESIGN.md §16) installs a hook that constructs the IAgent from the
-  /// given config + coordinator list, mints its id on the HAgent's shard
-  /// (so it is returned synchronously and the tree op can reference it),
-  /// and installs the object on the shard owning `node` — at setup directly,
-  /// at runtime via a cross-LP envelope that lands strictly before any
-  /// responsibility grant sent afterwards. Install before `bootstrap`.
-  using IAgentSpawner = std::function<platform::AgentId(
-      net::NodeId node, const MechanismConfig& config,
-      std::vector<platform::AgentAddress> coordinators)>;
-  void set_iagent_spawner(IAgentSpawner spawner) {
-    spawner_ = std::move(spawner);
-  }
-
   Role role() const noexcept { return role_; }
 
   void on_message(const platform::Message& message) override;
@@ -155,8 +139,7 @@ class HAgent : public platform::Agent {
 
   net::NodeId place_new_iagent();
 
-  /// Create a fresh IAgent at `node` through the spawner hook (or directly
-  /// in this system) and return its id.
+  /// Create a fresh IAgent at `node` and return its id.
   platform::AgentId spawn_iagent(net::NodeId node);
 
   /// Coordinator addresses handed to every IAgent this HAgent creates:
@@ -177,7 +160,6 @@ class HAgent : public platform::Agent {
 
   net::NodeId next_placement_ = 0;
   hashtree::TreeJournal journal_;
-  IAgentSpawner spawner_;
 
   Role role_ = Role::kPrimary;
   std::optional<platform::AgentAddress> backup_;

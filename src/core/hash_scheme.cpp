@@ -69,101 +69,6 @@ HashLocationScheme::HashLocationScheme(platform::AgentSystem& system,
   }
 }
 
-HashLocationScheme::HashLocationScheme(ShardedTag,
-                                       platform::AgentSystem& system,
-                                       MechanismConfig config)
-    : system_(system), config_(config), sharded_(true) {}
-
-std::vector<std::unique_ptr<HashLocationScheme>>
-HashLocationScheme::build_sharded(
-    const std::vector<platform::AgentSystem*>& systems,
-    const MechanismConfig& config, net::NodeId hagent_node) {
-  const std::size_t shards = systems.size();
-  std::vector<std::unique_ptr<HashLocationScheme>> schemes;
-  schemes.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    schemes.emplace_back(
-        new HashLocationScheme(ShardedTag{}, *systems[s], config));
-    schemes.back()->lhagents_.assign(shards, nullptr);
-  }
-
-  // Coordinator tier: the primary HAgent on its owner shard, the optional
-  // standby on the far shard. Setup is serial, so cross-shard wiring here is
-  // plain function calls.
-  HashLocationScheme& owner = *schemes[hagent_node];
-  HAgent& hagent = systems[hagent_node]->create<HAgent>(hagent_node, config);
-  owner.hagent_ = &hagent;
-  owner.hagent_id_ = hagent.id();
-  const platform::AgentAddress hagent_address{hagent_node, hagent.id()};
-  std::vector<platform::AgentAddress> coordinators{hagent_address};
-
-  HAgent* backup = nullptr;
-  if (config.hagent_replication) {
-    const net::NodeId backup_node =
-        static_cast<net::NodeId>((hagent_node + shards / 2) % shards);
-    backup = &systems[backup_node]->create<HAgent>(backup_node, config);
-    schemes[backup_node]->backup_ = backup;
-    const platform::AgentAddress backup_address{backup_node, backup->id()};
-    hagent.set_backup(backup_address);
-    coordinators.push_back(backup_address);
-  }
-
-  // Bootstrap through a setup-time spawner: mint the id on the shard owning
-  // the IAgent's node (globally unique via the id stride/salt partition) and
-  // install the object directly — legal while the engine has not started.
-  // The caller replaces this hook with a cross-LP one before running.
-  hagent.set_iagent_spawner(
-      [&systems, &schemes](net::NodeId node, const MechanismConfig& cfg,
-                           std::vector<platform::AgentAddress> coords) {
-        platform::AgentSystem& host_system = *systems[node];
-        const platform::AgentId id = host_system.mint_id();
-        host_system.install_spawned(
-            std::make_unique<IAgent>(cfg, std::move(coords)), id, node);
-        schemes[node]->note_local_iagent(id);
-        return id;
-      });
-  const net::NodeId first_iagent_node =
-      static_cast<net::NodeId>((hagent_node + 1) % shards);
-  hagent.bootstrap(first_iagent_node);
-  hagent.set_iagent_spawner({});
-  if (backup != nullptr) {
-    backup->bootstrap_follower(hagent_address, hagent.tree());
-  }
-
-  // Secondary-copy tier: each shard creates and owns its node's LHAgent;
-  // every instance then gets the full address table (the optimistic-jump
-  // probe targets the cached node's LHAgent, wherever it lives).
-  std::vector<platform::AgentAddress> addresses(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const net::NodeId node = static_cast<net::NodeId>(s);
-    LHAgent& lhagent =
-        create_lhagent(*systems[s], node, coordinators, hagent.tree(), config);
-    schemes[s]->lhagents_[s] = &lhagent;
-    addresses[s] = platform::AgentAddress{node, lhagent.id()};
-  }
-  const std::size_t leaves = hagent.iagent_count();
-  for (std::size_t s = 0; s < shards; ++s) {
-    schemes[s]->lhagent_addresses_ = addresses;
-    schemes[s]->sharded_total_iagents_ = leaves;
-  }
-  return schemes;
-}
-
-LocationScheme::ClientState HashLocationScheme::export_client_state(
-    platform::AgentId agent) {
-  ClientState state;
-  if (const std::uint64_t* seq = seqs_.find(agent)) {
-    state.seq = *seq;
-    seqs_.erase(agent);
-  }
-  return state;
-}
-
-void HashLocationScheme::import_client_state(platform::AgentId agent,
-                                             const ClientState& state) {
-  if (state.seq != 0) seqs_[agent] = state.seq;
-}
-
 LHAgent* HashLocationScheme::local_lhagent(platform::AgentId agent) {
   const auto node = system_.node_of(agent);
   if (!node) return nullptr;  // caller is mid-migration; abort the attempt
@@ -463,7 +368,8 @@ void HashLocationScheme::probe_cached_node(
     locate_via_iagent(requester, target, attempt, std::move(done));
     return;
   }
-  const platform::AgentAddress probe_address = lhagent_address(cached_node);
+  const platform::AgentAddress probe_address{cached_node,
+                                             lhagents_[cached_node]->id()};
   system_.request(
       requester, probe_address, LocationProbeRequest{target},
       LocationProbeRequest::kWireBytes,
@@ -633,7 +539,6 @@ const SchemeStats& HashLocationScheme::stats() const noexcept {
   stats.cache_evictions = 0;
   stats.cache_invalidations = 0;
   for (const LHAgent* lhagent : lhagents_) {
-    if (lhagent == nullptr) continue;  // sharded: remote nodes
     const LocationCache* cache = lhagent->location_cache();
     if (cache == nullptr) continue;
     const LocationCacheStats& counters = cache->stats();
@@ -647,24 +552,6 @@ const SchemeStats& HashLocationScheme::stats() const noexcept {
 }
 
 std::size_t HashLocationScheme::estimated_resident_bytes() const noexcept {
-  if (sharded_) {
-    // Each shard counts what it hosts; the experiment sums across shards.
-    std::size_t bytes =
-        seqs_.capacity() * (sizeof(platform::AgentId) + sizeof(std::uint64_t));
-    if (hagent_ != nullptr) bytes += hagent_->resident_bytes();
-    if (backup_ != nullptr && backup_ != hagent_) {
-      bytes += backup_->resident_bytes();
-    }
-    for (const LHAgent* lhagent : lhagents_) {
-      if (lhagent != nullptr) bytes += lhagent->resident_bytes();
-    }
-    for (const platform::AgentId id : known_iagents_) {
-      const auto* iagent = dynamic_cast<const IAgent*>(system_.find(id));
-      if (iagent != nullptr) bytes += iagent->resident_bytes();
-    }
-    return bytes;
-  }
-
   // Mirror hagent()'s primary selection, const-safely: `hagent_` dangles
   // once the primary is disposed (failover tests), so only touch it while
   // the platform still knows the id.
@@ -699,21 +586,6 @@ std::size_t HashLocationScheme::estimated_resident_bytes() const noexcept {
 }
 
 void HashLocationScheme::reserve(std::size_t agents) {
-  if (sharded_) {
-    // `agents` is the global population; this shard's seq table only ever
-    // holds the clients resident here (≈ 1/shards of it), and each local
-    // IAgent a hash-uniform share of the whole.
-    const std::size_t shards =
-        lhagent_addresses_.empty() ? 1 : lhagent_addresses_.size();
-    seqs_.reserve(agents / shards + 1);
-    const std::size_t share =
-        agents / (sharded_total_iagents_ ? sharded_total_iagents_ : 1) + 1;
-    for (const platform::AgentId id : known_iagents_) {
-      auto* iagent = dynamic_cast<IAgent*>(system_.find(id));
-      if (iagent != nullptr) iagent->reserve(share);
-    }
-    return;
-  }
   seqs_.reserve(agents);
   const HAgent* primary = system_.exists(hagent_id_) ? hagent_ : backup_;
   if (primary == nullptr || primary->iagent_count() == 0) return;

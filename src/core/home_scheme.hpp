@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/centralized_scheme.hpp"
@@ -27,13 +26,6 @@ class HomeRegistryLocationScheme : public LocationScheme {
   HomeRegistryLocationScheme(platform::AgentSystem& system,
                              MechanismConfig config);
 
-  /// Sharded deployment (DESIGN.md §16): one instance per shard (shard index
-  /// == node id), each creating only its own node's registry; the full
-  /// registry address table is shared so `home_of` resolves remote homes.
-  static std::vector<std::unique_ptr<HomeRegistryLocationScheme>>
-  build_sharded(const std::vector<platform::AgentSystem*>& systems,
-                const MechanismConfig& config);
-
   std::string name() const override { return "home"; }
 
   void register_agent(platform::Agent& self,
@@ -56,48 +48,26 @@ class HomeRegistryLocationScheme : public LocationScheme {
   }
 
   void reserve(std::size_t agents) override {
-    // Sharded: `agents` is the global population; this shard's seq table
-    // only holds the clients resident here.
-    seqs_.reserve(registry_addresses_.empty()
-                      ? agents
-                      : agents / registry_addresses_.size() + 1);
-    if (home_count() == 0) return;
+    seqs_.reserve(agents);
+    if (registries_.empty()) return;
     // Homes spread by `id mod #nodes` — size each registry for its share.
-    const std::size_t share = agents / home_count() + 1;
+    const std::size_t share = agents / registries_.size() + 1;
     for (CentralTracker* registry : registries_) registry->reserve(share);
   }
 
   /// The registry responsible for `agent` (by the naming convention).
   platform::AgentAddress home_of(platform::AgentId agent) const;
 
-  /// Per-agent update seq, moved with a client that crosses shards.
-  ClientState export_client_state(platform::AgentId agent) override;
-  void import_client_state(platform::AgentId agent,
-                           const ClientState& state) override;
-
  private:
-  struct ShardedTag {};
-  HomeRegistryLocationScheme(ShardedTag, platform::AgentSystem& system,
-                             MechanismConfig config);
-
   void send_register(platform::AgentId self, std::uint64_t seq,
                      int attempts_left, std::function<void(bool)> done);
   void locate_attempt(platform::AgentId requester, platform::AgentId target,
                       int attempt,
                       std::function<void(const LocateOutcome&)> done);
 
-  /// Number of homes agents hash over (`id mod n`): the deployment-wide node
-  /// count in both modes.
-  std::size_t home_count() const noexcept {
-    return registry_addresses_.empty() ? registries_.size()
-                                       : registry_addresses_.size();
-  }
-
   platform::AgentSystem& system_;
   MechanismConfig config_;
-  std::vector<CentralTracker*> registries_;  ///< sharded: own node's only
-  /// Sharded: full registry address table, indexed by node (empty otherwise).
-  std::vector<platform::AgentAddress> registry_addresses_;
+  std::vector<CentralTracker*> registries_;
   /// Per-agent update sequence numbers (flat storage; see HashLocationScheme).
   util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
 };

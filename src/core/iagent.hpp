@@ -70,8 +70,6 @@ class IAgent : public platform::Agent {
 
   void on_start() override;
   void on_arrival(net::NodeId from_node) override;
-  void on_extract() override;
-  void on_shard_transfer() override;
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
 

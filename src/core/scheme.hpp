@@ -51,8 +51,7 @@ struct SchemeStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_invalidations = 0;
 
-  /// Add `other`'s counters (all of them are flows) — merging replications
-  /// or shards.
+  /// Add `other`'s counters (all of them are flows) — merging replications.
   void add_flows(const SchemeStats& other) noexcept {
     registers += other.registers;
     updates += other.updates;
@@ -149,14 +148,12 @@ class LocationScheme {
   /// would otherwise rehash every table repeatedly.
   virtual void reserve(std::size_t agents) { (void)agents; }
 
-  /// --- Sharded deployments (DESIGN.md §16) ------------------------------
-  /// Per-agent client-side state a scheme keeps on the agent's node (update
-  /// sequence number; the forwarding scheme also remembers the last node a
-  /// pointer was planted on). When an agent migrates to a node another
-  /// shard's scheme instance serves, the host moves this state with it:
-  /// `export_client_state` on the source shard (erasing the entry there),
-  /// `import_client_state` on the destination, between `adopt_migrated` and
-  /// `notify_arrival`.
+  /// Per-agent client-side state (update sequence number; last node a
+  /// forwarding pointer was planted on). No scheme overrides these two hooks
+  /// and nothing in the library calls them; they remain, with no-op bodies,
+  /// only because the benchmark's `TracedScheme` decorator
+  /// (perfbench/src/sim_bench.cpp) overrides them to pass through to the
+  /// scheme it wraps. Delete them together with that override.
   struct ClientState {
     std::uint64_t seq = 0;
     net::NodeId last_node = net::kNoNode;

@@ -48,8 +48,7 @@ struct NetworkStats {
   std::uint64_t messages_duplicated = 0;
   std::uint64_t bytes_sent = 0;
 
-  /// Add `other`'s counters (all of them are flows) — merging replications
-  /// or shards.
+  /// Add `other`'s counters (all of them are flows) — merging replications.
   void add_flows(const NetworkStats& other) noexcept {
     messages_sent += other.messages_sent;
     messages_delivered += other.messages_delivered;

@@ -50,17 +50,6 @@ class Agent {
   /// Invoked just before the platform destroys the agent.
   virtual void on_dispose() {}
 
-  /// Invoked on the source shard right before a cross-shard migration ships
-  /// this agent object to another logical process (sharded deployments only;
-  /// DESIGN.md §16). Timers hold references to the source shard's simulator
-  /// and must be destroyed here; recreate them in `on_shard_transfer`.
-  virtual void on_extract() {}
-
-  /// Invoked on the destination shard right after a cross-shard migration
-  /// installs the agent there, before `on_arrival` runs. `system()` already
-  /// refers to the new shard; recreate simulator-bound resources here.
-  virtual void on_shard_transfer() {}
-
  protected:
   /// The hosting system. Only valid once the agent has been installed
   /// (i.e. from `on_start` onwards).

@@ -19,8 +19,6 @@
 
 namespace agentloc::platform {
 
-class ShardHost;
-
 /// Outcome of a `request` RPC.
 struct RpcResult {
   enum class Status {
@@ -96,8 +94,8 @@ struct PlatformStats {
   std::size_t peak_resident_bytes = 0;
 
   /// Add `other`'s flow counters. The watermarks (`peak_inbox_depth`,
-  /// `bytes_per_agent`, `peak_resident_bytes`) are left to the caller, whose
-  /// merge rule differs: replications take the max, shards sum footprints.
+  /// `bytes_per_agent`, `peak_resident_bytes`) are left to the caller:
+  /// replications take the max, not the sum.
   void add_flows(const PlatformStats& other) noexcept {
     agents_created += other.agents_created;
     agents_disposed += other.agents_disposed;
@@ -165,15 +163,6 @@ class AgentSystem {
     /// on demand). Million-agent runs set this so the install storm never
     /// rehashes the index or reallocates the slab mid-run.
     std::size_t reserve_agents = 0;
-
-    /// Sharded-deployment id partitioning (DESIGN.md §16): ids derive from
-    /// the sequence `counter * id_stride + id_salt`, so systems configured
-    /// with a common stride (the shard count) and distinct salts (the shard
-    /// index) mint globally unique ids with no coordination — and an id
-    /// minted on one shard can be installed on another. The defaults
-    /// reproduce the unsharded sequence exactly.
-    std::uint64_t id_stride = 1;
-    std::uint64_t id_salt = 0;
   };
 
   AgentSystem(sim::Simulator& simulator, net::Network& network);
@@ -202,47 +191,6 @@ class AgentSystem {
   std::size_t node_count() const noexcept { return network_.node_count(); }
   const Config& config() const noexcept { return config_; }
   const PlatformStats& stats() const noexcept { return stats_; }
-
-  /// --- Sharded deployment (DESIGN.md §16) --------------------------------
-  /// Attach this system to a sharded deployment as shard `shard`: transmits
-  /// and migrations whose destination node another shard owns are handed to
-  /// `host` as cross-LP envelopes instead of being scheduled locally. The
-  /// host must outlive the system. Unattached (the default), behaviour is
-  /// bit-identical to the pre-sharding platform.
-  void attach_shard_host(ShardHost& host, std::uint32_t shard) noexcept {
-    host_ = &host;
-    shard_index_ = shard;
-  }
-
-  bool sharded() const noexcept { return host_ != nullptr; }
-  std::uint32_t shard_index() const noexcept { return shard_index_; }
-
-  /// Mint a fresh agent id from this shard's stride/salt partition without
-  /// installing anything — for agents this shard creates on another shard
-  /// (the id is available synchronously; the install ships as an envelope).
-  AgentId mint_id() { return allocate_id(); }
-
-  /// Install an agent under a pre-minted id (from any shard's `mint_id`) and
-  /// schedule `on_start`, exactly like `create` — the destination half of a
-  /// cross-shard spawn. Throws if the id is already installed here.
-  void install_spawned(std::unique_ptr<Agent> owned, AgentId id,
-                       net::NodeId node);
-
-  /// Destination half of a cross-shard migration: install the shipped agent
-  /// under its preserved id, count the migration as completed, and run
-  /// `on_shard_transfer` (no `on_start` — the agent already ran it on its
-  /// birth shard). The host completes the handoff with `notify_arrival`
-  /// after rebinding scheme-side state.
-  void adopt_migrated(std::unique_ptr<Agent> owned, AgentId id,
-                      net::NodeId node);
-
-  /// Final step of a cross-shard migration handoff: run `on_arrival`.
-  void notify_arrival(AgentId id, net::NodeId from_node);
-
-  /// Deliver a message that arrived from another shard (counts the delivery
-  /// on this shard's network, then follows the normal local delivery path —
-  /// including the bounce-to-sender rule for absent targets).
-  void deliver_remote(net::NodeId node, Message message);
 
   /// Create an agent of type `T` at `node`; `on_start` runs asynchronously
   /// (next simulator event). Returns a reference owned by the system; the
@@ -374,12 +322,6 @@ class AgentSystem {
     bool serving = false;
     /// Teardown in progress: reentrant dispose of the same id is a no-op.
     bool disposing = false;
-    /// Cross-shard departure in progress: like `disposing`, new `request`s
-    /// fail synchronously (their callbacks could otherwise fire after the
-    /// object moves to another shard's thread), but `send` stays legal so
-    /// failure continuations can still emit teardown messages from the
-    /// source node.
-    bool departing = false;
     util::RingBuffer<Message> inbox;
   };
 
@@ -430,20 +372,6 @@ class AgentSystem {
   void install(std::unique_ptr<Agent> owned, net::NodeId node);
   AgentId allocate_id();
 
-  /// Shared install core: wire up the agent, acquire a record slot, index
-  /// the id. Returns the slot. Does not schedule `on_start` or touch the
-  /// created/migrated counters — the callers differ there.
-  std::uint32_t install_record(std::unique_ptr<Agent> owned, AgentId id,
-                               net::NodeId node);
-  void schedule_on_start(std::uint32_t slot);
-
-  /// Source half of a cross-shard migration: fail pending RPCs, bounce the
-  /// inbox, extract the owning pointer, and hand it to the shard host.
-  void extract_and_ship(std::uint32_t slot, net::NodeId destination);
-  void plan_remote_migration(std::unique_ptr<Agent> agent, AgentId id,
-                             net::NodeId source, net::NodeId destination,
-                             std::size_t bytes);
-
   /// id → slot index, `kNoRecord` when the id is not installed.
   std::uint32_t record_index(AgentId id) const noexcept;
   Slot* find_record(AgentId id) noexcept;
@@ -488,11 +416,6 @@ class AgentSystem {
   net::Transport* transport_;
   Config config_;
   PlatformStats stats_;
-
-  /// Sharded deployment wiring; nullptr (the default) keeps every transmit
-  /// and migration on the legacy local path.
-  ShardHost* host_ = nullptr;
-  std::uint32_t shard_index_ = 0;
 
   std::uint64_t id_counter_ = 0;
   std::uint64_t correlation_counter_ = 0;

@@ -87,11 +87,6 @@ bool Simulator::step() {
   return true;
 }
 
-SimTime Simulator::next_event_time() {
-  drop_stale_top();
-  return heap_.empty() ? SimTime::infinity() : heap_.front().when;
-}
-
 void Simulator::execute_top() {
   const HeapEntry top = heap_.front();
   pop_top();

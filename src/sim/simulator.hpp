@@ -67,12 +67,6 @@ class Simulator {
   /// Execute exactly one event if any is pending. Returns whether one ran.
   bool step();
 
-  /// Timestamp of the next live event, or `SimTime::infinity()` on an empty
-  /// queue. Used by the parallel LP scheduler to compute the global safe
-  /// window; sweeps cancelled corpses off the heap top as a side effect
-  /// (which is why it is not const).
-  SimTime next_event_time();
-
   /// Ask `run_until`/`run` to return after the current event completes.
   void request_stop() noexcept { stop_requested_ = true; }
 

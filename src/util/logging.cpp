@@ -30,18 +30,11 @@ Logger::Logger() = default;
 
 void Logger::set_sink(Sink sink) { sink_ = std::move(sink); }
 
-void Logger::set_time_source(TimeSource source) { time_ = std::move(source); }
-
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view text) {
   if (!enabled(level)) return;
   std::string line;
-  line.reserve(component.size() + text.size() + 32);
-  if (time_) {
-    char stamp[32];
-    std::snprintf(stamp, sizeof stamp, "[%10.3fms] ", time_());
-    line += stamp;
-  }
+  line.reserve(component.size() + text.size() + 16);
   line += to_string(level);
   line += " ";
   line += component;

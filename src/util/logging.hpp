@@ -11,17 +11,18 @@ enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4 }
 
 std::string_view to_string(LogLevel level) noexcept;
 
-/// Minimal structured logger.
+/// Minimal structured logger: a process-wide level threshold and a
+/// redirectable sink (tests use it to assert on emitted diagnostics).
 ///
-/// The library is single-threaded by design (the discrete-event simulator
-/// owns the clock), so the logger favours simplicity: a process-wide level
-/// threshold, an optional time source (wired to the simulator so log lines
-/// carry *simulated* milliseconds), and a redirectable sink used by tests to
-/// assert on emitted diagnostics.
+/// Threading rule: `set_level` and `set_sink` are setup calls, made before
+/// any thread that may log starts (and after they all joined). `log` may
+/// run concurrently — experiment replications on `util::ThreadPool` log
+/// from their worker threads — because it only reads the level and the
+/// sink. The sink itself must tolerate concurrent calls; the default
+/// writes each line with one `fprintf` to stderr.
 class Logger {
  public:
   using Sink = std::function<void(LogLevel, std::string_view)>;
-  using TimeSource = std::function<double()>;
 
   static Logger& instance();
 
@@ -32,9 +33,6 @@ class Logger {
   /// Replace the sink; pass nullptr to restore the default (stderr).
   void set_sink(Sink sink);
 
-  /// Install a simulated-time source; pass nullptr to drop the timestamp.
-  void set_time_source(TimeSource source);
-
   void log(LogLevel level, std::string_view component, std::string_view text);
 
  private:
@@ -42,7 +40,6 @@ class Logger {
 
   LogLevel level_ = LogLevel::kWarn;
   Sink sink_;
-  TimeSource time_;
 };
 
 namespace detail {

@@ -14,7 +14,6 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/querier.hpp"
-#include "workload/sharded_experiment.hpp"
 #include "workload/tagent.hpp"
 
 namespace agentloc::workload {
@@ -41,7 +40,6 @@ std::unique_ptr<core::LocationScheme> make_scheme(
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  if (config.lp_threads >= 1) return run_experiment_sharded(config);
   util::Rng master(config.seed);
 
   // Batch-first at scale (DESIGN.md §15): at or above the auto threshold,
@@ -197,10 +195,6 @@ void merge_replication(ExperimentResult& merged, const ExperimentResult& one) {
 
   merged.sim_seconds += one.sim_seconds;
   merged.events_executed += one.events_executed;
-  merged.lp_windows += one.lp_windows;
-  merged.lp_cross_messages += one.lp_cross_messages;
-  merged.lp_threads_used =
-      std::max(merged.lp_threads_used, one.lp_threads_used);
 }
 
 }  // namespace

@@ -43,16 +43,6 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 1;
 
-  /// Engine selection. 0 (the default) runs the single-simulator engine —
-  /// every existing baseline and test is untouched. >= 1 shards the full
-  /// platform stack across the parallel LP engine
-  /// (`run_experiment_sharded`, DESIGN.md §16) with that many worker
-  /// threads; 1 is the sequential sharded driver, and any higher count
-  /// produces bit-identical results (the LP determinism contract). The
-  /// engine falls back to one thread when the latency model cannot promise
-  /// a positive cross-node floor (zero lookahead).
-  std::size_t lp_threads = 0;
-
   /// Per-message CPU time at every agent, calibrated to Aglets-era Java
   /// messaging (DESIGN.md §5). At this value the centralized tracker nears
   /// saturation at the top of Experiment I's sweep — the regime whose
@@ -99,12 +89,6 @@ struct ExperimentResult {
   std::uint64_t tagent_moves = 0;
   double sim_seconds = 0.0;
   std::uint64_t events_executed = 0;
-
-  /// Parallel LP engine diagnostics; all zero when the single-simulator
-  /// engine ran (`ExperimentConfig::lp_threads == 0`).
-  std::uint64_t lp_windows = 0;
-  std::uint64_t lp_cross_messages = 0;
-  std::size_t lp_threads_used = 0;
 };
 
 /// Build a scheme by name (throws on unknown names).

@@ -3,7 +3,7 @@
 namespace agentloc::workload {
 
 TAgent::TAgent(core::LocationScheme& scheme, const Config& config)
-    : scheme_(&scheme), config_(config), rng_(config.seed) {}
+    : scheme_(scheme), config_(config), rng_(config.seed) {}
 
 void TAgent::on_start() {
   move_timer_ = std::make_unique<sim::Timeout>(system().simulator());
@@ -13,30 +13,18 @@ void TAgent::on_start() {
     const sim::SimTime delay = sim::SimTime::millis(
         rng_.uniform(0.0, config_.start_stagger.as_millis()));
     move_timer_->arm(delay, [this] {
-      scheme_->register_agent(*this, [this](bool ok) { registered_ = ok; });
+      scheme_.register_agent(*this, [this](bool ok) { registered_ = ok; });
       if (config_.mobile) schedule_move();
     });
     return;
   }
-  scheme_->register_agent(*this, [this](bool ok) { registered_ = ok; });
+  scheme_.register_agent(*this, [this](bool ok) { registered_ = ok; });
   if (config_.mobile) schedule_move();
-}
-
-void TAgent::on_extract() {
-  // The one-shot move timer holds a reference to the source shard's
-  // simulator; its pending arm (if any) dies with it. A cross-shard move is
-  // always initiated from the timer's own firing (do_move), so nothing is
-  // normally pending — but benches can migrate a paused agent too.
-  move_timer_.reset();
-}
-
-void TAgent::on_shard_transfer() {
-  move_timer_ = std::make_unique<sim::Timeout>(system().simulator());
 }
 
 void TAgent::on_dispose() {
   // Deregistering requires an active agent; on_dispose runs before removal.
-  scheme_->deregister_agent(*this);
+  scheme_.deregister_agent(*this);
 }
 
 void TAgent::set_mobile(bool mobile) {
@@ -87,11 +75,11 @@ void TAgent::do_move() {
 void TAgent::on_message(const platform::Message& message) {
   // Location-mechanism control traffic (e.g. a wrong-IAgent notice) goes to
   // the scheme; a TAgent has no other inbound protocol.
-  scheme_->handle_agent_message(*this, message);
+  scheme_.handle_agent_message(*this, message);
 }
 
 void TAgent::on_delivery_failure(const platform::DeliveryFailure& failure) {
-  scheme_->handle_delivery_failure(*this, failure);
+  scheme_.handle_delivery_failure(*this, failure);
 }
 
 void TAgent::on_arrival(net::NodeId from_node) {
@@ -99,7 +87,7 @@ void TAgent::on_arrival(net::NodeId from_node) {
   ++moves_;
   // Paper §2.3 ("Agent Movement"): each time the agent moves, it informs its
   // IAgent about its new location.
-  scheme_->update_location(*this, [](bool) {});
+  scheme_.update_location(*this, [](bool) {});
   if (config_.mobile) schedule_move();
 }
 

@@ -265,6 +265,38 @@ TEST_F(AgentSystemTest, DisposeBouncesQueuedMessages) {
   EXPECT_EQ(a.events.back(), "bounce");
 }
 
+TEST_F(AgentSystemTest, RetryFromDisposingSenderFailsBeforeDisposeReturns) {
+  // dispose() fails the sender's pending RPCs. A failure callback that
+  // retries must fail at once too: an RPC registered now would outlive the
+  // sender and time out after it is destroyed.
+  Probe& a = system_.create<Probe>(0);
+  Probe& b = system_.create<Probe>(1);  // does not echo
+  sim_.run();
+  const AgentId a_id = a.id();
+  const AgentAddress b_address{1, b.id()};
+  std::vector<RpcResult::Status> outcomes;
+  system_.request(a_id, b_address, TextPayload{"ping"}, 64,
+                  [&](RpcResult first) {
+                    outcomes.push_back(first.status);
+                    system_.request(a_id, b_address, TextPayload{"retry"}, 64,
+                                    [&](RpcResult retry) {
+                                      outcomes.push_back(retry.status);
+                                    });
+                  });
+  sim_.run_until(sim_.now() + sim::SimTime::millis(5));  // b holds the ping
+  ASSERT_TRUE(outcomes.empty());
+
+  system_.dispose(a_id);
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0], RpcResult::Status::kDeliveryFailure);
+  EXPECT_EQ(outcomes[1], RpcResult::Status::kDeliveryFailure);
+
+  sim_.run_until(sim_.now() + sim::SimTime::seconds(1));
+  EXPECT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(system_.stats().rpc_timeouts, 0u);
+  EXPECT_EQ(system_.stats().rpc_delivery_failures, 2u);
+}
+
 TEST_F(AgentSystemTest, AgentCanDisposeItselfInCallback) {
   class SelfDisposer : public Agent {
    public:

@@ -20,7 +20,6 @@ class LoggingTest : public ::testing::Test {
 
   void TearDown() override {
     Logger::instance().set_sink(nullptr);
-    Logger::instance().set_time_source(nullptr);
     Logger::instance().set_level(LogLevel::kWarn);
   }
 
@@ -41,13 +40,6 @@ TEST_F(LoggingTest, LevelThresholdSuppresses) {
   AGENTLOC_LOG(kError, "x") << "visible";
   ASSERT_EQ(lines_.size(), 1u);
   EXPECT_NE(lines_[0].second.find("visible"), std::string::npos);
-}
-
-TEST_F(LoggingTest, TimeSourcePrefixesSimulatedMillis) {
-  Logger::instance().set_time_source([] { return 12.5; });
-  AGENTLOC_LOG(kInfo, "net") << "tick";
-  ASSERT_EQ(lines_.size(), 1u);
-  EXPECT_NE(lines_[0].second.find("12.500ms"), std::string::npos);
 }
 
 TEST_F(LoggingTest, LevelNames) {
