@@ -18,7 +18,9 @@ import argparse
 import json
 import sys
 
-HOST_FIELDS = frozenset({"threads", "wall_seconds", "events_per_sec"})
+HOST_FIELDS = frozenset(
+    {"threads", "wall_seconds", "events_per_sec", "items_per_second"}
+)
 
 
 def load_rows(path):

@@ -107,29 +107,22 @@ void AgentSystem::release_slot(std::uint32_t slot) noexcept {
   in_flight_free_ = slot;
 }
 
-util::RingBuffer<Message> AgentSystem::acquire_inbox() {
-  if (inbox_pool_.empty()) return {};
-  util::RingBuffer<Message> inbox = std::move(inbox_pool_.back());
-  inbox_pool_.pop_back();
-  const std::size_t bytes = inbox.capacity() * sizeof(Message);
-  pooled_inbox_bytes_ -= bytes;
-  live_inbox_bytes_ += bytes;
-  return inbox;
+Message AgentSystem::take_message(std::uint32_t slot) {
+  Message message = std::move(in_flight_[slot].message);
+  release_slot(slot);
+  return message;
 }
 
-void AgentSystem::recycle_inbox(util::RingBuffer<Message>&& inbox) {
-  const std::size_t bytes = inbox.capacity() * sizeof(Message);
-  live_inbox_bytes_ -= bytes;
-  if (inbox.capacity() == 0) return;  // nothing warmed up, nothing to keep
-  if (inbox_pool_.size() >= kMaxPooledInboxes) return;  // let it free
-  pooled_inbox_bytes_ += bytes;
-  inbox_pool_.push_back(std::move(inbox));
-}
-
-void AgentSystem::drain_inbox_bouncing(Slot& record) {
-  while (!record.inbox.empty()) {
-    const Message message = record.inbox.pop_front();
-    bounce(message);
+void AgentSystem::bounce_inbox(std::uint32_t target) {
+  // Detach the whole chain before the first bounce: each bounce transmits
+  // into the pool, which may reuse the slot just freed or reallocate.
+  std::uint32_t slot = slots_[target].inbox_head;
+  slots_[target].inbox_head = kNoSlot;
+  slots_[target].inbox_size = 0;
+  while (slot != kNoSlot) {
+    const std::uint32_t next = in_flight_[slot].next;
+    bounce(take_message(slot));
+    slot = next;
   }
 }
 
@@ -147,7 +140,6 @@ void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
   Slot& record = slots_[slot];
   record.id = id;
   record.node = node;
-  record.inbox = acquire_inbox();
   agents_[slot] = std::move(owned);
   index_.emplace(id, slot);
   note_memory_high_water();
@@ -167,15 +159,7 @@ void AgentSystem::dispose(AgentId id) {
   ++slots_[slot].generation;
 
   // Queued messages can no longer be served; bounce them to their senders.
-  // The inbox moves to a local buffer first — bounce only transmits, but the
-  // slot reference would not survive the callbacks below if they install
-  // agents (slab growth may reallocate).
-  util::RingBuffer<Message> inbox = std::move(slots_[slot].inbox);
-  while (!inbox.empty()) {
-    const Message message = inbox.pop_front();
-    bounce(message);
-  }
-  recycle_inbox(std::move(inbox));
+  bounce_inbox(slot);
 
   // The dropped-RPC callbacks and on_dispose may create or dispose other
   // agents; erasure never moves slab records, but growth may reallocate the
@@ -223,8 +207,7 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   ++record.generation;
   record.state = State::kInTransit;
   record.serving = false;
-  drain_inbox_bouncing(record);
-  recycle_inbox(std::move(record.inbox));
+  bounce_inbox(slot);
 
   // A mobile service provider leaves its registrations behind.
   unregister_agent_services(source, id);
@@ -250,7 +233,6 @@ void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
         record.state = State::kActive;
         record.node = destination;
         agents_[slot]->node_ = destination;
-        record.inbox = acquire_inbox();
         ++stats_.migrations_completed;
         agents_[slot]->on_arrival(source);
       });
@@ -372,7 +354,8 @@ void AgentSystem::transmit(Message message, net::NodeId to_node) {
     // been consecutive anyway), append to the chain instead of paying for
     // another simulator event. Both checks are required for exact order
     // preservation; `pending` also guards against appending to a chain
-    // whose event is firing right now (its slots are already released).
+    // whose event is firing right now (its slots are already relinked onto
+    // inboxes or freed).
     const sim::SimTime when = simulator_.now() + plan.delay[0];
     if (open_tail_ != kNoSlot && open_node_ == to_node && open_when_ == when &&
         simulator_.schedule_stamp() == open_stamp_ &&
@@ -397,72 +380,62 @@ void AgentSystem::transmit(Message message, net::NodeId to_node) {
 
 void AgentSystem::on_delivery(std::uint32_t slot, net::NodeId node) {
   transport_->note_delivered(node);
-  // Extract the message (and free the slot) before delivering: the handler
-  // may send again and reallocate `in_flight_`.
-  InFlight& flight = in_flight_[slot];
-  if (flight.remaining > 1) {
-    --flight.remaining;
-    Message copy = flight.message;  // a duplicated send; keep the original
-    deliver(node, std::move(copy));
+  if (in_flight_[slot].remaining > 1) {
+    // A duplicated send: deliver a copy from a fresh slot and keep the
+    // original for the copies still in flight. `acquire_slot` may
+    // reallocate the pool, so index it afresh.
+    --in_flight_[slot].remaining;
+    const std::uint32_t copy = acquire_slot();
+    in_flight_[copy].message = in_flight_[slot].message;
+    deliver(node, copy);
     return;
   }
-  Message message = std::move(flight.message);
-  release_slot(slot);
-  deliver(node, std::move(message));
+  deliver(node, slot);
 }
 
 void AgentSystem::on_burst(std::uint32_t head, net::NodeId node) {
   // Walk the chain in append order (= original per-message event order).
-  // Re-index `in_flight_` on every step: a bounced message reenters
-  // `transmit`, which may grow the pool or reuse released slots.
+  // Read `next` before `deliver` relinks the slot onto an inbox chain or
+  // frees it; a bounce reenters `transmit`, which may grow the pool or
+  // reuse freed slots.
   std::uint32_t slot = head;
   while (slot != kNoSlot) {
     const std::uint32_t next = in_flight_[slot].next;
     transport_->note_delivered(node);
-    Message& message = in_flight_[slot].message;
-    const std::uint32_t target = record_index(message.to);
-    if (target != kNoRecord && slots_[target].state == State::kActive &&
-        slots_[target].node == node) {
-      // `enqueue` runs no agent code, so deliver straight from the slot.
-      enqueue(target, std::move(message));
-      release_slot(slot);
-    } else {
-      Message bounced = std::move(message);
-      release_slot(slot);
-      bounce(bounced);
-    }
+    deliver(node, slot);
     slot = next;
   }
 }
 
-void AgentSystem::deliver(net::NodeId node, Message message) {
-  const std::uint32_t target = record_index(message.to);
+void AgentSystem::deliver(net::NodeId node, std::uint32_t slot) {
+  const std::uint32_t target = record_index(in_flight_[slot].message.to);
   const bool present = target != kNoRecord &&
                        slots_[target].state == State::kActive &&
                        slots_[target].node == node;
   if (!present) {
-    bounce(message);
+    bounce(take_message(slot));
     return;
   }
-  enqueue(target, std::move(message));
+  enqueue(target, slot);
 }
 
-void AgentSystem::enqueue(std::uint32_t slot, Message&& message) {
-  Slot& record = slots_[slot];
-  const std::size_t capacity_before = record.inbox.capacity();
-  record.inbox.push_back(std::move(message));
-  if (record.inbox.capacity() != capacity_before) {
-    live_inbox_bytes_ +=
-        (record.inbox.capacity() - capacity_before) * sizeof(Message);
-    note_memory_high_water();
+void AgentSystem::enqueue(std::uint32_t target, std::uint32_t slot) {
+  in_flight_[slot].next = kNoSlot;
+  Slot& record = slots_[target];
+  if (record.inbox_size == 0) {
+    record.inbox_head = slot;
+  } else {
+    in_flight_[record.inbox_tail].next = slot;
   }
+  record.inbox_tail = slot;
+  ++record.inbox_size;
   stats_.peak_inbox_depth =
-      std::max(stats_.peak_inbox_depth, record.inbox.size());
+      std::max<std::size_t>(stats_.peak_inbox_depth, record.inbox_size);
   if (!record.serving) {
     record.serving = true;
     const std::uint32_t generation = record.generation;
-    simulator_.schedule_after(config_.service_time, [this, slot, generation] {
-      serve_next(slot, generation);
+    simulator_.schedule_after(config_.service_time, [this, target, generation] {
+      serve_next(target, generation);
     });
   }
 }
@@ -470,10 +443,15 @@ void AgentSystem::enqueue(std::uint32_t slot, Message&& message) {
 void AgentSystem::serve_next(std::uint32_t slot, std::uint32_t generation) {
   Slot* record = &slots_[slot];
   if (record->generation != generation || !record->serving ||
-      record->inbox.empty()) {
+      record->inbox_size == 0) {
     return;
   }
-  Message message = record->inbox.pop_front();
+  // Unlink the head and free its pool slot before dispatch: the handler may
+  // transmit, which can grow (reallocate) the pool.
+  const std::uint32_t head = record->inbox_head;
+  record->inbox_head = in_flight_[head].next;
+  --record->inbox_size;
+  Message message = take_message(head);
   ++stats_.messages_processed;
   dispatch(*agents_[slot], message);
 
@@ -482,7 +460,7 @@ void AgentSystem::serve_next(std::uint32_t slot, std::uint32_t generation) {
   // still ours unless the generation moved).
   record = &slots_[slot];
   if (record->generation != generation) return;
-  if (record->inbox.empty()) {
+  if (record->inbox_size == 0) {
     record->serving = false;
   } else {
     simulator_.schedule_after(config_.service_time, [this, slot, generation] {
@@ -663,7 +641,7 @@ Agent* AgentSystem::find(AgentId id) noexcept {
 
 std::size_t AgentSystem::inbox_depth(AgentId id) const noexcept {
   const Slot* record = find_record(id);
-  return record == nullptr ? 0 : record->inbox.size();
+  return record == nullptr ? 0 : record->inbox_size;
 }
 
 MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
@@ -674,7 +652,6 @@ MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
       agents_.capacity() * sizeof(std::unique_ptr<Agent>) +
       free_slots_.capacity() * sizeof(std::uint32_t) +
       index_.capacity() * (sizeof(AgentId) + sizeof(std::uint32_t));
-  memory.inboxes = live_inbox_bytes_ + pooled_inbox_bytes_;
   memory.rpc_table =
       pending_rpcs_.capacity() * (sizeof(std::uint64_t) + sizeof(PendingRpc));
   memory.in_flight = in_flight_.capacity() * sizeof(InFlight);

@@ -15,7 +15,6 @@
 #include "sim/simulator.hpp"
 #include "util/flat_map.hpp"
 #include "util/inline_function.hpp"
-#include "util/ring_buffer.hpp"
 
 namespace agentloc::platform {
 
@@ -47,17 +46,19 @@ struct MemoryBreakdown {
   /// Agent record storage: hot slot array, cold agent-pointer array, the
   /// free-slot list, and the id → slot index table.
   std::size_t agent_records = 0;
-  /// Live and pooled inbox ring slabs.
+  /// Always 0: queued messages wait in the in-flight pool and are counted
+  /// under `in_flight`. Kept because perfbench reports the field.
   std::size_t inboxes = 0;
   /// Pending-RPC table slots.
   std::size_t rpc_table = 0;
-  /// In-flight message slot pool.
+  /// Message slot pool: every message between transmit and dispatch, in
+  /// flight or queued in an inbox.
   std::size_t in_flight = 0;
   /// Per-node service registry vectors.
   std::size_t services = 0;
 
   std::size_t total() const noexcept {
-    return agent_records + inboxes + rpc_table + in_flight + services;
+    return agent_records + rpc_table + in_flight + services;
   }
 };
 
@@ -81,16 +82,15 @@ struct PlatformStats {
   std::uint64_t messages_coalesced = 0;
   /// High-water mark of any single agent inbox (including the message in
   /// service) — the queueing-pressure analogue of the paper's saturation
-  /// curves, and the platform's dominant per-agent memory term.
+  /// curves.
   std::size_t peak_inbox_depth = 0;
   /// Estimated resident platform bytes per live agent at collection time
   /// (`AgentSystem::estimated_resident_bytes / live_agent_count`), filled by
   /// the experiment harness; 0 while a run is in flight.
   double bytes_per_agent = 0.0;
   /// High-water mark of `AgentSystem::estimated_resident_bytes`, sampled at
-  /// every allocation growth point (agent install, inbox growth, in-flight
-  /// pool growth). Deterministic for a fixed seed, so it gates in CI the way
-  /// throughput does (lower is better).
+  /// every allocation growth point (agent install, message pool growth).
+  /// Deterministic for a fixed seed, so CI gates it exactly.
   std::size_t peak_resident_bytes = 0;
 
   /// Add `other`'s flow counters. The watermarks (`peak_inbox_depth`,
@@ -131,14 +131,13 @@ struct PlatformStats {
 ///    messages while in transit.
 ///
 /// The message plane is allocation-free in steady state (DESIGN.md §10):
-/// payloads live inline in `util::PayloadBox`, inboxes are pooled
-/// `util::RingBuffer`s recycled across agent lifetimes, and in-flight
-/// messages wait in a slot pool so delivery events capture 16 trivially-
-/// copyable bytes.
+/// payloads live inline in `util::PayloadBox`, and every message between
+/// transmit and dispatch waits in one slot pool, so delivery events capture
+/// 16 trivially-copyable bytes and an inbox is a FIFO chain of pool slots.
 ///
 /// Agent records live in generation-tagged slab storage (DESIGN.md §15): a
 /// dense array of hot `Slot`s (id, node mirror, generation, lifecycle flags,
-/// inbox ring header) parallel to a cold array of owning agent pointers,
+/// inbox chain) parallel to a cold array of owning agent pointers,
 /// indexed by an open-addressing id → slot `util::FlatMap`. Scheduled events
 /// capture `{slot, generation}` — validity is one array probe, slots are
 /// recycled through a free list, and erasing an agent never moves another
@@ -280,17 +279,11 @@ class AgentSystem {
   /// service).
   std::size_t inbox_depth(AgentId id) const noexcept;
 
-  /// Inbox ring buffers parked in the recycling pool (white-box tests).
-  std::size_t pooled_inbox_count() const noexcept {
-    return inbox_pool_.size();
-  }
-
   /// Estimate of the platform's resident heap footprint: record slab and
-  /// RPC table slots, live and pooled inbox rings, the in-flight message
-  /// pool, and the service registry. Counts capacities (what is allocated),
-  /// not sizes (what is momentarily occupied), because pooled capacity is
-  /// what the process actually holds at steady state. O(1): the inbox and
-  /// service byte totals are tracked incrementally.
+  /// RPC table slots, the message pool, and the service registry. Counts
+  /// capacities (what is allocated), not sizes (what is momentarily
+  /// occupied), because pooled capacity is what the process actually holds
+  /// at steady state. O(1): the service byte total is tracked incrementally.
   std::size_t estimated_resident_bytes() const noexcept;
 
   /// The same estimate, itemized by subsystem.
@@ -304,8 +297,11 @@ class AgentSystem {
  private:
   enum class State : std::uint8_t { kActive, kInTransit };
 
+  static constexpr std::uint32_t kNoSlot = 0xffffffff;
+  static constexpr std::uint32_t kNoRecord = 0xffffffff;
+
   /// Hot per-agent record: everything the delivery and serve paths touch,
-  /// packed into one cache line, separate from the cold owning pointer in
+  /// packed into half a cache line, separate from the cold owning pointer in
   /// `agents_`. A vacant slot has `id == kNoAgent` and waits on
   /// `free_slots_`.
   struct Slot {
@@ -322,8 +318,13 @@ class AgentSystem {
     bool serving = false;
     /// Teardown in progress: reentrant dispose of the same id is a no-op.
     bool disposing = false;
-    util::RingBuffer<Message> inbox;
+    /// Inbox: a FIFO chain of `in_flight_` slots linked through
+    /// `InFlight::next`, oldest first. `inbox_tail` is stale while empty.
+    std::uint32_t inbox_head = kNoSlot;
+    std::uint32_t inbox_tail = kNoSlot;
+    std::uint32_t inbox_size = 0;
   };
+  static_assert(sizeof(Slot) <= 32, "two hot records per cache line");
 
   struct PendingRpc {
     AgentId from = kNoAgent;
@@ -331,11 +332,13 @@ class AgentSystem {
     sim::EventId timeout_event = sim::kInvalidEvent;
   };
 
-  /// A message between transmit and delivery. Slots are pooled so the
+  /// A message between transmit and dispatch. Slots are pooled so the
   /// simulator event only carries {system, slot, node} — small enough for
   /// the engine's inline handler storage, so the hot path never allocates.
-  /// `next` doubles as the free-list link and, while in flight, the chain
-  /// link of a coalesced delivery burst.
+  /// A message is written into its slot once and never copied: delivery
+  /// links the slot onto the recipient's inbox chain. `next` is the
+  /// free-list link while free, the burst-chain link while in flight, and
+  /// the inbox-chain link while queued.
   struct InFlight {
     Message message;
     std::uint32_t next = 0;
@@ -365,10 +368,6 @@ class AgentSystem {
     void operator()() const { system->on_burst(head, node); }
   };
 
-  static constexpr std::uint32_t kNoSlot = 0xffffffff;
-  static constexpr std::uint32_t kNoRecord = 0xffffffff;
-  static constexpr std::size_t kMaxPooledInboxes = 256;
-
   void install(std::unique_ptr<Agent> owned, net::NodeId node);
   AgentId allocate_id();
 
@@ -386,8 +385,8 @@ class AgentSystem {
   void transmit(Message message, net::NodeId to_node);
   void on_delivery(std::uint32_t slot, net::NodeId node);
   void on_burst(std::uint32_t head, net::NodeId node);
-  void deliver(net::NodeId node, Message message);
-  void enqueue(std::uint32_t slot, Message&& message);
+  void deliver(net::NodeId node, std::uint32_t slot);
+  void enqueue(std::uint32_t target, std::uint32_t slot);
   void serve_next(std::uint32_t slot, std::uint32_t generation);
   void dispatch(Agent& agent, Message& message);
   void bounce(const Message& message);
@@ -396,10 +395,10 @@ class AgentSystem {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot) noexcept;
-
-  util::RingBuffer<Message> acquire_inbox();
-  void recycle_inbox(util::RingBuffer<Message>&& inbox);
-  void drain_inbox_bouncing(Slot& record);
+  /// Move the message out of `slot` and free the slot.
+  Message take_message(std::uint32_t slot);
+  /// Empty `target`'s inbox, bouncing each message in FIFO order.
+  void bounce_inbox(std::uint32_t target);
 
   void unregister_agent_services(net::NodeId node, AgentId id);
 
@@ -433,10 +432,8 @@ class AgentSystem {
 
   util::FlatMap<std::uint64_t, PendingRpc, 0> pending_rpcs_;
 
-  /// Incrementally tracked byte totals, so `estimated_resident_bytes` is
-  /// O(1) and cheap enough to sample at every growth point.
-  std::size_t live_inbox_bytes_ = 0;
-  std::size_t pooled_inbox_bytes_ = 0;
+  /// Incrementally tracked, so `estimated_resident_bytes` is O(1) and cheap
+  /// enough to sample at every growth point.
   std::size_t service_bytes_ = 0;
 
   /// Interned service names; index in this vector IS the `ServiceKey`.
@@ -457,8 +454,6 @@ class AgentSystem {
   sim::SimTime open_when_ = sim::SimTime::zero();
   sim::EventId open_event_ = sim::kInvalidEvent;
   std::uint64_t open_stamp_ = 0;
-
-  std::vector<util::RingBuffer<Message>> inbox_pool_;
 
   /// Agents disposed from inside their own callbacks wait here until the
   /// current event finishes.

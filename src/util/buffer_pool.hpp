@@ -7,7 +7,7 @@ namespace agentloc::util {
 
 /// Recycles byte buffers across frame encodes and socket reads so the wire
 /// layer's steady state allocates nothing (the byte-level analogue of the
-/// platform's pooled inbox rings, DESIGN.md §10/§17).
+/// platform's message slot pool, DESIGN.md §10/§17).
 ///
 /// Buffers are plain `std::vector<std::uint8_t>`s handed out *cleared but
 /// warm*: a released buffer keeps its heap allocation and comes back with

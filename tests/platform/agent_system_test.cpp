@@ -120,6 +120,21 @@ TEST_F(AgentSystemTest, InboxIsFifoWithPerMessageService) {
   EXPECT_EQ(sim_.now(), sim::SimTime::micros(1500));
 }
 
+TEST_F(AgentSystemTest, DuplicatedSendServesBothCopiesIntact) {
+  // The first copy to land takes a fresh pool slot while the original waits
+  // for the second delivery; from a one-slot pool that copy reallocates it.
+  network_.faults().duplicate_probability = 1.0;
+  Probe& a = system_.create<Probe>(0);
+  Probe& b = system_.create<Probe>(1);
+  sim_.run();
+  const std::string text(40, 'x');  // heap-backed, so copies are deep
+  system_.send(a.id(), AgentAddress{1, b.id()}, TextPayload{text}, 64);
+  sim_.run();
+  ASSERT_EQ(b.events.size(), 3u);
+  EXPECT_EQ(b.events[1], "msg:" + text);
+  EXPECT_EQ(b.events[2], "msg:" + text);
+}
+
 TEST_F(AgentSystemTest, QueueDepthVisibleWhileDraining) {
   Probe& a = system_.create<Probe>(0);
   Probe& b = system_.create<Probe>(1);
@@ -401,13 +416,29 @@ TEST_F(AgentSystemTest, MemoryBreakdownSumsToEstimateAndTracksPeak) {
   EXPECT_EQ(grown.total(), system_.estimated_resident_bytes());
   EXPECT_GT(grown.agent_records, before.agent_records);
 
-  // Inbox slabs are lazy: only a queued burst makes a ring allocate, and the
-  // pooled capacity survives the drain.
+  // Every inbox queues in the one message pool: agents that are each served
+  // one message in turn leave message storage where a single message did.
+  const auto message_bytes = [this] {
+    const MemoryBreakdown memory = system_.memory_breakdown();
+    return memory.inboxes + memory.in_flight;
+  };
+  system_.send(ids[1], AgentAddress{0, ids[0]}, TextPayload{"one"}, 64);
+  sim_.run();
+  const std::size_t single = message_bytes();
+  for (std::size_t i = 2; i < 50; ++i) {
+    system_.send(ids[1], AgentAddress{static_cast<net::NodeId>(i % 4), ids[i]},
+                 TextPayload{"one"}, 64);
+    sim_.run();
+  }
+  EXPECT_EQ(message_bytes(), single);
+
+  // A queued burst grows the pool, and the capacity survives the drain.
   for (int i = 0; i < 8; ++i) {
     system_.send(ids[1], AgentAddress{0, ids[0]}, TextPayload{"fill"}, 64);
   }
   sim_.run();
-  EXPECT_GT(system_.memory_breakdown().inboxes, before.inboxes);
+  EXPECT_GT(system_.memory_breakdown().in_flight, before.in_flight);
+  EXPECT_EQ(system_.memory_breakdown().inboxes, 0u);
   // The high-water mark saw the growth and never reads below the present.
   EXPECT_GE(system_.stats().peak_resident_bytes,
             system_.memory_breakdown().total());

@@ -1,8 +1,9 @@
-// Edge cases of the pooled ring-buffer inbox lifecycle: agents that vanish
-// (dispose, migrate) while messages are queued or being served, and RPCs
-// whose callee moves away mid-call. These paths recycle inboxes through the
-// system free list and re-find records after dispatch, so they run under the
-// sanitizer presets as well (CI labels every test `sanitize` there).
+// Edge cases of the inbox lifecycle: agents that vanish (dispose, migrate)
+// while messages are queued or being served, and RPCs whose callee moves
+// away mid-call. These paths unlink inbox chains from the shared message
+// pool, free its slots while bounces transmit into it, and re-find records
+// after dispatch, so they run under the sanitizer presets as well (CI labels
+// every test `sanitize` there).
 
 #include <gtest/gtest.h>
 

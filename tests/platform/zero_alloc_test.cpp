@@ -1,8 +1,9 @@
 // The messaging fast path must be allocation-free in steady state: once the
-// event pool, in-flight slots, and ring inboxes are warm, sending and
-// dispatching fixed-size payloads may not touch the heap. This binary
-// replaces the global allocation functions with counting versions and
-// asserts a zero delta across a measured burst.
+// event pool and the message slot pool (which also holds every queued inbox
+// message) are warm, sending and dispatching fixed-size payloads may not
+// touch the heap, even for a recipient that has never been sent anything.
+// This binary replaces the global allocation functions with counting
+// versions and asserts a zero delta across each measured exchange.
 
 #include <gtest/gtest.h>
 
@@ -84,8 +85,8 @@ TEST(ZeroAlloc, SteadyStateSendAndDispatchDoNotAllocate) {
     sim.run();
   };
 
-  // Warm the event pool, the in-flight slots, and the ring inbox to the
-  // burst's high-water mark.
+  // Warm the event pool and the message slots to the burst's high-water
+  // mark.
   burst();
   burst();
 
@@ -100,6 +101,37 @@ TEST(ZeroAlloc, SteadyStateSendAndDispatchDoNotAllocate) {
       system.stats().messages_processed - processed_before;
 
   EXPECT_EQ(processed_delta, 128u);  // the measured traffic really flowed
+  EXPECT_EQ(allocation_delta, 0u);
+}
+
+TEST(ZeroAlloc, FirstMessageToFreshAgentDoesNotAllocate) {
+  sim::Simulator sim;
+  net::Network network(
+      sim, 2, std::make_unique<net::FixedLatencyModel>(sim::SimTime::millis(1)),
+      util::Rng(5));
+  AgentSystem::Config config;
+  config.service_time = sim::SimTime::micros(50);
+  AgentSystem system(sim, network, config);
+
+  Sink& sender = system.create<Sink>(0);
+  Sink& warm = system.create<Sink>(1);
+  sim.run();
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    system.send(sender.id(), AgentAddress{1, warm.id()}, Fixed{i, i}, 64);
+  }
+  sim.run();
+
+  // Installing an agent allocates; its first message must not.
+  Sink& fresh = system.create<Sink>(1);
+  sim.run();
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  system.send(sender.id(), AgentAddress{1, fresh.id()}, Fixed{7, 7}, 64);
+  sim.run();
+  const std::uint64_t allocation_delta =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+
+  EXPECT_EQ(fresh.consumed, 7u);
   EXPECT_EQ(allocation_delta, 0u);
 }
 
