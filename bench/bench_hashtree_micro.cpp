@@ -43,7 +43,7 @@ void BM_Lookup(benchmark::State& state) {
 BENCHMARK(BM_Lookup)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
 
 /// The allocation-free fast path: the hashed id stays in a register end to
-/// end, so this row isolates the compiled router walk itself.
+/// end, so this row isolates the node-array walk itself.
 void BM_LookupU64(benchmark::State& state) {
   const HashTree tree = make_tree(static_cast<std::size_t>(state.range(0)), 7);
   util::Rng rng(99);

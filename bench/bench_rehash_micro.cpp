@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) of the write path: rehash churn —
-// splits, merges, relocations — interleaved with routed lookups, comparing
-// incremental router patching against the cold-rebuild baseline
-// (`set_incremental_router(false)`, the pre-patching policy where any
-// mutation invalidates the compiled router and the next lookup rebuilds it
-// from the node tree). These back DESIGN.md §11's claim that a mutation
-// costs O(path), not O(tree), on the read path it disturbs.
+// splits, merges, relocations — interleaved with routed lookups. These back
+// DESIGN.md §11's claim that a mutation costs O(path), not O(tree): each one
+// edits the node array the next lookup reads, and nothing is rebuilt.
+//
+// The `_Patched` suffix on every row is historical (it named the arm that
+// edited a separate routing array in place, against a cold-rebuild arm that
+// no longer exists); the rows keep it so CI compares them against their
+// committed baseline in BENCH_rehash_micro.json.
 
 #include <benchmark/benchmark.h>
 
@@ -21,10 +23,9 @@ using hashtree::NodeLocation;
 namespace {
 
 /// Grow a tree to `leaves` leaves with randomized even/deep splits.
-HashTree make_tree(std::size_t leaves, std::uint64_t seed, bool incremental) {
+HashTree make_tree(std::size_t leaves, std::uint64_t seed) {
   util::Rng rng(seed);
   HashTree tree(1, 0);
-  tree.set_incremental_router(incremental);
   IAgentId next = 2;
   while (tree.leaf_count() < leaves) {
     const auto all = tree.leaves();
@@ -41,12 +42,10 @@ constexpr int kLookupsPerMutation = 8;
 /// resolving. Each iteration applies one mutation (a split+merge cycle or a
 /// relocation, leaf count invariant) followed by `kLookupsPerMutation`
 /// routed lookups. Items = lookups, so items/s is lookup throughput under
-/// churn — the number the ≥5x patched-vs-cold acceptance bar reads.
-void churn_lookup(benchmark::State& state, bool incremental) {
-  HashTree tree =
-      make_tree(static_cast<std::size_t>(state.range(0)), 7, incremental);
+/// churn.
+void BM_ChurnLookup_Patched(benchmark::State& state) {
+  HashTree tree = make_tree(static_cast<std::size_t>(state.range(0)), 7);
   const auto all = tree.leaves();
-  (void)tree.lookup_id(1);  // warm the router
   util::Rng rng(99);
   IAgentId next = 1'000'000;
   for (auto _ : state) {
@@ -64,25 +63,13 @@ void churn_lookup(benchmark::State& state, bool incremental) {
   }
   state.SetItemsProcessed(state.iterations() * kLookupsPerMutation);
 }
-
-void BM_ChurnLookup_Patched(benchmark::State& state) {
-  churn_lookup(state, true);
-}
 BENCHMARK(BM_ChurnLookup_Patched)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_ChurnLookup_ColdRebuild(benchmark::State& state) {
-  churn_lookup(state, false);
-}
-BENCHMARK(BM_ChurnLookup_ColdRebuild)->Arg(64)->Arg(256)->Arg(1024);
-
 /// Pure mutation throughput, with a single routed lookup after every
-/// mutation so the cold baseline pays the rebuild its invalidation caused.
-/// Items = mutations (each iteration is split + merge = 2).
-void mutation_rate(benchmark::State& state, bool incremental) {
-  HashTree tree =
-      make_tree(static_cast<std::size_t>(state.range(0)), 7, incremental);
+/// mutation. Items = mutations (each iteration is split + merge = 2).
+void BM_MutationRate_Patched(benchmark::State& state) {
+  HashTree tree = make_tree(static_cast<std::size_t>(state.range(0)), 7);
   const auto all = tree.leaves();
-  (void)tree.lookup_id(1);
   util::Rng rng(11);
   IAgentId next = 1'000'000;
   for (auto _ : state) {
@@ -95,24 +82,13 @@ void mutation_rate(benchmark::State& state, bool incremental) {
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
-
-void BM_MutationRate_Patched(benchmark::State& state) {
-  mutation_rate(state, true);
-}
 BENCHMARK(BM_MutationRate_Patched)->Arg(64)->Arg(1024);
 
-void BM_MutationRate_ColdRebuild(benchmark::State& state) {
-  mutation_rate(state, false);
-}
-BENCHMARK(BM_MutationRate_ColdRebuild)->Arg(64)->Arg(1024);
-
-/// Relocation-only churn (the kSetLocation fast path: an O(1) payload patch
-/// on the leaf's router entry), one routed lookup per relocation.
-void relocate_lookup(benchmark::State& state, bool incremental) {
-  HashTree tree =
-      make_tree(static_cast<std::size_t>(state.range(0)), 7, incremental);
+/// Relocation-only churn (the kSetLocation fast path: an O(1) payload write
+/// on the leaf's node), one routed lookup per relocation.
+void BM_RelocateLookup_Patched(benchmark::State& state) {
+  HashTree tree = make_tree(static_cast<std::size_t>(state.range(0)), 7);
   const auto all = tree.leaves();
-  (void)tree.lookup_id(1);
   util::Rng rng(42);
   for (auto _ : state) {
     const IAgentId victim = all[rng.next_below(all.size())];
@@ -121,16 +97,7 @@ void relocate_lookup(benchmark::State& state, bool incremental) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_RelocateLookup_Patched(benchmark::State& state) {
-  relocate_lookup(state, true);
-}
 BENCHMARK(BM_RelocateLookup_Patched)->Arg(1024);
-
-void BM_RelocateLookup_ColdRebuild(benchmark::State& state) {
-  relocate_lookup(state, false);
-}
-BENCHMARK(BM_RelocateLookup_ColdRebuild)->Arg(1024);
 
 }  // namespace
 

@@ -20,20 +20,6 @@ struct LocationCacheConfig {
 
   /// Sim-time bound on a binding's age; expired entries count as misses.
   sim::SimTime ttl = sim::SimTime::seconds(2);
-
-  /// Admit "known absent" bindings when the authority answers kUnknown, so
-  /// repeat queries for a missing agent skip the IAgent inside the TTL.
-  /// Off by default: a negative hit short-circuits the locate without a
-  /// verify probe, so (unlike positive hits) it can answer "not found" for
-  /// an agent that registered inside the TTL window.
-  bool negative_entries = false;
-
-  /// On a positive hit, verify at the cached node directly (one probe RPC to
-  /// that node's LHAgent) instead of asking the responsible IAgent; a stale
-  /// binding falls back to the authoritative path. Disabling this reduces
-  /// the cache to a passive store (bindings maintained and instrumented, no
-  /// locate short-circuit) — the ablation's "cache without jump" arm.
-  bool optimistic_jump = true;
 };
 
 /// Tunables of the hash-based location mechanism. Defaults reproduce the

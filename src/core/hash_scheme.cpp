@@ -318,7 +318,8 @@ void HashLocationScheme::locate_attempt(
     platform::AgentId requester, platform::AgentId target, int attempt,
     std::function<void(const LocateOutcome&)> done) {
   if (attempt > kMaxLocateRetries) {
-    fail_locate(requester, target, attempt - 1, done);
+    ++stats_.locates_failed;
+    done(LocateOutcome{false, net::kNoNode, attempt - 1});
     return;
   }
   LHAgent* lhagent = local_lhagent(requester);
@@ -333,21 +334,8 @@ void HashLocationScheme::locate_attempt(
   if (attempt == 1 && lhagent->location_cache() != nullptr) {
     LocationCache& cache = *lhagent->location_cache();
     if (const auto hit = cache.lookup(target, system_.now())) {
-      if (hit->negative) {
-        // A recent authoritative "unknown": short-circuit the retry cycle.
-        ++stats_.locates_failed;
-        done(LocateOutcome{false, net::kNoNode, 0});
-        return;
-      }
-      if (config_.location_cache.optimistic_jump) {
-        probe_cached_node(requester, target, hit->node, attempt,
-                          std::move(done));
-        return;
-      }
-      // Jump disabled: answer from the cache unverified. Bounded-staleness
-      // mode — at most `ttl` behind, cheaper than even a probe.
-      ++stats_.locates_found;
-      done(LocateOutcome{true, hit->node, 0});
+      probe_cached_node(requester, target, hit->node, attempt,
+                        std::move(done));
       return;
     }
   }
@@ -517,20 +505,6 @@ void HashLocationScheme::handle_locate_reply(
   }
 }
 
-void HashLocationScheme::fail_locate(
-    platform::AgentId requester, platform::AgentId target, int attempts,
-    const std::function<void(const LocateOutcome&)>& done) {
-  ++stats_.locates_failed;
-  // Every retry (including a refresh cycle) ended in kUnknown: remember the
-  // absence so the next queries for this target skip the whole cycle.
-  if (LHAgent* lhagent = local_lhagent(requester);
-      lhagent != nullptr && lhagent->location_cache() != nullptr &&
-      config_.location_cache.negative_entries) {
-    lhagent->location_cache()->store_negative(target, system_.now());
-  }
-  done(LocateOutcome{false, net::kNoNode, attempts});
-}
-
 const SchemeStats& HashLocationScheme::stats() const noexcept {
   SchemeStats& stats = const_cast<HashLocationScheme*>(this)->stats_;
   stats.cache_hits = 0;
@@ -542,7 +516,7 @@ const SchemeStats& HashLocationScheme::stats() const noexcept {
     const LocationCache* cache = lhagent->location_cache();
     if (cache == nullptr) continue;
     const LocationCacheStats& counters = cache->stats();
-    stats.cache_hits += counters.hits + counters.negative_hits;
+    stats.cache_hits += counters.hits;
     stats.cache_misses += counters.misses;
     stats.cache_stale_hits += counters.stale_hits;
     stats.cache_evictions += counters.evictions;

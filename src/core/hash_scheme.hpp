@@ -125,12 +125,6 @@ class HashLocationScheme : public LocationScheme {
                            std::function<void(const LocateOutcome&)> done,
                            const platform::RpcResult& result);
 
-  /// Give up on a locate: count the failure and, when negative entries are
-  /// enabled, remember the absence so repeat queries short-circuit.
-  void fail_locate(platform::AgentId requester, platform::AgentId target,
-                   int attempts,
-                   const std::function<void(const LocateOutcome&)>& done);
-
   void watch_attempt(platform::AgentId requester, platform::AgentId target,
                      int attempt,
                      std::function<void(const WatchOutcome&)> done);

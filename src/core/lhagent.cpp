@@ -79,8 +79,7 @@ void LHAgent::enable_update_batching(sim::SimTime flush_interval,
 }
 
 void LHAgent::enable_location_cache(const LocationCacheConfig& config) {
-  cache_ = std::make_unique<LocationCache>(config.capacity, config.ttl,
-                                           config.negative_entries);
+  cache_ = std::make_unique<LocationCache>(config.capacity, config.ttl);
 }
 
 void LHAgent::cache_store(const LocationEntry& entry) {

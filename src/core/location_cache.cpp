@@ -14,12 +14,10 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-LocationCache::LocationCache(std::size_t capacity, sim::SimTime ttl,
-                             bool negative_entries)
+LocationCache::LocationCache(std::size_t capacity, sim::SimTime ttl)
     : slots_(round_up_pow2(capacity)),
       hands_(slots_.size() / kWays, 0),
-      ttl_(ttl),
-      negative_entries_(negative_entries) {}
+      ttl_(ttl) {}
 
 std::size_t LocationCache::set_base(platform::AgentId agent) const noexcept {
   const std::size_t set_count = slots_.size() / kWays;
@@ -56,12 +54,8 @@ std::optional<LocationCache::Hit> LocationCache::lookup(
     return std::nullopt;
   }
   slot->referenced = true;
-  if (slot->negative) {
-    ++stats_.negative_hits;
-  } else {
-    ++stats_.hits;
-  }
-  return Hit{slot->node, slot->seq, slot->negative};
+  ++stats_.hits;
+  return Hit{slot->node, slot->seq};
 }
 
 LocationCache::Slot& LocationCache::victim_slot(std::size_t base,
@@ -101,10 +95,9 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
   if (entry.agent == platform::kNoAgent) return;
   if (Slot* slot = find_slot(entry.agent)) {
     // Newest-seq-wins, mirroring the IAgent table: a reordered older report
-    // must not roll the binding back. Negative entries carry no mover seq,
-    // so any positive binding overrides them; an expired binding's seq is
-    // void (the agent may have re-registered with a fresh sequence).
-    if (slot->expiry > now && !slot->negative && entry.seq < slot->seq) {
+    // must not roll the binding back. An expired binding's seq is void (the
+    // agent may have re-registered with a fresh sequence).
+    if (slot->expiry > now && entry.seq < slot->seq) {
       ++stats_.stale_stores;
       return;
     }
@@ -112,7 +105,6 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
     slot->seq = entry.seq;
     slot->expiry = now + ttl_;
     slot->referenced = true;
-    slot->negative = false;
     ++stats_.stores;
     return;
   }
@@ -122,24 +114,7 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
   slot.seq = entry.seq;
   slot.expiry = now + ttl_;
   slot.referenced = true;
-  slot.negative = false;
   ++size_;
-  ++stats_.stores;
-}
-
-void LocationCache::store_negative(platform::AgentId agent, sim::SimTime now) {
-  if (!negative_entries_ || agent == platform::kNoAgent) return;
-  Slot* slot = find_slot(agent);
-  if (slot == nullptr) {
-    slot = &victim_slot(set_base(agent), now);
-    slot->agent = agent;
-    ++size_;
-  }
-  slot->node = net::kNoNode;
-  slot->seq = 0;
-  slot->expiry = now + ttl_;
-  slot->referenced = true;
-  slot->negative = true;
   ++stats_.stores;
 }
 

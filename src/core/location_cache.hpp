@@ -13,8 +13,7 @@ namespace agentloc::core {
 /// Counters exposed through `SchemeStats` (cache_* fields) and the cache
 /// ablation bench.
 struct LocationCacheStats {
-  std::uint64_t hits = 0;            ///< positive lookups inside TTL
-  std::uint64_t negative_hits = 0;   ///< negative-entry lookups inside TTL
+  std::uint64_t hits = 0;            ///< lookups inside TTL
   std::uint64_t misses = 0;          ///< absent, expired, or evicted entries
   std::uint64_t stale_hits = 0;      ///< hits refuted by the verify probe
   std::uint64_t evictions = 0;       ///< live entries displaced by CLOCK
@@ -49,28 +48,21 @@ struct LocationCacheStats {
 class LocationCache {
  public:
   /// `capacity` is rounded up to a power of two ≥ 8 slots; `ttl` bounds the
-  /// sim-time age of every binding. `negative_entries` admits "known absent"
-  /// bindings (see `store_negative`).
-  LocationCache(std::size_t capacity, sim::SimTime ttl, bool negative_entries);
+  /// sim-time age of every binding.
+  LocationCache(std::size_t capacity, sim::SimTime ttl);
 
   struct Hit {
     net::NodeId node = net::kNoNode;
     std::uint64_t seq = 0;
-    bool negative = false;
   };
 
   /// Probe the cache at sim-time `now`. Counts one hit or one miss; an
   /// expired entry is dropped and counted as a miss (plus an expiration).
   std::optional<Hit> lookup(platform::AgentId agent, sim::SimTime now);
 
-  /// Deposit a positive binding, newest-seq-wins. An equal-or-newer seq
-  /// overwrites (refreshing the TTL); an older one is dropped.
+  /// Deposit a binding, newest-seq-wins. An equal-or-newer seq overwrites
+  /// (refreshing the TTL); an older one is dropped.
   void store(const LocationEntry& entry, sim::SimTime now);
-
-  /// Deposit a "known absent" binding (the authoritative IAgent answered
-  /// kUnknown). No-op unless negative entries were enabled. Overwrites any
-  /// positive binding: the authority just denied the agent exists.
-  void store_negative(platform::AgentId agent, sim::SimTime now);
 
   /// Drop the binding for `agent`, if cached. Returns whether one existed.
   bool invalidate(platform::AgentId agent);
@@ -97,7 +89,6 @@ class LocationCache {
     sim::SimTime expiry = sim::SimTime::zero();
     net::NodeId node = net::kNoNode;
     bool referenced = false;
-    bool negative = false;
   };
 
   static constexpr std::size_t kWays = 4;
@@ -114,7 +105,6 @@ class LocationCache {
   std::vector<std::uint8_t> hands_;  ///< per-set CLOCK hand, in [0, kWays)
   std::size_t size_ = 0;
   sim::SimTime ttl_;
-  bool negative_entries_;
   LocationCacheStats stats_;
 };
 

@@ -95,8 +95,8 @@ void TreeDelta::apply_to(HashTree& tree) const {
     throw std::logic_error("TreeDelta: tree is not at the base version");
   }
   // Pre-size the leaf index for the replay's net growth, then replay in one
-  // pass. Each mutation maintains the leaf index and patches a fresh
-  // compiled router inline, so nothing is rebuilt afterwards.
+  // pass. Each mutation edits the node array and the leaf index in place,
+  // so nothing is rebuilt afterwards.
   std::size_t splits = 0;
   for (const TreeOp& op : ops) {
     splits += op.kind == TreeOp::Kind::kSimpleSplit ||

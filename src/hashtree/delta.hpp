@@ -67,9 +67,8 @@ struct TreeDelta {
   /// `base_version` or the replay does not land on `target_version`.
   ///
   /// Single pass: the leaf index is pre-sized for the replay's net split
-  /// count, and each op patches the tree's compiled router and leaf index
-  /// fused with the structural change (no post-replay reindex or rebuild) —
-  /// a warm LHAgent router survives the whole delta O(changed).
+  /// count, and each op edits the tree's node array and leaf index in place
+  /// (no post-replay reindex or rebuild), so a replay costs O(changed).
   void apply_to(HashTree& tree) const;
 };
 

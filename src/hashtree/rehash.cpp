@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "hashtree/router.hpp"
 #include "hashtree/tree.hpp"
 
 namespace agentloc::hashtree {
@@ -17,44 +16,35 @@ void HashTree::simple_split(IAgentId victim, std::size_t m,
   if (new_iagent == kNoIAgent || leaf_index_.contains(new_iagent)) {
     throw std::invalid_argument("simple_split: bad new IAgent id");
   }
-  Node* leaf = leaf_for(victim);
-  CompiledRouter* router = patchable_router();
-  // The new internal node discriminates on the m-th not-yet-used bit: the
-  // victim's pre-split depth plus the m-1 padding bits recorded below.
-  const std::uint32_t split_bit_pos =
-      router != nullptr
-          ? consumed_bits(leaf) + static_cast<std::uint32_t>(m) - 1
-          : 0;
+  const std::uint32_t slot = leaf_for(victim);
 
   // Splitting "on the m-th bit": the m-1 bits before it stop discriminating
   // and are recorded as padding on the incoming edge (root padding when the
-  // leaf is the root).
-  for (std::size_t i = 1; i < m; ++i) leaf->label.push_back(false);
+  // leaf is the root), so the new internal node tests the id bit right after
+  // them.
+  for (std::size_t i = 1; i < m; ++i) labels_[slot].push_back(false);
+  const std::uint32_t bit_pos =
+      nodes_[slot].bit_pos + static_cast<std::uint32_t>(m) - 1;
 
-  auto zero = std::make_unique<Node>();
-  zero->label = util::BitString{false};
-  zero->parent = leaf;
-  zero->iagent = victim;
-  zero->location = leaf->location;
+  Node leaf;
+  leaf.bit_pos = bit_pos + 1;
+  leaf.parent = slot;
+  leaf.iagent = victim;
+  leaf.location = nodes_[slot].location;
+  const std::uint32_t zero = add_node(leaf, util::BitString{false});
+  leaf.iagent = new_iagent;
+  leaf.location = new_location;
+  const std::uint32_t one = add_node(leaf, util::BitString{true});
 
-  auto one = std::make_unique<Node>();
-  one->label = util::BitString{true};
-  one->parent = leaf;
-  one->iagent = new_iagent;
-  one->location = new_location;
-
-  leaf_index_[victim] = zero.get();
-  leaf_index_.emplace(new_iagent, one.get());
-
-  leaf->iagent = kNoIAgent;
-  leaf->location = 0;
-  leaf->child[0] = std::move(zero);
-  leaf->child[1] = std::move(one);
+  Node& split = nodes_[slot];
+  split.bit_pos = bit_pos;
+  split.child[0] = zero;
+  split.child[1] = one;
+  split.iagent = kNoIAgent;
+  split.location = 0;
+  leaf_index_[victim] = zero;
+  leaf_index_.emplace(new_iagent, one);
   bump_version();
-  if (router != nullptr) {
-    router->patch_simple_split(victim, split_bit_pos, new_iagent,
-                               new_location, version_);
-  }
 }
 
 std::vector<SplitPoint> HashTree::complex_split_candidates(
@@ -94,124 +84,96 @@ void HashTree::complex_split(IAgentId victim, const SplitPoint& point,
     throw std::invalid_argument("complex_split: bad new IAgent id");
   }
   // Locate the node whose (incoming) label carries the padding bit.
-  auto path_nodes = path_to(leaf_for(victim));
-  if (point.segment >= path_nodes.size()) {
+  const auto path = path_to(leaf_for(victim));
+  if (point.segment >= path.size()) {
     throw std::out_of_range("complex_split: segment");
   }
-  Node* v = const_cast<Node*>(path_nodes[point.segment]);
-  const util::BitString label = v->label;
+  const std::uint32_t v = path[point.segment];
+  const util::BitString label = labels_[v];
   const std::size_t j = point.bit;
-  const std::size_t k = label.size();
   const std::size_t first_padding = point.segment == 0 ? 0 : 1;
-  if (j < first_padding || j >= k) {
+  if (j < first_padding || j >= label.size()) {
     throw std::out_of_range("complex_split: bit is not a padding bit");
   }
 
-  // Patch parameters, captured before the structure moves: how far above the
-  // victim's leaf the split edge sits, and the absolute id-bit position the
-  // reclaimed padding bit discriminates on.
-  CompiledRouter* router = patchable_router();
-  const auto steps_up =
-      static_cast<std::uint32_t>(path_nodes.size() - 1 - point.segment);
-  std::uint32_t reclaimed_pos = static_cast<std::uint32_t>(j);
-  for (std::size_t s = 0; s < point.segment; ++s) {
-    reclaimed_pos += static_cast<std::uint32_t>(path_nodes[s]->label.size());
-  }
-
-  // The reclaimed bit becomes the valid bit of the relocated subtree's edge;
-  // the new leaf sits on the complementary side with identical trailing
-  // padding (the trailing bits are wildcards either way).
+  // A new internal node `w` takes `v`'s place under its parent (or as the
+  // root) and keeps the unreclaimed label prefix; the reclaimed bit becomes
+  // the valid bit of `v`'s shortened edge. The new leaf sits on the
+  // complementary side with identical trailing padding (the trailing bits
+  // are wildcards either way). The two halves sum to the old label width,
+  // so every `bit_pos` below the split point is unchanged.
   const bool reclaimed = label[j];
-  util::BitString upper = label.prefix(j);
-  util::BitString lower = label.suffix_from(j);
+  const std::uint32_t up = nodes_[v].parent;
+  Node mid;
+  mid.bit_pos = (up == kNone ? 0 : nodes_[up].bit_pos) +
+                static_cast<std::uint32_t>(j);
+  mid.parent = up;
+  const std::uint32_t w = add_node(mid, label.prefix(j));
+
+  Node leaf;
+  leaf.bit_pos = nodes_[v].bit_pos;
+  leaf.parent = w;
+  leaf.iagent = new_iagent;
+  leaf.location = new_location;
   util::BitString fresh;
   fresh.push_back(!reclaimed);
   fresh.append(label.suffix_from(j + 1));
+  const std::uint32_t fresh_slot = add_node(leaf, std::move(fresh));
 
-  auto new_leaf = std::make_unique<Node>();
-  new_leaf->label = std::move(fresh);
-  new_leaf->iagent = new_iagent;
-  new_leaf->location = new_location;
-
-  if (point.segment == 0) {
-    // Reclaiming root padding: a new root keeps the unreclaimed prefix; the
-    // old root descends on the side of the reclaimed bit's recorded value.
-    auto new_root = std::make_unique<Node>();
-    new_root->label = std::move(upper);
-    std::unique_ptr<Node> old_root = std::move(root_);
-    old_root->label = std::move(lower);
-    old_root->parent = new_root.get();
-    new_leaf->parent = new_root.get();
-    new_root->child[reclaimed ? 1 : 0] = std::move(old_root);
-    new_root->child[reclaimed ? 0 : 1] = std::move(new_leaf);
-    leaf_index_.emplace(new_iagent,
-                        new_root->child[reclaimed ? 0 : 1].get());
-    root_ = std::move(new_root);
+  nodes_[w].child[reclaimed ? 1 : 0] = v;
+  nodes_[w].child[reclaimed ? 0 : 1] = fresh_slot;
+  if (up == kNone) {
+    root_ = w;
   } else {
-    Node* u = v->parent;
-    const bool side = label.front();
-    auto w = std::make_unique<Node>();
-    w->label = std::move(upper);
-    w->parent = u;
-    std::unique_ptr<Node> v_owned = std::move(u->child[side ? 1 : 0]);
-    v_owned->label = std::move(lower);
-    v_owned->parent = w.get();
-    new_leaf->parent = w.get();
-    w->child[reclaimed ? 1 : 0] = std::move(v_owned);
-    w->child[reclaimed ? 0 : 1] = std::move(new_leaf);
-    leaf_index_.emplace(new_iagent, w->child[reclaimed ? 0 : 1].get());
-    u->child[side ? 1 : 0] = std::move(w);
+    Node& parent = nodes_[up];
+    parent.child[parent.child[1] == v ? 1 : 0] = w;
   }
+  nodes_[v].parent = w;
+  labels_[v] = label.suffix_from(j);
+  leaf_index_.emplace(new_iagent, fresh_slot);
   bump_version();
-  if (router != nullptr) {
-    router->patch_complex_split(victim, steps_up, reclaimed, reclaimed_pos,
-                                new_iagent, new_location, version_);
-  }
 }
 
 MergeResult HashTree::merge(IAgentId victim) {
-  Node* leaf = leaf_for(victim);
-  if (leaf == root_.get()) {
+  const std::uint32_t v = leaf_for(victim);
+  if (v == root_) {
     throw std::logic_error("merge: cannot merge the last IAgent");
   }
-  CompiledRouter* router = patchable_router();
-  Node* parent = leaf->parent;
-  const bool side = leaf->label.front();
-  Node* sibling = parent->child[side ? 0 : 1].get();
+  const std::uint32_t p = nodes_[v].parent;
+  Node& parent = nodes_[p];
+  const std::uint32_t s = parent.child[parent.child[1] == v ? 0 : 1];
+  const Node& sibling = nodes_[s];
 
   leaf_index_.erase(victim);
   MergeResult result;
 
-  if (sibling->is_leaf()) {
+  if (sibling.is_leaf()) {
     // Simple merge (paper Figure 5): the sibling absorbs the load and moves
     // up to the parent position; the tree height may shrink.
     result.kind = MergeResult::Kind::kSimple;
-    result.into_iagent = sibling->iagent;
-    parent->iagent = sibling->iagent;
-    parent->location = sibling->location;
-    leaf_index_[parent->iagent] = parent;
-    parent->child[0].reset();
-    parent->child[1].reset();
+    result.into_iagent = sibling.iagent;
+    parent.child[0] = kNone;
+    parent.child[1] = kNone;
+    parent.iagent = sibling.iagent;
+    parent.location = sibling.location;
+    leaf_index_[parent.iagent] = p;
   } else {
     // Complex merge (paper Figure 6): splice the sibling subtree into the
     // parent position. Concatenating the labels turns the sibling's valid
     // bit into padding, so every surviving leaf keeps its exact agent set
     // and bit positions — only the victim's agents remap (by re-lookup).
     result.kind = MergeResult::Kind::kComplex;
-    parent->label.append(sibling->label);
-    std::unique_ptr<Node> c0 = std::move(sibling->child[0]);
-    std::unique_ptr<Node> c1 = std::move(sibling->child[1]);
-    c0->parent = parent;
-    c1->parent = parent;
-    parent->child[side ? 0 : 1].reset();  // destroys the sibling shell
-    parent->child[side ? 1 : 0].reset();  // destroys the merged leaf
-    parent->child[0] = std::move(c0);
-    parent->child[1] = std::move(c1);
+    labels_[p].append(labels_[s]);
+    parent.bit_pos = sibling.bit_pos;
+    parent.child[0] = sibling.child[0];
+    parent.child[1] = sibling.child[1];
+    nodes_[parent.child[0]].parent = p;
+    nodes_[parent.child[1]].parent = p;
   }
+  // Nothing reaches the two dead slots now; later splits reuse them.
+  free_.push_back(s);
+  free_.push_back(v);
   bump_version();
-  // The router resolves simple vs. complex from its own structure (its
-  // sibling entry mirrors the node sibling checked above).
-  if (router != nullptr) router->patch_merge(victim, version_);
   return result;
 }
 

@@ -18,17 +18,20 @@ std::string HashTree::render_ascii(const LeafNamer& namer) const {
   const LeafNamer& name = namer ? namer : LeafNamer(default_name);
 
   struct Walker {
+    const HashTree& tree;
     std::ostringstream& os;
     const LeafNamer& name;
 
-    void walk(const Node& node, const std::string& prefix, bool is_last,
+    void walk(std::uint32_t slot, const std::string& prefix, bool is_last,
               bool is_root) {
+      const Node& node = tree.nodes_[slot];
+      const util::BitString& label = tree.labels_[slot];
       std::string line;
       if (!is_root) {
-        line = prefix + (is_last ? "`-- " : "|-- ") + node.label.to_string();
+        line = prefix + (is_last ? "`-- " : "|-- ") + label.to_string();
       } else {
         line = "(root";
-        if (!node.label.empty()) line += " pad=" + node.label.to_string();
+        if (!label.empty()) line += " pad=" + label.to_string();
         line += ")";
       }
       if (node.is_leaf()) {
@@ -39,13 +42,13 @@ std::string HashTree::render_ascii(const LeafNamer& namer) const {
       if (!node.is_leaf()) {
         const std::string child_prefix =
             is_root ? std::string{} : prefix + (is_last ? "    " : "|   ");
-        walk(*node.child[0], child_prefix, false, false);
-        walk(*node.child[1], child_prefix, true, false);
+        walk(node.child[0], child_prefix, false, false);
+        walk(node.child[1], child_prefix, true, false);
       }
     }
   };
 
-  Walker{os, name}.walk(*root_, "", true, true);
+  Walker{*this, os, name}.walk(root_, "", true, true);
   return os.str();
 }
 
@@ -55,11 +58,13 @@ std::string HashTree::render_dot(const LeafNamer& namer) const {
   os << "digraph hashtree {\n  node [shape=circle];\n";
 
   struct Walker {
+    const HashTree& tree;
     std::ostringstream& os;
     const LeafNamer& name;
     int counter = 0;
 
-    int walk(const Node& node) {
+    int walk(std::uint32_t slot) {
+      const Node& node = tree.nodes_[slot];
       const int id = counter++;
       if (node.is_leaf()) {
         os << "  n" << id << " [shape=box,label=\"" << name(node.iagent)
@@ -68,23 +73,23 @@ std::string HashTree::render_dot(const LeafNamer& namer) const {
         os << "  n" << id << " [label=\"\"];\n";
       }
       if (!node.is_leaf()) {
-        const int left = walk(*node.child[0]);
-        const int right = walk(*node.child[1]);
+        const int left = walk(node.child[0]);
+        const int right = walk(node.child[1]);
         os << "  n" << id << " -> n" << left << " [label=\""
-           << node.child[0]->label.to_string() << "\"];\n";
+           << tree.labels_[node.child[0]].to_string() << "\"];\n";
         os << "  n" << id << " -> n" << right << " [label=\""
-           << node.child[1]->label.to_string() << "\"];\n";
+           << tree.labels_[node.child[1]].to_string() << "\"];\n";
       }
       return id;
     }
   };
 
-  Walker walker{os, name};
-  if (!root_->label.empty()) {
-    os << "  pad [shape=plaintext,label=\"pad " << root_->label.to_string()
+  Walker walker{*this, os, name};
+  if (!labels_[root_].empty()) {
+    os << "  pad [shape=plaintext,label=\"pad " << labels_[root_].to_string()
        << "\"];\n";
   }
-  walker.walk(*root_);
+  walker.walk(root_);
   os << "}\n";
   return os.str();
 }

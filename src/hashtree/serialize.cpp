@@ -2,6 +2,8 @@
 // secondary copy refreshes. Preorder encoding, one flag byte per node.
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "hashtree/tree.hpp"
 
@@ -18,18 +20,19 @@ void HashTree::serialize(util::ByteWriter& writer) const {
   writer.reserve(16 + 24 * leaf_index_.size());
   writer.write_u32(kMagic);
   writer.write_varint(version_);
-  std::vector<const Node*> stack{root_.get()};
+  std::vector<std::uint32_t> stack{root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const std::uint32_t slot = stack.back();
     stack.pop_back();
-    writer.write_u8(node->is_leaf() ? kLeafFlag : kInternalFlag);
-    writer.write_bits(node->label);
-    if (node->is_leaf()) {
-      writer.write_varint(node->iagent);
-      writer.write_u32(node->location);
+    const Node& node = nodes_[slot];
+    writer.write_u8(node.is_leaf() ? kLeafFlag : kInternalFlag);
+    writer.write_bits(labels_[slot]);
+    if (node.is_leaf()) {
+      writer.write_varint(node.iagent);
+      writer.write_u32(node.location);
     } else {
-      stack.push_back(node->child[1].get());
-      stack.push_back(node->child[0].get());
+      stack.push_back(node.child[1]);
+      stack.push_back(node.child[0]);
     }
   }
 }
@@ -38,73 +41,75 @@ HashTree HashTree::deserialize(util::ByteReader& reader) {
   if (reader.read_u32() != kMagic) {
     throw std::invalid_argument("HashTree::deserialize: bad magic");
   }
-  const std::uint64_t version = reader.read_varint();
+  HashTree tree;
+  tree.version_ = reader.read_varint();
+  // Below the root every leaf encodes to at least 8 bytes and every internal
+  // node to at least 3, so L leaves need 11L - 4 bytes or more: the rest of
+  // the input bounds the node count 2L - 1.
+  const std::size_t max_nodes = 2 * (reader.remaining() + 4) / 11;
+  tree.nodes_.reserve(max_nodes);
+  tree.labels_.reserve(max_nodes);
 
-  // Decode the preorder stream with an explicit stack: each pending slot
+  // Decode the preorder stream into slots in stream order (so a decoded
+  // tree is laid out in preorder) with an explicit stack: each pending entry
   // names where the next decoded node attaches. Preorder means child 0's
   // whole subtree precedes child 1, so slot 1 is pushed first.
   //
   // Every tree invariant is checked inline as nodes decode — edge labels
   // non-empty with the valid bit matching the child slot, leaves carrying
   // unique nonzero IAgent ids — and the rest (two-or-zero children, parent
-  // links, index consistency) holds by construction, so no separate
-  // `validate()` pass over the finished tree is needed.
-  HashTree tree(kNoIAgent + 1, 0);  // placeholder root, replaced below
-  tree.leaf_index_.clear();
-  auto root = std::make_unique<Node>();
+  // links, `bit_pos` sums, index consistency) holds by construction, so no
+  // separate `validate()` pass over the finished tree is needed.
   struct Pending {
-    Node* parent;
+    std::uint32_t parent;
     int slot;
     std::size_t depth;
   };
-  std::vector<Pending> stack{{nullptr, 0, 0}};
+  std::vector<Pending> stack{{kNone, 0, 0}};
   while (!stack.empty()) {
     const Pending at = stack.back();
     stack.pop_back();
     if (at.depth > 512) {
       throw std::invalid_argument("HashTree::deserialize: tree too deep");
     }
-    Node* node;
-    if (at.parent == nullptr) {
-      node = root.get();
-    } else {
-      at.parent->child[at.slot] = std::make_unique<Node>();
-      node = at.parent->child[at.slot].get();
-      node->parent = at.parent;
-    }
     const std::uint8_t flag = reader.read_u8();
-    node->label = reader.read_bits();
-    if (at.parent != nullptr) {
-      if (node->label.empty()) {
+    util::BitString label = reader.read_bits();
+    Node node;
+    node.parent = at.parent;
+    node.bit_pos = static_cast<std::uint32_t>(label.size());
+    if (at.parent != kNone) {
+      if (label.empty()) {
         throw std::invalid_argument(
             "HashTree::deserialize: non-root node with empty label");
       }
-      if (node->label.front() != (at.slot == 1)) {
+      if (label.front() != (at.slot == 1)) {
         throw std::invalid_argument(
             "HashTree::deserialize: valid bit disagrees with child position");
       }
+      node.bit_pos += tree.nodes_[at.parent].bit_pos;
     }
+    const auto slot = static_cast<std::uint32_t>(tree.nodes_.size());
     if (flag == kLeafFlag) {
-      node->iagent = reader.read_varint();
-      node->location = static_cast<NodeLocation>(reader.read_u32());
-      if (node->iagent == kNoIAgent) {
+      node.iagent = reader.read_varint();
+      node.location = static_cast<NodeLocation>(reader.read_u32());
+      if (node.iagent == kNoIAgent) {
         throw std::invalid_argument(
             "HashTree::deserialize: leaf without IAgent");
       }
-      if (!tree.leaf_index_.emplace(node->iagent, node)) {
+      if (!tree.leaf_index_.emplace(node.iagent, slot)) {
         throw std::invalid_argument(
             "HashTree::deserialize: duplicate IAgent id");
       }
     } else if (flag == kInternalFlag) {
-      stack.push_back({node, 1, at.depth + 1});
-      stack.push_back({node, 0, at.depth + 1});
+      stack.push_back({slot, 1, at.depth + 1});
+      stack.push_back({slot, 0, at.depth + 1});
     } else {
       throw std::invalid_argument("HashTree::deserialize: bad node flag");
     }
+    if (at.parent != kNone) tree.nodes_[at.parent].child[at.slot] = slot;
+    tree.nodes_.push_back(node);
+    tree.labels_.push_back(std::move(label));
   }
-
-  tree.root_ = std::move(root);
-  tree.version_ = version;
   return tree;
 }
 
@@ -114,17 +119,18 @@ std::size_t HashTree::serialized_bytes() const {
   // per leaf. No buffer is materialized, so the HAgent can weigh a delta
   // against a snapshot on every pull without serializing either first.
   std::size_t bytes = 4 + util::varint_size(version_);
-  std::vector<const Node*> stack{root_.get()};
+  std::vector<std::uint32_t> stack{root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const std::uint32_t slot = stack.back();
     stack.pop_back();
-    bytes += 1 + util::varint_size(node->label.size()) +
-             (node->label.size() + 7) / 8;
-    if (node->is_leaf()) {
-      bytes += util::varint_size(node->iagent) + 4;
+    const Node& node = nodes_[slot];
+    const std::size_t label_bits = labels_[slot].size();
+    bytes += 1 + util::varint_size(label_bits) + (label_bits + 7) / 8;
+    if (node.is_leaf()) {
+      bytes += util::varint_size(node.iagent) + 4;
     } else {
-      stack.push_back(node->child[1].get());
-      stack.push_back(node->child[0].get());
+      stack.push_back(node.child[1]);
+      stack.push_back(node.child[0]);
     }
   }
   return bytes;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,8 +49,6 @@ struct MergeResult {
   IAgentId into_iagent = kNoIAgent;
 };
 
-class CompiledRouter;
-
 /// The extendible hash function of the paper, represented as a binary *hash
 /// tree* (paper §3–§4).
 ///
@@ -69,22 +66,22 @@ class CompiledRouter;
 ///   before the first discrimination (needed so merges at the root preserve
 ///   the bit positions of the surviving subtree — see DESIGN.md §6).
 ///
-/// The class is a value type: LHAgents hold deep copies of the HAgent's
-/// primary instance. Every mutation bumps `version()`, which is the staleness
-/// token the paper's update-propagation protocol compares. A mutation whose
-/// tree holds a fresh compiled router additionally patches the router in
-/// place (O(path), DESIGN.md §11), so the read path survives rehash storms
-/// without going cold.
+/// Storage is one flat array of 32-byte nodes indexed by slot: internal
+/// nodes carry the absolute id-bit position their children discriminate on,
+/// leaves the `{iagent, location}` payload (DESIGN.md §9). Edge labels live
+/// in a parallel array, so a lookup hop reads one node and nothing else.
+/// Splits and merges splice slots in place; merges free slots that later
+/// splits reuse.
+///
+/// The class is a value type: LHAgents hold copies of the HAgent's primary
+/// instance. Every mutation bumps `version()`, which is the staleness token
+/// the paper's update-propagation protocol compares. `const` methods mutate
+/// nothing, so any number of threads may call them concurrently on a shared
+/// tree.
 class HashTree {
  public:
   /// A tree with a single leaf: one IAgent responsible for every agent.
   HashTree(IAgentId initial, NodeLocation location);
-
-  HashTree(const HashTree& other);
-  HashTree& operator=(const HashTree& other);
-  HashTree(HashTree&&) noexcept;
-  HashTree& operator=(HashTree&&) noexcept;
-  ~HashTree();
 
   /// --- Lookup ------------------------------------------------------------
 
@@ -94,36 +91,18 @@ class HashTree {
   };
 
   /// Map an agent id (given as bits, most significant first) to the
-  /// responsible IAgent. Served by the compiled router (recompiled lazily
-  /// after mutations — see `router()`).
+  /// responsible IAgent: one pass down the node array testing each internal
+  /// node's `bit_pos`.
   Target lookup(const util::BitString& id_bits) const;
 
-  /// 64-bit ids, allocation-free: the id is routed directly by the compiled
-  /// router without materializing a `BitString`.
+  /// 64-bit ids, allocation-free: the same loop shifts the id in a register
+  /// without materializing a `BitString`.
   Target lookup_id(std::uint64_t id) const;
 
-  /// Reference implementation of `lookup`: walk the node structure. Kept
-  /// independent of the compiled router; property tests assert both agree
+  /// Reference implementation of `lookup`: descend by summing label widths
+  /// instead of reading `bit_pos`. Property tests assert both agree
   /// bit-for-bit with `compatible`.
   Target lookup_walk(const util::BitString& id_bits) const;
-
-  /// The compiled read path. While the router is fresh every mutation keeps
-  /// it fresh by patching (see class comment); this call recompiles only
-  /// when the router is cold (first lookup, copies, deserialized trees,
-  /// fragmentation-triggered compaction). Note this lazily mutates internal
-  /// state: concurrent first-lookups on a shared stale tree would race
-  /// (each sim instance is single-threaded; parallel sweeps clone per
-  /// worker).
-  const CompiledRouter& router() const;
-
-  /// Disable (or re-enable) in-place router patching. With patching off,
-  /// every mutation leaves the router stale and the next lookup pays a full
-  /// O(tree) recompile — the pre-incremental behaviour, kept reachable so
-  /// benches and equivalence tests can compare the two write paths.
-  void set_incremental_router(bool enabled) noexcept {
-    incremental_router_ = enabled;
-  }
-  bool incremental_router() const noexcept { return incremental_router_; }
 
   /// The paper's compatibility predicate (§3, Figure 2): true when the valid
   /// bit of every label in the leaf's hyper-label equals the id bit at that
@@ -233,8 +212,10 @@ class HashTree {
   /// --- Integrity / serialization ------------------------------------------
 
   /// Verify every structural invariant (two children or leaf, complementary
-  /// valid bits, non-empty labels, index consistency, unique IAgent ids).
-  /// Throws `std::logic_error` describing the first violation.
+  /// valid bits, non-empty labels, `bit_pos` equal to the parent's plus the
+  /// label width, index consistency, unique IAgent ids, exactly 2L-1
+  /// reachable slots). Throws `std::logic_error` describing the first
+  /// violation.
   void validate() const;
 
   void serialize(util::ByteWriter& writer) const;
@@ -246,7 +227,9 @@ class HashTree {
   /// before encoding either.
   std::size_t serialized_bytes() const;
 
-  /// Structural equality (labels, leaves, locations; version included).
+  /// Structural equality (labels, leaves, locations; version included). Slot
+  /// layout is not compared: trees that took different mutation paths to the
+  /// same shape are equal.
   friend bool operator==(const HashTree& a, const HashTree& b);
 
   /// How a leaf is captioned in renderings; defaults to "IA<id>".
@@ -259,62 +242,44 @@ class HashTree {
   std::string render_dot(const LeafNamer& namer = nullptr) const;
 
  private:
+  /// Slot index sentinel: no child (on leaves) or no parent (at the root).
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct Node {
-    /// Edge label from the parent; for the root this is the root padding
-    /// (possibly empty, no valid bit).
-    util::BitString label;
-    Node* parent = nullptr;
-    /// Children by valid bit; both set (internal) or both null (leaf).
-    std::unique_ptr<Node> child[2];
+    /// Id bits consumed through this node's label. On an internal node this
+    /// is the absolute id-bit position its children discriminate on.
+    std::uint32_t bit_pos = 0;
+    /// Children by valid bit; both kNone on a leaf.
+    std::uint32_t child[2] = {kNone, kNone};
+    std::uint32_t parent = kNone;
+    NodeLocation location = 0;    ///< leaf payload
+    IAgentId iagent = kNoIAgent;  ///< leaf payload; kNoIAgent when internal
 
-    IAgentId iagent = kNoIAgent;
-    NodeLocation location = 0;
-
-    bool is_leaf() const noexcept { return child[0] == nullptr; }
-
-    /// Nodes churn hard — every copy, deserialize, and split/merge cycle
-    /// allocates and frees them in bulk — so they come from a thread-local
-    /// free-list pool instead of the general-purpose heap. Disabled under
-    /// the sanitizer build so ASan still sees every node individually.
-    static void* operator new(std::size_t size);
-    static void operator delete(void* ptr) noexcept;
+    bool is_leaf() const noexcept { return child[0] == kNone; }
   };
+  static_assert(sizeof(Node) == 32, "a lookup hop reads one 32-byte node");
 
-  /// Clone `node`'s subtree and register every cloned leaf in this tree's
-  /// `leaf_index_` during the same walk (one traversal, not two).
-  std::unique_ptr<Node> clone_subtree(const Node& node, Node* parent);
-  Node* leaf_for(IAgentId id);
-  const Node* leaf_for(IAgentId id) const;
-  const Node* descend(const util::BitString& id_bits) const;
-  std::vector<const Node*> path_to(const Node* leaf) const;
+  HashTree() = default;  ///< empty; `deserialize` fills it
+
+  std::uint32_t leaf_for(IAgentId id) const;
+  /// Slots from the root down to `slot`.
+  std::vector<std::uint32_t> path_to(std::uint32_t slot) const;
+  /// Store a node and its label in a free slot (or a new one).
+  std::uint32_t add_node(const Node& node, util::BitString label);
   void bump_version() noexcept { ++version_; }
 
-  /// The router, iff it exists and is compiled for the *current* version —
-  /// i.e. a mutation performed now may patch it and advance it in lockstep.
-  /// Null when patching is disabled, the router is cold, stale, or flagged
-  /// for compaction (then the mutation leaves it stale and the next lookup
-  /// recompiles).
-  CompiledRouter* patchable_router() noexcept;
-
-  /// Id bits consumed to reach `leaf` (its depth), as a patch-time helper:
-  /// sums label widths up the parent chain without materializing segments.
-  static std::uint32_t consumed_bits(const Node* leaf) noexcept;
-
-  void validate_node(const Node* node, const Node* parent,
-                     std::size_t depth) const;
-
-  friend class CompiledRouter;
-
-  std::unique_ptr<Node> root_;
-  /// Leaf id → node. Open-addressing map: clones and deserializes insert one
+  std::vector<Node> nodes_;
+  /// Edge label from the parent, by slot; at the root, the root padding
+  /// (possibly empty, no valid bit).
+  std::vector<util::BitString> labels_;
+  std::uint32_t root_ = 0;
+  /// Slots freed by merges, reused by splits (LIFO).
+  std::vector<std::uint32_t> free_;
+  /// Leaf id → slot. Open-addressing map: copies and deserializes carry one
   /// entry per leaf, and `std::unordered_map`'s per-entry heap nodes made
   /// that bookkeeping the dominant cost of both paths.
-  util::FlatMap<IAgentId, Node*, kNoIAgent> leaf_index_;
+  util::FlatMap<IAgentId, std::uint32_t, kNoIAgent> leaf_index_;
   std::uint64_t version_ = 1;
-  /// Lazily compiled, then *patched* read path; never copied (copies start
-  /// cold), moved along with the structure it was compiled from.
-  mutable std::unique_ptr<CompiledRouter> router_;
-  bool incremental_router_ = true;
 };
 
 }  // namespace agentloc::hashtree

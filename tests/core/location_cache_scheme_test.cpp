@@ -218,38 +218,6 @@ TEST_F(CacheSchemeTest, TtlExpiryForcesAuthoritativeRefetch) {
   EXPECT_GE(scheme_->stats().cache_misses, 1u);
 }
 
-TEST_F(CacheSchemeTest, NegativeEntryShortCircuitsRepeatMisses) {
-  config_.location_cache.negative_entries = true;
-  make_scheme();
-  spawn(3);
-  Trackee& requester = spawn(5);
-  const platform::AgentId ghost = 0xabadcafe12345678ull;
-
-  const LocateOutcome first = locate(requester, ghost);
-  EXPECT_FALSE(first.found);
-  const auto rpcs_after_first = scheme_->stats().locate_rpcs;
-
-  const LocateOutcome second = locate(requester, ghost);
-  EXPECT_FALSE(second.found);
-  EXPECT_EQ(second.attempts, 0);  // answered from the negative entry
-  EXPECT_EQ(scheme_->stats().locate_rpcs, rpcs_after_first);
-}
-
-TEST_F(CacheSchemeTest, UnverifiedModeServesCachedNodeWithinTtl) {
-  // optimistic_jump off: bounded-staleness mode. Within the TTL the cache
-  // answers directly — even a node the target already left.
-  config_.location_cache.optimistic_jump = false;
-  make_scheme();
-  Trackee& target = spawn(3);
-  Trackee& requester = spawn(5);
-  ASSERT_TRUE(locate(requester, target.id()).found);
-  move(target, 6);
-  const LocateOutcome outcome = locate(requester, target.id());
-  EXPECT_TRUE(outcome.found);
-  EXPECT_EQ(outcome.node, 3u);  // stale by construction, within the TTL bound
-  EXPECT_EQ(outcome.attempts, 0);
-}
-
 TEST_F(CacheSchemeTest, SingleflightCoalescesConcurrentLocates) {
   config_.location_cache.enabled = false;
   config_.locate_singleflight = true;

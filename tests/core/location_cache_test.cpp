@@ -26,31 +26,30 @@ LocationEntry entry(platform::AgentId agent, net::NodeId node,
 }
 
 TEST(LocationCacheTest, StoreThenLookupHits) {
-  LocationCache cache(16, kTtl, false);
+  LocationCache cache(16, kTtl);
   cache.store(entry(42, 3, 1), SimTime::zero());
   const auto hit = cache.lookup(42, SimTime::millis(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->node, 3u);
   EXPECT_EQ(hit->seq, 1u);
-  EXPECT_FALSE(hit->negative);
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(LocationCacheTest, AbsentLookupMisses) {
-  LocationCache cache(16, kTtl, false);
+  LocationCache cache(16, kTtl);
   EXPECT_FALSE(cache.lookup(42, SimTime::zero()).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(LocationCacheTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(LocationCache(1, kTtl, false).capacity(), 8u);
-  EXPECT_EQ(LocationCache(100, kTtl, false).capacity(), 128u);
-  EXPECT_EQ(LocationCache(256, kTtl, false).capacity(), 256u);
+  EXPECT_EQ(LocationCache(1, kTtl).capacity(), 8u);
+  EXPECT_EQ(LocationCache(100, kTtl).capacity(), 128u);
+  EXPECT_EQ(LocationCache(256, kTtl).capacity(), 256u);
 }
 
 TEST(LocationCacheTest, EntryExpiresAfterTtl) {
-  LocationCache cache(16, SimTime::millis(100), false);
+  LocationCache cache(16, SimTime::millis(100));
   cache.store(entry(42, 3, 1), SimTime::zero());
   EXPECT_TRUE(cache.lookup(42, SimTime::millis(99)).has_value());
   EXPECT_FALSE(cache.lookup(42, SimTime::millis(100)).has_value());
@@ -59,14 +58,14 @@ TEST(LocationCacheTest, EntryExpiresAfterTtl) {
 }
 
 TEST(LocationCacheTest, StoreRefreshesTtl) {
-  LocationCache cache(16, SimTime::millis(100), false);
+  LocationCache cache(16, SimTime::millis(100));
   cache.store(entry(42, 3, 1), SimTime::zero());
   cache.store(entry(42, 3, 2), SimTime::millis(80));
   EXPECT_TRUE(cache.lookup(42, SimTime::millis(150)).has_value());
 }
 
 TEST(LocationCacheTest, NewestSeqWins) {
-  LocationCache cache(16, kTtl, false);
+  LocationCache cache(16, kTtl);
   cache.store(entry(42, 3, 5), SimTime::zero());
   // A reordered older report must not roll the binding back.
   cache.store(entry(42, 7, 4), SimTime::zero());
@@ -86,7 +85,7 @@ TEST(LocationCacheTest, NewestSeqWins) {
 TEST(LocationCacheTest, ExpiredBindingDoesNotVetoLowerSeq) {
   // After a deregister + re-register the mover's seq restarts at 1; once the
   // old binding's TTL lapsed its (higher) seq must not block the fresh one.
-  LocationCache cache(16, SimTime::millis(100), false);
+  LocationCache cache(16, SimTime::millis(100));
   cache.store(entry(42, 3, 50), SimTime::zero());
   cache.store(entry(42, 6, 1), SimTime::millis(200));
   const auto hit = cache.lookup(42, SimTime::millis(201));
@@ -96,7 +95,7 @@ TEST(LocationCacheTest, ExpiredBindingDoesNotVetoLowerSeq) {
 }
 
 TEST(LocationCacheTest, InvalidateDropsBinding) {
-  LocationCache cache(16, kTtl, false);
+  LocationCache cache(16, kTtl);
   cache.store(entry(42, 3, 1), SimTime::zero());
   EXPECT_TRUE(cache.invalidate(42));
   EXPECT_FALSE(cache.invalidate(42));  // already gone
@@ -105,34 +104,15 @@ TEST(LocationCacheTest, InvalidateDropsBinding) {
 }
 
 TEST(LocationCacheTest, NoteStaleCountsAndInvalidates) {
-  LocationCache cache(16, kTtl, false);
+  LocationCache cache(16, kTtl);
   cache.store(entry(42, 3, 1), SimTime::zero());
   cache.note_stale(42);
   EXPECT_EQ(cache.stats().stale_hits, 1u);
   EXPECT_FALSE(cache.lookup(42, SimTime::millis(1)).has_value());
 }
 
-TEST(LocationCacheTest, NegativeEntriesOnlyWhenEnabled) {
-  LocationCache off(16, kTtl, false);
-  off.store_negative(42, SimTime::zero());
-  EXPECT_FALSE(off.lookup(42, SimTime::millis(1)).has_value());
-
-  LocationCache on(16, kTtl, true);
-  on.store_negative(42, SimTime::zero());
-  const auto hit = on.lookup(42, SimTime::millis(1));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(hit->negative);
-  EXPECT_EQ(on.stats().negative_hits, 1u);
-  // Any positive binding overrides a negative one (the agent exists now).
-  on.store(entry(42, 5, 1), SimTime::millis(1));
-  const auto positive = on.lookup(42, SimTime::millis(2));
-  ASSERT_TRUE(positive.has_value());
-  EXPECT_FALSE(positive->negative);
-  EXPECT_EQ(positive->node, 5u);
-}
-
 TEST(LocationCacheTest, SizeNeverExceedsCapacityUnderPressure) {
-  LocationCache cache(32, kTtl, false);
+  LocationCache cache(32, kTtl);
   for (std::uint64_t id = 1; id <= 1000; ++id) {
     cache.store(entry(id, static_cast<net::NodeId>(id % 8), 1),
                 SimTime::zero());
@@ -144,7 +124,7 @@ TEST(LocationCacheTest, SizeNeverExceedsCapacityUnderPressure) {
 TEST(LocationCacheTest, ClockGivesRecentlyHitBindingsASecondChance) {
   // Deterministic second-chance trace on one 4-way set of a capacity-8
   // cache. Set selection mirrors the implementation: mix64(agent) & 1.
-  LocationCache cache(8, kTtl, false);
+  LocationCache cache(8, kTtl);
   std::vector<platform::AgentId> ids;
   for (std::uint64_t id = 1; ids.size() < 6; ++id) {
     if ((util::mix64(id) & 1) == 0) ids.push_back(id);
@@ -184,7 +164,7 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
   // must match one, fresh enough.
   util::Rng rng(0xcafef00d);
   const SimTime ttl = SimTime::millis(500);
-  LocationCache cache(64, ttl, true);
+  LocationCache cache(64, ttl);
   struct Deposit {
     net::NodeId node = net::kNoNode;
     SimTime last_store = SimTime::zero();
@@ -192,7 +172,6 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
   // agent → seq → last deposit of that seq
   std::unordered_map<platform::AgentId, std::unordered_map<std::uint64_t, Deposit>>
       ledger;
-  std::unordered_map<platform::AgentId, SimTime> negative_ledger;
   std::unordered_map<platform::AgentId, std::uint64_t> seqs;
 
   SimTime now = SimTime::zero();
@@ -208,11 +187,7 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
       ledger[agent][seq] = Deposit{node, now};
     } else if (op < 75) {
       const auto hit = cache.lookup(agent, now);
-      if (hit.has_value() && hit->negative) {
-        const auto it = negative_ledger.find(agent);
-        ASSERT_NE(it, negative_ledger.end());
-        ASSERT_LT(now, it->second + ttl);
-      } else if (hit.has_value()) {
+      if (hit.has_value()) {
         const auto by_agent = ledger.find(agent);
         ASSERT_NE(by_agent, ledger.end());
         const auto deposit = by_agent->second.find(hit->seq);
@@ -225,10 +200,6 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
     } else if (op < 85) {
       cache.invalidate(agent);
       ledger.erase(agent);
-      negative_ledger.erase(agent);
-    } else if (op < 92) {
-      cache.store_negative(agent, now);
-      negative_ledger[agent] = now;
     } else {
       now = now + SimTime::millis(rng.next_below(80));
     }
@@ -237,7 +208,6 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
   // The workload must actually have exercised the interesting paths.
   const LocationCacheStats& stats = cache.stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.negative_hits, 0u);
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.expirations, 0u);

@@ -1,16 +1,19 @@
-// The compiled read path must be indistinguishable from walking the node
-// tree. Unit tests pin the rebuild policy (version-keyed staleness, cold
-// copies, carried moves); the property tests drive randomized split / merge /
-// set_location sequences — 40 seeds x 260 mutations > 10k mutations total —
-// asserting after every mutation that the compiled router, the node-walking
-// lookup, and the paper's `compatible` predicate agree bit for bit.
+// The read path (`lookup`/`lookup_id`, which test each node's pre-summed
+// `bit_pos`) must be indistinguishable from descending by label widths. Unit
+// tests pin lookups across mutations, copies and moves; the property tests
+// drive randomized split / merge / set_location sequences — 40 seeds x 260
+// mutations > 10k mutations total — asserting after every mutation that both
+// lookups and the paper's `compatible` predicate agree bit for bit.
+//
+// The `CompiledRouter` suite keeps its name from when the routing array was
+// a separate compiled copy of a pointer tree; that array is now the tree's
+// only storage.
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "hashtree/router.hpp"
 #include "hashtree/tree.hpp"
 #include "util/bytebuffer.hpp"
 #include "util/rng.hpp"
@@ -26,69 +29,39 @@ TEST(CompiledRouter, SingleLeafRoutesEverywhere) {
   const auto target = tree.lookup_id(0xdeadbeef);
   EXPECT_EQ(target.iagent, 7u);
   EXPECT_EQ(target.location, 3u);
-  EXPECT_EQ(tree.router().entry_count(), 1u);
+  EXPECT_EQ(tree.stats().internal_nodes, 0u);
 }
 
 TEST(CompiledRouter, MutationPatchesWarmRouterInLockstep) {
   HashTree tree(1, 0);
-  (void)tree.lookup_id(42);  // compile
-  const auto& router = tree.router();
-  EXPECT_EQ(router.compiled_version(), tree.version());
+  (void)tree.lookup_id(42);
 
   tree.simple_split(1, 1, 2, 5);
-  // A warm router is patched inside the mutation — no staleness window, no
-  // rebuild on the next read.
-  EXPECT_EQ(router.compiled_version(), tree.version());
-  const std::uint64_t rebuilds_before = router.rebuilds();
+  // The split edits the array the next lookup reads: no staleness window.
   for (const std::uint64_t id : {0ull, ~0ull, 0x1234567890abcdefull}) {
-    const auto via_router = tree.lookup_id(id);
+    const auto via_lookup = tree.lookup_id(id);
     const auto via_walk = tree.lookup_walk(BitString::from_uint(id, 64));
-    EXPECT_EQ(via_router.iagent, via_walk.iagent);
-    EXPECT_EQ(via_router.location, via_walk.location);
+    EXPECT_EQ(via_lookup.iagent, via_walk.iagent);
+    EXPECT_EQ(via_lookup.location, via_walk.location);
   }
-  EXPECT_EQ(router.rebuilds(), rebuilds_before);
-  EXPECT_EQ(router.patches(), 1u);
-  EXPECT_EQ(router.entry_count(), 3u);  // two leaves + one internal
-}
-
-TEST(CompiledRouter, ColdRebuildModeLeavesRouterStaleUntilNextRead) {
-  HashTree tree(1, 0);
-  tree.set_incremental_router(false);
-  (void)tree.lookup_id(42);  // compile
-  const auto& router = tree.router();
-  EXPECT_EQ(router.compiled_version(), tree.version());
-
-  tree.simple_split(1, 1, 2, 5);
-  // The pre-patching policy: stale until the next read-path call...
-  EXPECT_NE(router.compiled_version(), tree.version());
-  // ...which recompiles before routing.
-  for (const std::uint64_t id : {0ull, ~0ull, 0x1234567890abcdefull}) {
-    const auto via_router = tree.lookup_id(id);
-    const auto via_walk = tree.lookup_walk(BitString::from_uint(id, 64));
-    EXPECT_EQ(via_router.iagent, via_walk.iagent);
-    EXPECT_EQ(via_router.location, via_walk.location);
-  }
-  EXPECT_EQ(tree.router().compiled_version(), tree.version());
-  EXPECT_EQ(tree.router().patches(), 0u);
-  EXPECT_EQ(tree.router().entry_count(), 3u);
+  EXPECT_EQ(tree.stats().internal_nodes, 1u);  // two leaves + one internal
+  tree.validate();
 }
 
 TEST(CompiledRouter, ColdRouterIsNotPatchedAndCompilesOnFirstRead) {
   HashTree tree(1, 0);
-  // No read yet: mutations must not touch (or build) a router.
+  // Mutations before the first lookup are visible to it.
   tree.simple_split(1, 1, 2, 5);
   tree.set_location(2, 7);
   const auto hit = tree.lookup_id(~0ull);
   EXPECT_EQ(hit.iagent, 2u);
   EXPECT_EQ(hit.location, 7u);
-  EXPECT_EQ(tree.router().patches(), 0u);
-  EXPECT_EQ(tree.router().rebuilds(), 1u);
 }
 
 TEST(CompiledRouter, SetLocationInvalidatesCompiledLocations) {
   HashTree tree(1, 0);
   tree.simple_split(1, 1, 2, 5);
-  const auto before = tree.lookup_id(0);  // compile with old locations
+  const auto before = tree.lookup_id(0);
   tree.set_location(before.iagent, 99);
   EXPECT_EQ(tree.lookup_id(0).location, 99u);
 }
@@ -96,8 +69,6 @@ TEST(CompiledRouter, SetLocationInvalidatesCompiledLocations) {
 TEST(CompiledRouter, CopiesStartColdButAgree) {
   HashTree tree(1, 0);
   tree.simple_split(1, 2, 2, 5);
-  (void)tree.lookup_id(7);  // compile the source
-
   const HashTree copy = tree;
   for (std::uint64_t id = 0; id < 64; ++id) {
     const std::uint64_t probe = id * 0x9e3779b97f4a7c15ull;
@@ -108,11 +79,12 @@ TEST(CompiledRouter, CopiesStartColdButAgree) {
 TEST(CompiledRouter, MoveCarriesCompiledRouter) {
   HashTree tree(1, 0);
   tree.simple_split(1, 1, 2, 5);
-  (void)tree.lookup_id(7);
-  const std::uint64_t compiled_at = tree.router().compiled_version();
+  const auto before = tree.lookup_id(~0ull);
 
   HashTree moved = std::move(tree);
-  EXPECT_EQ(moved.router().compiled_version(), compiled_at);
+  EXPECT_EQ(moved.lookup_id(~0ull).iagent, before.iagent);
+  EXPECT_EQ(moved.lookup_id(~0ull).location, before.location);
+  moved.validate();
 }
 
 TEST(CompiledRouter, CopyAssignmentDropsStaleRouter) {
@@ -133,7 +105,7 @@ TEST(CompiledRouter, CopyAssignmentDropsStaleRouter) {
   }
 }
 
-TEST(CompiledRouter, MergeChurnTriggersOneCompactingRebuild) {
+TEST(HashTree, MergeChurnKeepsRoutingExact) {
   HashTree tree(1, 0);
   IAgentId next_id = 2;
   NodeLocation next_node = 1;
@@ -142,28 +114,25 @@ TEST(CompiledRouter, MergeChurnTriggersOneCompactingRebuild) {
     tree.simple_split(leaves[tree.leaf_count() / 2], 1, next_id++,
                       next_node++);
   }
-  (void)tree.lookup_id(0);  // warm the router: merges below patch in place
-
-  // Each patched merge frees two slots; once frees outnumber live entries
-  // the router flags itself for compaction and stops patching.
+  // Each merge frees two slots; the array keeps them for later splits, and
+  // lookups never read them.
   while (tree.leaf_count() > 8) {
     tree.merge(tree.leaves().front());
   }
-  const auto& router = tree.router();  // compacting rebuild happens here
-  EXPECT_EQ(router.compactions(), 1u);
-  EXPECT_FALSE(router.wants_compaction());
-  EXPECT_EQ(router.free_slots(), 0u);
-  EXPECT_EQ(router.live_entries(), 2 * tree.leaf_count() - 1);
-  EXPECT_EQ(router.entry_count(), router.live_entries());
-  EXPECT_GT(router.patches(), 0u);
-
+  tree.validate();  // exactly 2L-1 reachable slots, the rest free
   for (std::uint64_t id = 0; id < 64; ++id) {
     const std::uint64_t probe = id * 0x9e3779b97f4a7c15ull;
-    const auto via_router = tree.lookup_id(probe);
+    const auto via_lookup = tree.lookup_id(probe);
     const auto via_walk =
         tree.lookup_walk(BitString::from_uint(probe, 64));
-    ASSERT_EQ(via_router.iagent, via_walk.iagent);
-    ASSERT_EQ(via_router.location, via_walk.location);
+    ASSERT_EQ(via_lookup.iagent, via_walk.iagent);
+    ASSERT_EQ(via_lookup.location, via_walk.location);
+  }
+  // Splits refill the freed slots.
+  while (tree.leaf_count() < 80) {
+    const auto leaves = tree.leaves();
+    tree.simple_split(leaves[tree.leaf_count() / 2], 2, next_id++,
+                      next_node++);
   }
   tree.validate();
 }
@@ -214,8 +183,8 @@ TEST_P(RouterEquivalence, RandomMutationsKeepAllThreeLookupsInAgreement) {
       tree.set_location(victim, next_node++);
     }
 
-    // Equivalence after every mutation: compiled router (both entry points)
-    // vs. the node walk.
+    // Equivalence after every mutation: both lookup entry points vs. the
+    // label-width walk.
     for (const std::uint64_t id : probes) {
       const auto bits = BitString::from_uint(id, 64);
       const auto via_u64 = tree.lookup_id(id);
@@ -227,19 +196,22 @@ TEST_P(RouterEquivalence, RandomMutationsKeepAllThreeLookupsInAgreement) {
       ASSERT_EQ(via_bits.location, via_walk.location);
     }
 
-    // The patched router must stay structurally exact after every op: a
-    // binary tree over L leaves compiles to exactly 2L-1 live entries.
-    ASSERT_EQ(tree.router().live_entries(), 2 * tree.leaf_count() - 1);
+    // The in-place edits must stay structurally exact after every op:
+    // `bit_pos` sums, parent links, and exactly 2L-1 reachable slots.
+    tree.validate();
 
-    // Patched ≡ cold rebuild: a copied tree starts with no router and
-    // compiles from its node tree, so its answers are by construction those
-    // of a cold rebuild of the same version.
+    // Edited in place ≡ built fresh: a decoded snapshot lays the same tree
+    // out anew, in preorder.
     if (step % 10 == 9) {
-      const HashTree cold = tree;
+      util::ByteWriter writer;
+      tree.serialize(writer);
+      util::ByteReader reader(writer.bytes());
+      const HashTree fresh = HashTree::deserialize(reader);
+      ASSERT_EQ(fresh, tree);
       for (const std::uint64_t id : probes) {
         const auto expect = tree.lookup_id(id);
-        ASSERT_EQ(cold.lookup_id(id).iagent, expect.iagent);
-        ASSERT_EQ(cold.lookup_id(id).location, expect.location);
+        ASSERT_EQ(fresh.lookup_id(id).iagent, expect.iagent);
+        ASSERT_EQ(fresh.lookup_id(id).location, expect.location);
       }
     }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "hashtree/paper_figures.hpp"
+#include "util/rng.hpp"
 
 namespace agentloc::hashtree {
 namespace {
@@ -242,6 +246,52 @@ TEST(HashTree, StatsCountRootPadding) {
 TEST(HashTree, PaperNames) {
   EXPECT_EQ(paper_name(kIA0), "IA0");
   EXPECT_EQ(paper_name(kIA6), "IA6");
+}
+
+TEST(HashTreeParallel, ConcurrentLookupsOnSharedTree) {
+  // Const methods are pure reads, so threads may share one tree without
+  // synchronization — even a tree no lookup has touched yet. Run under the
+  // tsan preset, this catches any lazily built or cached read-path state.
+  HashTree tree(1, 0);
+  util::Rng rng(5);
+  IAgentId next = 2;
+  while (tree.leaf_count() < 64) {
+    const auto leaves = tree.leaves();
+    const IAgentId fresh = next++;
+    tree.simple_split(leaves[rng.next_below(leaves.size())],
+                      1 + rng.next_below(2), fresh,
+                      static_cast<NodeLocation>(fresh % 16));
+  }
+  // Expected answers come from a copy, so `tree` itself stays unread.
+  const HashTree reference = tree;
+  std::vector<std::uint64_t> ids;
+  std::vector<HashTree::Target> expected;
+  for (int i = 0; i < 256; ++i) {
+    ids.push_back(rng.next());
+    expected.push_back(reference.lookup_id(ids.back()));
+  }
+  const std::vector<IAgentId> expected_leaves = reference.leaves();
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 20; ++round) {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          const auto by_id = tree.lookup_id(ids[i]);
+          const auto by_bits = tree.lookup(BitString::from_uint(ids[i], 64));
+          if (by_id.iagent != expected[i].iagent ||
+              by_id.location != expected[i].location ||
+              by_bits.iagent != expected[i].iagent) {
+            ++mismatches;
+          }
+        }
+        if (tree.leaves() != expected_leaves) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace
