@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   core::MechanismConfig mechanism;
   mechanism.hagent_replication = true;
   core::HashLocationScheme scheme(system, mechanism);
-  core::HAgent* primary = &scheme.hagent();
+  // Keep the id, not the agent: the sampler outlives the disposed primary.
+  const platform::AgentId primary = scheme.hagent().id();
   core::HAgent* backup = scheme.backup_hagent();
 
   std::vector<platform::AgentId> targets;
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
               "IAgents", "queries", "failed", "mean ms");
 
   sim::PeriodicTimer sampler(simulator, sim::SimTime::seconds(10), [&] {
-    const bool primary_alive = system.exists(primary->id());
+    const bool primary_alive = system.exists(primary);
     const char* who = primary_alive
                           ? "primary"
                           : (backup->role() == core::HAgent::Role::kPrimary
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   simulator.run_until(sim::SimTime::seconds(kill_s));
   const std::size_t trackers_at_kill = scheme.tracker_count();
   const auto failed_at_kill = querier.failed();
-  system.dispose(primary->id());
+  system.dispose(primary);
   std::printf("%8.0f %12s\n", simulator.now().as_seconds(),
               "<primary killed>");
 

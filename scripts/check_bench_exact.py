@@ -3,12 +3,14 @@
 
 For benches whose results are fixed by the seed (simulated time, event
 counts, query answers), any change is a behaviour change, so the gate is
-exact rather than a percentage threshold. Rows are matched by ``name``; every
-other field must be equal, except the host-dependent ones listed in
-``HOST_FIELDS``. The script fails on a row missing from either file, on a
-row without a ``name``, and on any field that differs or exists in only one
-of the two rows. ``meta`` is not compared: it carries host facts
-(``hardware_threads``) and sums of the row values.
+exact rather than a percentage threshold. Rows are matched by ``name`` when
+every row has one, and by position when none has; every other field must be
+equal, except the host-dependent ones listed in ``HOST_FIELDS``. The script
+fails on a file that mixes named and unnamed rows, on a row missing from
+either file (for unnamed rows: on a row-count mismatch), and on any field
+that differs or exists in only one of the two rows. ``meta`` is not
+compared: it carries host facts (``hardware_threads``) and sums of the row
+values.
 
 Usage:
   check_bench_exact.py BASELINE FRESH
@@ -24,18 +26,22 @@ HOST_FIELDS = frozenset(
 
 
 def load_rows(path):
-    """Return {name: row} for the rows of one BENCH file."""
+    """Return ({key: row}, named) for the rows of one BENCH file: keyed by
+    ``name`` when every row has one, else by position ("row 0", ...)."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    rows = {}
-    for index, row in enumerate(doc.get("rows", [])):
-        name = row.get("name")
-        if name is None:
-            raise ValueError(f"{path}: row {index} has no name")
-        if name in rows:
-            raise ValueError(f"{path}: duplicate row name {name}")
-        rows[name] = row
-    return rows
+    rows = doc.get("rows", [])
+    named = sum(1 for row in rows if "name" in row)
+    if named == 0:
+        return {f"row {index}": row for index, row in enumerate(rows)}, False
+    if named != len(rows):
+        raise ValueError(f"{path}: mixes named and unnamed rows")
+    keyed = {}
+    for row in rows:
+        if row["name"] in keyed:
+            raise ValueError(f"{path}: duplicate row name {row['name']}")
+        keyed[row["name"]] = row
+    return keyed, True
 
 
 def compare(baseline, fresh):
@@ -64,16 +70,22 @@ def main():
     args = parser.parse_args()
 
     try:
-        baseline = load_rows(args.baseline)
-        fresh = load_rows(args.fresh)
+        baseline, baseline_named = load_rows(args.baseline)
+        fresh, fresh_named = load_rows(args.fresh)
     except (OSError, ValueError) as error:
         print(error)
         return 1
     if not baseline:
         print(f"no rows in baseline {args.baseline}")
         return 1
+    if fresh and baseline_named != fresh_named:
+        print("one file names its rows and the other does not")
+        return 1
 
-    problems = compare(baseline, fresh)
+    problems = []
+    if not baseline_named and len(baseline) != len(fresh):
+        problems.append(f"row count {len(baseline)} -> {len(fresh)}")
+    problems += compare(baseline, fresh)
     for problem in problems:
         print(problem)
     if problems:

@@ -107,7 +107,6 @@ void ForwardingLocationScheme::deregister_agent(platform::Agent& self) {
   system_.send(self.id(), name_service_address_,
                DeregisterRequest{self.id(), seq},
                DeregisterRequest::kWireBytes);
-  seqs_.erase(self.id());
   last_node_.erase(self.id());
 }
 

@@ -2,8 +2,8 @@
 
 #include <vector>
 
-#include "core/centralized_scheme.hpp"
 #include "core/config.hpp"
+#include "core/home_scheme.hpp"
 #include "core/scheme.hpp"
 #include "util/flat_map.hpp"
 

@@ -148,7 +148,6 @@ void HashLocationScheme::deregister_agent(platform::Agent& self) {
   system_.send(self.id(), target,
                DeregisterRequest{self.id(), ++seqs_[self.id()]},
                DeregisterRequest::kWireBytes);
-  seqs_.erase(self.id());
 }
 
 void HashLocationScheme::send_update(platform::AgentId self) {

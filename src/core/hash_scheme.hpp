@@ -160,7 +160,9 @@ class HashLocationScheme : public LocationScheme {
   /// Per-agent update sequence numbers. Open-addressing flat storage: at
   /// million-agent populations this table holds one slot per tracked agent,
   /// so the node-and-bucket overhead of `std::unordered_map` (~56 bytes per
-  /// entry) would rival the payload; a FlatMap slot is 16 bytes.
+  /// entry) would rival the payload; a FlatMap slot is 16 bytes. Never
+  /// erased: a re-registered agent continues above its own deregister
+  /// tombstone (`LocationTable`).
   util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
   std::vector<std::unique_ptr<PendingWatch>> pending_watches_;
   std::uint64_t watch_tokens_ = 0;

@@ -4,11 +4,34 @@
 
 namespace agentloc::core {
 
+void CentralTracker::on_message(const platform::Message& message) {
+  ++requests_;
+  if (const auto* request = message.body_as<RegisterRequest>()) {
+    table_.apply(request->entry);
+    system().reply(message, id(), UpdateAck{true, 0}, UpdateAck::kWireBytes);
+  } else if (const auto* request = message.body_as<UpdateRequest>()) {
+    // One-way (the registry is always responsible): no acknowledgement.
+    table_.apply(request->entry);
+  } else if (const auto* request = message.body_as<LocateRequest>()) {
+    LocateReply reply;
+    if (const auto entry = table_.find(request->target)) {
+      reply.status = LocateStatus::kFound;
+      reply.node = entry->node;
+    } else {
+      reply.status = LocateStatus::kUnknown;
+    }
+    system().reply(message, id(), reply, LocateReply::kWireBytes);
+  } else if (const auto* request = message.body_as<DeregisterRequest>()) {
+    table_.remove(request->agent, request->seq);
+  }
+}
+
 HomeRegistryLocationScheme::HomeRegistryLocationScheme(
-    platform::AgentSystem& system, MechanismConfig config)
+    platform::AgentSystem& system, MechanismConfig config,
+    std::size_t registries)
     : system_(system), config_(config) {
-  registries_.reserve(system_.node_count());
-  for (net::NodeId node = 0; node < system_.node_count(); ++node) {
+  registries_.reserve(registries);
+  for (net::NodeId node = 0; node < registries; ++node) {
     registries_.push_back(&system_.create<CentralTracker>(node));
   }
 }
@@ -45,7 +68,6 @@ void HomeRegistryLocationScheme::deregister_agent(platform::Agent& self) {
   system_.send(self.id(), home_of(self.id()),
                DeregisterRequest{self.id(), ++seqs_[self.id()]},
                DeregisterRequest::kWireBytes);
-  seqs_.erase(self.id());
 }
 
 void HomeRegistryLocationScheme::send_register(

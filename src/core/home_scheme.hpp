@@ -2,31 +2,62 @@
 
 #include <vector>
 
-#include "core/centralized_scheme.hpp"
 #include "core/config.hpp"
 #include "core/scheme.hpp"
+#include "core/tracker_table.hpp"
+#include "platform/agent.hpp"
 #include "util/flat_map.hpp"
 
 namespace agentloc::core {
 
-/// Ajanta-style home-registry scheme (paper §6): one registry per node; an
-/// agent's *home* registry — derivable from its name, here `id mod #nodes` —
-/// always knows its precise current location. Every move updates the home
+/// A registry: one tracking agent keeping the precise current location of
+/// every agent assigned to it. It performs the same functions as an IAgent,
+/// but never splits. The home and centralized schemes run these as their
+/// registries, and the forwarding scheme runs one as its name service.
+class CentralTracker : public platform::Agent {
+ public:
+  std::string kind() const override { return "central-tracker"; }
+
+  void on_message(const platform::Message& message) override;
+
+  std::size_t entry_count() const noexcept { return table_.size(); }
+  std::uint64_t requests_served() const noexcept { return requests_; }
+  std::size_t resident_bytes() const noexcept {
+    return table_.resident_bytes();
+  }
+  void reserve(std::size_t agents) { table_.reserve(agents); }
+
+ private:
+  LocationTable table_;
+  std::uint64_t requests_ = 0;
+};
+
+/// Ajanta-style home-registry scheme (paper §6): an agent's *home*
+/// registry — derivable from its name, here `id mod #registries` — always
+/// knows its precise current location. Every move updates the home
 /// registry; every locate asks the target's home registry.
 ///
-/// Strengths: no central bottleneck (load spreads by agent id), one hop per
-/// locate. Weakness the paper calls out: the scheme is welded to a naming
-/// convention that encodes the home, and a popular agent's home registry
-/// still hot-spots — there is no load-adaptive rebalancing.
+/// With one registry per node this is the home scheme. Strengths: no central
+/// bottleneck (load spreads by agent id), one hop per locate. Weakness the
+/// paper calls out: the scheme is welded to a naming convention that encodes
+/// the home, and a popular agent's home registry still hot-spots — there is
+/// no load-adaptive rebalancing.
 ///
-/// The per-node registry reuses `CentralTracker` (the registry performs the
-/// same functions, scoped to the agents homed at its node).
+/// With a single registry on node 0 it is the paper's centralized baseline
+/// (§5): "a single central agent responsible for maintaining the current
+/// location of all mobile agents in the system". Every update and query
+/// then funnels through one inbox, which is what the paper's Figures 7–8
+/// measure against.
 class HomeRegistryLocationScheme : public LocationScheme {
  public:
+  /// Places registries on nodes 0 .. `registries` - 1; `registries` must be
+  /// between 1 and the node count.
   HomeRegistryLocationScheme(platform::AgentSystem& system,
-                             MechanismConfig config);
+                             MechanismConfig config, std::size_t registries);
 
-  std::string name() const override { return "home"; }
+  std::string name() const override {
+    return registries_.size() == 1 ? "centralized" : "home";
+  }
 
   void register_agent(platform::Agent& self,
                       std::function<void(bool)> done) override;
@@ -49,14 +80,20 @@ class HomeRegistryLocationScheme : public LocationScheme {
 
   void reserve(std::size_t agents) override {
     seqs_.reserve(agents);
-    if (registries_.empty()) return;
-    // Homes spread by `id mod #nodes` — size each registry for its share.
-    const std::size_t share = agents / registries_.size() + 1;
-    for (CentralTracker* registry : registries_) registry->reserve(share);
+    // Homes spread by `id mod #registries` — size each registry for its
+    // share, rounded up.
+    const std::size_t count = registries_.size();
+    for (CentralTracker* registry : registries_) {
+      registry->reserve((agents + count - 1) / count);
+    }
   }
 
   /// The registry responsible for `agent` (by the naming convention).
   platform::AgentAddress home_of(platform::AgentId agent) const;
+
+  CentralTracker& registry(std::size_t index) noexcept {
+    return *registries_[index];
+  }
 
  private:
   void send_register(platform::AgentId self, std::uint64_t seq,
@@ -68,7 +105,8 @@ class HomeRegistryLocationScheme : public LocationScheme {
   platform::AgentSystem& system_;
   MechanismConfig config_;
   std::vector<CentralTracker*> registries_;
-  /// Per-agent update sequence numbers (flat storage; see HashLocationScheme).
+  /// Per-agent update sequence numbers (flat storage, never erased; see
+  /// HashLocationScheme).
   util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
 };
 

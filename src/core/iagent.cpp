@@ -62,7 +62,12 @@ void IAgent::on_message(const platform::Message& message) {
   } else if (const auto* request = message.body_as<WatchRequest>()) {
     handle_watch(message, *request);
   } else if (const auto* request = message.body_as<DeregisterRequest>()) {
-    if (!retiring_) table_.remove(request->agent, request->seq);
+    // Only the responsible IAgent keeps the tombstone: outside its region no
+    // handoff scan would ever move it, so a deregister sent through a stale
+    // hash copy is dropped.
+    if (!retiring_ && responsible_for(request->agent)) {
+      table_.remove(request->agent, request->seq);
+    }
   } else if (const auto* update = message.body_as<ResponsibilityUpdate>()) {
     handle_responsibility(*update);
   } else if (const auto* transfer = message.body_as<HandoffTransfer>()) {

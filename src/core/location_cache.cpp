@@ -95,8 +95,8 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
   if (entry.agent == platform::kNoAgent) return;
   if (Slot* slot = find_slot(entry.agent)) {
     // Newest-seq-wins, mirroring the IAgent table: a reordered older report
-    // must not roll the binding back. An expired binding's seq is void (the
-    // agent may have re-registered with a fresh sequence).
+    // must not roll the binding back. An expired binding is void — lookups
+    // already treat it as a miss — so its seq vetoes nothing.
     if (slot->expiry > now && entry.seq < slot->seq) {
       ++stats_.stale_stores;
       return;

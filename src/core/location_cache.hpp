@@ -41,10 +41,11 @@ struct LocationCacheStats {
 /// exists for) survive while one-shot lookups recycle.
 ///
 /// Bindings are ordered by the mover's sequence number: `store` refuses any
-/// binding older than the one cached (newest-seq-wins, the same rule the
-/// IAgent table applies), so reordered replies cannot roll a binding back.
-/// Entries expire `ttl` after their last store; expiry counts as a miss and
-/// frees the slot.
+/// binding older than the one cached, so reordered replies cannot roll a
+/// binding back. Unlike `LocationTable` the cache keeps no tombstones; it
+/// need not, because every hit is verified at its node before it answers a
+/// locate (DESIGN.md §12). Entries expire `ttl` after their last store;
+/// expiry counts as a miss and frees the slot.
 class LocationCache {
  public:
   /// `capacity` is rounded up to a power of two ≥ 8 slots; `ttl` bounds the
@@ -61,7 +62,8 @@ class LocationCache {
   std::optional<Hit> lookup(platform::AgentId agent, sim::SimTime now);
 
   /// Deposit a binding, newest-seq-wins. An equal-or-newer seq overwrites
-  /// (refreshing the TTL); an older one is dropped.
+  /// (refreshing the TTL); an older one is dropped unless the cached binding
+  /// has expired, since an expired binding is void.
   void store(const LocationEntry& entry, sim::SimTime now);
 
   /// Drop the binding for `agent`, if cached. Returns whether one existed.

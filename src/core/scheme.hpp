@@ -80,9 +80,9 @@ struct SchemeStats {
 /// The workload layer drives each scheme identically — register on creation,
 /// update after each migration, locate on demand — so the paper's
 /// experiments compare schemes by swapping this object only. Implementations:
-/// `HashLocationScheme` (the paper's mechanism), `CentralizedLocationScheme`
-/// (the paper's §5 baseline), `HomeRegistryLocationScheme` (Ajanta-style,
-/// §6) and `ForwardingLocationScheme` (Voyager-style, §6).
+/// `HashLocationScheme` (the paper's mechanism), `HomeRegistryLocationScheme`
+/// (Ajanta-style, §6; with a single registry, the paper's §5 centralized
+/// baseline) and `ForwardingLocationScheme` (Voyager-style, §6).
 ///
 /// All calls are made *by* the agent in question (`self` must be hosted and
 /// active); completions are asynchronous simulator callbacks.

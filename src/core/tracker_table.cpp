@@ -12,80 +12,6 @@ Predicate predicate_of(const hashtree::HashTree& tree,
   return predicate;
 }
 
-bool LocationTable::apply(const LocationEntry& entry) {
-  if (Stored* stored = entries_.find(entry.agent)) {
-    if (stored->seq >= entry.seq) return false;
-    *stored = Stored{entry.node, entry.seq};
-    return true;
-  }
-  entries_.emplace(entry.agent, Stored{entry.node, entry.seq});
-  return true;
-}
-
-bool LocationTable::remove(platform::AgentId agent, std::uint64_t seq) {
-  const Stored* stored = entries_.find(agent);
-  if (stored == nullptr || stored->seq > seq) return false;
-  entries_.erase(agent);
-  return true;
-}
-
-std::optional<LocationEntry> LocationTable::find(
-    platform::AgentId agent) const {
-  const Stored* stored = entries_.find(agent);
-  if (stored == nullptr) return std::nullopt;
-  return LocationEntry{agent, stored->node, stored->seq};
-}
-
-std::vector<LocationEntry> LocationTable::extract_matching(
-    const Predicate& predicate) {
-  // Single pass: `extract_if` moves every match out and recompacts the
-  // survivors with one rehash, so a split-time handoff costs O(table) flat
-  // instead of collect-then-erase (one probe-and-shift per moved record).
-  std::vector<LocationEntry> extracted;
-  entries_.extract_if(
-      [&](platform::AgentId agent, const Stored&) {
-        return predicate.matches(agent);
-      },
-      [&](platform::AgentId agent, Stored&& stored) {
-        extracted.push_back(LocationEntry{agent, stored.node, stored.seq});
-      });
-  return extracted;
-}
-
-std::vector<LocationEntry> LocationTable::extract_all() {
-  std::vector<LocationEntry> extracted;
-  extracted.reserve(entries_.size());
-  entries_.for_each([&](platform::AgentId agent, const Stored& stored) {
-    extracted.push_back(LocationEntry{agent, stored.node, stored.seq});
-  });
-  entries_.clear();
-  return extracted;
-}
-
-std::vector<std::vector<LocationEntry>> LocationTable::drain_partition(
-    const std::vector<Predicate>& predicates) {
-  std::vector<std::vector<LocationEntry>> batches(predicates.size());
-  entries_.for_each([&](platform::AgentId agent, const Stored& stored) {
-    for (std::size_t r = 0; r < predicates.size(); ++r) {
-      if (predicates[r].matches(agent)) {
-        batches[r].push_back(LocationEntry{agent, stored.node, stored.seq});
-        break;
-      }
-    }
-  });
-  entries_.clear();
-  return batches;
-}
-
-std::vector<LocationEntry> LocationTable::snapshot() const {
-  std::vector<LocationEntry> out;
-  out.reserve(entries_.size());
-  entries_.for_each([&](platform::AgentId agent, const Stored& stored) {
-    out.push_back(LocationEntry{agent, stored.node, stored.seq});
-  });
-  return out;
-}
-
 void LoadWindow::record(platform::AgentId agent) {
   ++open_counts_[agent];
   ++open_total_;

@@ -9,30 +9,69 @@
 
 namespace agentloc::core {
 
-/// The location table held by a tracking agent (an IAgent, or the single
-/// tracker of the centralized baseline): agent id → (node, seq).
+/// The location table held by a tracking agent: an IAgent, a registry of
+/// the home and centralized baselines, or one partition of `agentlocd`'s
+/// `net::LocateDirectory`. It maps agent id → (node, seq).
 ///
-/// All mutations are sequence-checked so reordered or duplicated updates
-/// cannot roll a location back (see `LocationEntry::seq`).
+/// One rule for every binding (DESIGN.md §6). The network may reorder and
+/// duplicate an agent's reports, and the agent's seq orders them:
+///  - A deregister stores a *tombstone*: an entry whose node is
+///    `net::kNoNode`, the node field's default.
+///  - An entry replaces the held one only if its seq is higher, or if it is a
+///    tombstone and the held entry is a live binding at the same seq: a
+///    deregister wins a seq tie. So a stale report never rolls a binding
+///    back, and a tombstone refuses every report up to its seq, including
+///    one it overtook. Client seqs never restart, so a re-registration
+///    continues above the tombstone and replaces it.
+///  - `find`, `contains`, `for_each` and `size` see live bindings only. The
+///    handoff scans (`extract_matching`, `drain_partition`) carry tombstones,
+///    so the receiving table keeps refusing stale reports.
+/// A tombstone stays until a newer seq overwrites it: one slot per
+/// deregistered id.
 ///
 /// Backed by `util::FlatMap`: the table is probed on every update, locate and
 /// handoff scan, and the node-per-entry layout of `std::unordered_map` made
 /// those probes (and bulk extract/clear during rehashes) allocator-bound.
 /// `kNoAgent` (0) is the vacant-slot marker; the platform never allocates it.
+/// Every member is inline so the wire directory (agentloc_net, which
+/// agentloc_core links) can hold these tables too.
 class LocationTable {
  public:
-  /// Insert or update; returns false when `entry.seq` is not newer than the
-  /// stored sequence (stale update — ignored).
-  bool apply(const LocationEntry& entry);
-
-  /// Remove if the stored sequence is not newer; returns whether removed.
-  bool remove(platform::AgentId agent, std::uint64_t seq);
-
-  std::optional<LocationEntry> find(platform::AgentId agent) const;
-  bool contains(platform::AgentId agent) const {
-    return entries_.contains(agent);
+  /// Store `entry` (a tombstone when `entry.node` is `net::kNoNode`) if
+  /// nothing is held for its agent or it replaces the held entry under the
+  /// rule above. Returns whether it was stored.
+  bool apply(const LocationEntry& entry) {
+    const Stored incoming{entry.node, entry.seq};
+    if (Stored* stored = entries_.find(entry.agent)) {
+      if (!incoming.replaces(*stored)) return false;
+      tombstones_ -= stored->tombstone();
+      *stored = incoming;
+    } else {
+      entries_.emplace(entry.agent, incoming);
+    }
+    tombstones_ += incoming.tombstone();
+    return true;
   }
-  std::size_t size() const noexcept { return entries_.size(); }
+
+  /// Deregister: apply a tombstone at `seq` — also over nothing, so a
+  /// deregister that overtook the agent's first report still refuses it.
+  /// Returns whether a live binding was removed.
+  bool remove(platform::AgentId agent, std::uint64_t seq) {
+    const std::size_t live = size();
+    apply(LocationEntry{agent, net::kNoNode, seq});
+    return size() < live;
+  }
+
+  std::optional<LocationEntry> find(platform::AgentId agent) const {
+    const Stored* stored = entries_.find(agent);
+    if (stored == nullptr || stored->tombstone()) return std::nullopt;
+    return LocationEntry{agent, stored->node, stored->seq};
+  }
+  bool contains(platform::AgentId agent) const {
+    return find(agent).has_value();
+  }
+  /// Live bindings.
+  std::size_t size() const noexcept { return entries_.size() - tombstones_; }
 
   /// Pre-size for an expected population — bulk loads (handoffs, takeovers)
   /// would otherwise rehash repeatedly while inserting.
@@ -45,26 +84,50 @@ class LocationTable {
            (sizeof(platform::AgentId) + sizeof(Stored));
   }
 
-  /// Remove and return every entry matching `predicate` — the handoff scan
-  /// performed when responsibility shrinks.
-  std::vector<LocationEntry> extract_matching(const Predicate& predicate);
-
-  /// Remove and return everything (retirement).
-  std::vector<LocationEntry> extract_all();
+  /// Remove and return every entry matching `predicate`, tombstones
+  /// included — the handoff scan performed when responsibility shrinks.
+  std::vector<LocationEntry> extract_matching(const Predicate& predicate) {
+    // Single pass: `extract_if` moves every match out and recompacts the
+    // survivors with one rehash, so a split-time handoff costs O(table) flat
+    // instead of collect-then-erase (one probe-and-shift per moved record).
+    std::vector<LocationEntry> extracted;
+    entries_.extract_if(
+        [&](platform::AgentId agent, const Stored&) {
+          return predicate.matches(agent);
+        },
+        [&](platform::AgentId agent, Stored&& stored) {
+          tombstones_ -= stored.tombstone();
+          extracted.push_back(LocationEntry{agent, stored.node, stored.seq});
+        });
+    return extracted;
+  }
 
   /// Retirement handoff: empty the table, partitioned across `predicates`
-  /// (first match wins; entries matching none are dropped). One pass over
-  /// the table — no intermediate extract-everything vector.
+  /// (first match wins; entries matching none are dropped), tombstones
+  /// included. One pass over the table.
   std::vector<std::vector<LocationEntry>> drain_partition(
-      const std::vector<Predicate>& predicates);
+      const std::vector<Predicate>& predicates) {
+    std::vector<std::vector<LocationEntry>> batches(predicates.size());
+    entries_.for_each([&](platform::AgentId agent, const Stored& stored) {
+      for (std::size_t r = 0; r < predicates.size(); ++r) {
+        if (predicates[r].matches(agent)) {
+          batches[r].push_back(LocationEntry{agent, stored.node, stored.seq});
+          break;
+        }
+      }
+    });
+    entries_.clear();
+    tombstones_ = 0;
+    return batches;
+  }
 
-  std::vector<LocationEntry> snapshot() const;
-
-  /// Visit every entry without materializing a snapshot.
+  /// Visit every live binding without materializing a snapshot.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     entries_.for_each([&](platform::AgentId agent, const Stored& stored) {
-      fn(LocationEntry{agent, stored.node, stored.seq});
+      if (!stored.tombstone()) {
+        fn(LocationEntry{agent, stored.node, stored.seq});
+      }
     });
   }
 
@@ -72,8 +135,15 @@ class LocationTable {
   struct Stored {
     net::NodeId node = net::kNoNode;
     std::uint64_t seq = 0;
+
+    bool tombstone() const noexcept { return node == net::kNoNode; }
+    bool replaces(const Stored& held) const noexcept {
+      if (seq != held.seq) return seq > held.seq;
+      return tombstone() && !held.tombstone();
+    }
   };
   util::FlatMap<platform::AgentId, Stored, platform::kNoAgent> entries_;
+  std::size_t tombstones_ = 0;  ///< slots of `entries_` holding a tombstone
 };
 
 /// Windowed request-rate statistics (paper §4: "we maintain running

@@ -78,61 +78,36 @@ std::size_t LocateDirectory::partition_of(platform::AgentId agent) const {
 
 bool LocateDirectory::apply_update(platform::AgentId agent, NodeId node,
                                    std::uint64_t seq) {
-  if (agent == platform::kNoAgent) return false;
-  auto& table = tables_[partition_of(agent)];
-  // Newest-seq-wins, exactly as the simulated IAgent tables: the network
-  // may reorder an agent's consecutive updates (they leave from different
-  // nodes), so an older seq must never roll the binding back. A tombstone
-  // is an entry like any other: it refuses every seq up to its own.
-  if (Binding* binding = table.find(agent)) {
-    if (seq <= binding->seq) return false;
-    *binding = Binding{node, seq, true};
-    return true;
-  }
-  table.emplace(agent, Binding{node, seq, true});
-  return true;
+  if (agent == platform::kNoAgent || node == kNoNode) return false;
+  return tables_[partition_of(agent)].apply(
+      core::LocationEntry{agent, node, seq});
 }
 
 bool LocateDirectory::deregister_agent(platform::AgentId agent,
                                        std::uint64_t seq) {
   if (agent == platform::kNoAgent) return false;
-  auto& table = tables_[partition_of(agent)];
-  Binding* binding = table.find(agent);
-  if (binding == nullptr) return false;
-  if (seq < binding->seq) return false;  // a newer update already landed
-  // Keep a tombstone carrying the seq so a reordered older update cannot
-  // resurrect the binding.
-  binding->present = false;
-  binding->seq = seq;
-  binding->node = kNoNode;
-  return true;
+  return tables_[partition_of(agent)].remove(agent, seq);
 }
 
 core::LocateReply LocateDirectory::locate(platform::AgentId agent) const {
   core::LocateReply reply;
   reply.version_hint = tree_.version();
-  if (agent == platform::kNoAgent) {
-    reply.status = core::LocateStatus::kUnknown;
-    return reply;
-  }
-  const Binding* binding = tables_[partition_of(agent)].find(agent);
-  if (binding == nullptr || !binding->present) {
+  const auto entry = agent == platform::kNoAgent
+                         ? std::nullopt
+                         : tables_[partition_of(agent)].find(agent);
+  if (!entry) {
     reply.status = core::LocateStatus::kUnknown;
     return reply;
   }
   reply.status = core::LocateStatus::kFound;
-  reply.node = binding->node;
-  reply.seq = binding->seq;
+  reply.node = entry->node;
+  reply.seq = entry->seq;
   return reply;
 }
 
 std::size_t LocateDirectory::size() const noexcept {
   std::size_t total = 0;
-  for (const auto& table : tables_) {
-    table.for_each([&](platform::AgentId, const Binding& binding) {
-      if (binding.present) ++total;
-    });
-  }
+  for (const core::LocationTable& table : tables_) total += table.size();
   return total;
 }
 

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "core/protocol.hpp"
+#include "core/tracker_table.hpp"
 #include "hashtree/tree.hpp"
 #include "net/socket_transport.hpp"
-#include "util/flat_map.hpp"
 
 namespace agentloc::net {
 
@@ -43,9 +43,10 @@ inline constexpr std::uint64_t kLocateProtocolVersion = 1;
 /// The authoritative location directory one `agentlocd` process serves: the
 /// paper's hash scheme answering real RPCs. Agent ids route through a
 /// `hashtree::HashTree` pre-split into `partitions` leaves (each leaf is an
-/// in-process IAgent shard with its own table), and bindings apply under the
-/// same newest-seq-wins rule as the simulated IAgents — a reordered older
-/// update or deregister can never clobber a newer binding.
+/// in-process IAgent shard), and each leaf keeps a `core::LocationTable` —
+/// the simulated IAgent's table, with its newest-seq-wins and tombstone
+/// rule, so a reordered older update or deregister can never clobber a
+/// newer binding.
 class LocateDirectory {
  public:
   explicit LocateDirectory(std::size_t partitions);
@@ -59,28 +60,23 @@ class LocateDirectory {
   std::size_t partition_count() const noexcept { return tables_.size(); }
   std::size_t partition_of(platform::AgentId agent) const;
 
-  /// Returns true when the entry was applied (no newer seq already held).
+  /// Returns true when the entry was applied (no equal or newer seq held).
+  /// Refuses `kNoNode`, which the table would read as a tombstone.
   bool apply_update(platform::AgentId agent, NodeId node, std::uint64_t seq);
 
-  /// Remove the binding unless a strictly newer update already landed.
+  /// Leave a seq tombstone unless a strictly newer update already landed.
+  /// Returns whether a live binding was removed.
   bool deregister_agent(platform::AgentId agent, std::uint64_t seq);
 
   core::LocateReply locate(platform::AgentId agent) const;
 
-  std::size_t size() const noexcept;  ///< bindings across all partitions
+  std::size_t size() const noexcept;  ///< live bindings across partitions
   std::uint64_t tree_version() const noexcept { return tree_.version(); }
   const hashtree::HashTree& tree() const noexcept { return tree_; }
 
  private:
-  struct Binding {
-    NodeId node = kNoNode;
-    std::uint64_t seq = 0;
-    bool present = false;  ///< false after deregister (seq tombstone)
-  };
-
   hashtree::HashTree tree_;
-  std::vector<util::FlatMap<platform::AgentId, Binding, platform::kNoAgent>>
-      tables_;
+  std::vector<core::LocationTable> tables_;
 };
 
 /// Frame flag on kUpdate/kDeregister: the sender wants a kUpdateAck.

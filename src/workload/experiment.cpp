@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/centralized_scheme.hpp"
 #include "core/forwarding_scheme.hpp"
 #include "core/hash_scheme.hpp"
 #include "core/home_scheme.hpp"
@@ -25,12 +24,12 @@ std::unique_ptr<core::LocationScheme> make_scheme(
     return std::make_unique<core::HashLocationScheme>(system, mechanism);
   }
   if (name == "centralized") {
-    return std::make_unique<core::CentralizedLocationScheme>(system,
-                                                             mechanism);
+    return std::make_unique<core::HomeRegistryLocationScheme>(
+        system, mechanism, /*registries=*/1);
   }
   if (name == "home") {
-    return std::make_unique<core::HomeRegistryLocationScheme>(system,
-                                                              mechanism);
+    return std::make_unique<core::HomeRegistryLocationScheme>(
+        system, mechanism, system.node_count());
   }
   if (name == "forwarding") {
     return std::make_unique<core::ForwardingLocationScheme>(system,

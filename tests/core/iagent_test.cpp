@@ -381,6 +381,19 @@ TEST_F(IAgentTest, DeregisterRemovesEntry) {
   EXPECT_EQ(iagent_->entry_count(), 0u);
 }
 
+TEST_F(IAgentTest, LateUpdateAfterDeregisterStaysGone) {
+  // Update(1), Deregister(3), then Update(2) arriving late: the tombstone
+  // refuses it.
+  send_update(kHighId, 2, 1);
+  cluster_.system.send(client_->id(), iagent_address(),
+                       DeregisterRequest{kHighId, 3},
+                       DeregisterRequest::kWireBytes);
+  cluster_.run_for(sim::SimTime::millis(20));
+  send_update(kHighId, 4, 2);
+  EXPECT_EQ(locate(kHighId).status, LocateStatus::kUnknown);
+  EXPECT_EQ(iagent_->entry_count(), 0u);
+}
+
 TEST_F(IAgentTest, OverloadSendsSplitRequestWithLoads) {
   // Default cooldown in the fixture is 400 ms from creation; hammer locates
   // past it. t_max = 100/s and the window is 200 ms => >20 requests/window.

@@ -83,8 +83,9 @@ TEST(LocationCacheTest, NewestSeqWins) {
 }
 
 TEST(LocationCacheTest, ExpiredBindingDoesNotVetoLowerSeq) {
-  // After a deregister + re-register the mover's seq restarts at 1; once the
-  // old binding's TTL lapsed its (higher) seq must not block the fresh one.
+  // Client seqs never restart, but an expired binding is void all the same:
+  // lookups treat it as a miss, so once its TTL lapsed its (higher) seq must
+  // not block a lower one.
   LocationCache cache(16, SimTime::millis(100));
   cache.store(entry(42, 3, 50), SimTime::zero());
   cache.store(entry(42, 6, 1), SimTime::millis(200));

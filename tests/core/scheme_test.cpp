@@ -7,7 +7,6 @@
 #include <optional>
 #include <set>
 
-#include "core/centralized_scheme.hpp"
 #include "core/forwarding_scheme.hpp"
 #include "core/hash_scheme.hpp"
 #include "core/home_scheme.hpp"
@@ -61,19 +60,15 @@ class SchemeTest : public ::testing::Test {
     scheme_ = std::make_unique<HashLocationScheme>(cluster_.system, config_);
   }
 
-  void make_centralized_scheme() {
-    scheme_ =
-        std::make_unique<CentralizedLocationScheme>(cluster_.system, config_);
-  }
-
   void make_scheme_by_name(const std::string& name) {
     if (name == "hash") {
       scheme_ = std::make_unique<HashLocationScheme>(cluster_.system, config_);
     } else if (name == "centralized") {
-      make_centralized_scheme();
+      scheme_ = std::make_unique<HomeRegistryLocationScheme>(
+          cluster_.system, config_, /*registries=*/1);
     } else if (name == "home") {
-      scheme_ = std::make_unique<HomeRegistryLocationScheme>(cluster_.system,
-                                                             config_);
+      scheme_ = std::make_unique<HomeRegistryLocationScheme>(
+          cluster_.system, config_, cluster_.system.node_count());
     } else {
       scheme_ = std::make_unique<ForwardingLocationScheme>(cluster_.system,
                                                            config_);
@@ -178,8 +173,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, BothSchemesTest,
 class TableSchemesTest : public BothSchemesTest {};
 
 TEST_P(TableSchemesTest, ReRegisteredAgentIsFound) {
-  // Deregistering forgets the client's seq counter, so the re-registration
-  // starts its seq stream over; the tracker must still accept it.
+  // The deregister leaves a tombstone at its seq; the client's seq counter
+  // survives it, so the re-registration lands above the tombstone and the
+  // tracker accepts it.
   Trackee& target = spawn_trackee(3);
   ASSERT_TRUE(target.registered);
   scheme_->deregister_agent(target);
@@ -197,7 +193,7 @@ TEST_P(TableSchemesTest, ReRegisteredAgentIsFound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, TableSchemesTest,
-                         ::testing::Values("hash", "centralized"));
+                         ::testing::Values("hash", "centralized", "home"));
 
 // --- hash-scheme-specific behaviours ---------------------------------------
 
@@ -472,12 +468,13 @@ TEST_F(HashSchemeTest, WatchSurvivesStaleCopy) {
 // --- centralized-specific ----------------------------------------------------
 
 TEST_F(SchemeTest, CentralizedTrackerCountsRequests) {
-  make_centralized_scheme();
+  make_scheme_by_name("centralized");
   Trackee& target = spawn_trackee(3);
   locate_from(5, target.id());
-  auto& centralized = static_cast<CentralizedLocationScheme&>(*scheme_);
-  EXPECT_GE(centralized.tracker().requests_served(), 2u);  // register + locate
-  EXPECT_EQ(centralized.tracker().entry_count(), 2u);  // target + requester
+  CentralTracker& tracker =
+      static_cast<HomeRegistryLocationScheme&>(*scheme_).registry(0);
+  EXPECT_GE(tracker.requests_served(), 2u);  // register + locate
+  EXPECT_EQ(tracker.entry_count(), 2u);      // target + requester
   EXPECT_EQ(scheme_->tracker_count(), 1u);
 }
 

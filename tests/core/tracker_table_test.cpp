@@ -75,6 +75,57 @@ TEST(LocationTable, RemoveHonorsSequence) {
   EXPECT_FALSE(table.remove(1, 4));  // already gone
 }
 
+TEST(LocationTable, TombstoneRefusesLateAndOvertakenUpdates) {
+  LocationTable table;
+  table.apply(LocationEntry{1, 5, 1});
+  EXPECT_TRUE(table.remove(1, 3));
+  EXPECT_FALSE(table.apply(LocationEntry{1, 6, 2}));  // late update
+  EXPECT_FALSE(table.find(1).has_value());
+  EXPECT_EQ(table.size(), 0u);
+
+  // A deregister that overtook the agent's first report refuses it too.
+  EXPECT_FALSE(table.remove(2, 3));
+  EXPECT_FALSE(table.apply(LocationEntry{2, 6, 2}));
+  EXPECT_FALSE(table.contains(2));
+
+  // A re-registration continues above the tombstone.
+  EXPECT_TRUE(table.apply(LocationEntry{1, 7, 4}));
+  EXPECT_EQ(table.find(1)->node, 7u);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(LocationTable, TombstoneWinsSeqTie) {
+  LocationTable table;
+  table.apply(LocationEntry{1, 5, 4});
+  EXPECT_TRUE(table.remove(1, 4));
+  EXPECT_FALSE(table.apply(LocationEntry{1, 6, 4}));
+  // A tombstone carried in by a handoff wins the tie as well.
+  table.apply(LocationEntry{2, 5, 4});
+  EXPECT_TRUE(table.apply(LocationEntry{2, net::kNoNode, 4}));
+  EXPECT_FALSE(table.contains(2));
+  EXPECT_EQ(table.size(), 0u);
+}
+
+TEST(LocationTable, HandoffScansCarryTombstones) {
+  Predicate all;
+  all.compile();
+  LocationTable table;
+  table.apply(LocationEntry{1, 5, 1});
+  table.remove(2, 3);
+  std::vector<LocationEntry> moved = table.extract_matching(all);
+  ASSERT_EQ(moved.size(), 2u);
+
+  LocationTable receiver;
+  for (const LocationEntry& entry : moved) receiver.apply(entry);
+  EXPECT_EQ(receiver.size(), 1u);
+  EXPECT_FALSE(receiver.apply(LocationEntry{2, 6, 2}));  // still refused
+
+  const auto batches = receiver.drain_partition({all});
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].size(), 2u);
+  EXPECT_EQ(receiver.size(), 0u);
+}
+
 TEST(LocationTable, ExtractMatchingPartitions) {
   LocationTable table;
   // Predicate: bit 0 == 1 (ids with the top bit set).
@@ -146,22 +197,6 @@ TEST(LocationTable, DrainPartitionSplitsByFirstMatchingRoute) {
   EXPECT_EQ(batches[1].size(), 1u);
   EXPECT_EQ(batches[1][0].agent, 0x0000000000000001ull);
   EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(LocationTable, ExtractAllEmpties) {
-  LocationTable table;
-  table.apply(LocationEntry{1, 1, 1});
-  table.apply(LocationEntry{2, 2, 1});
-  const auto all = table.extract_all();
-  EXPECT_EQ(all.size(), 2u);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(LocationTable, SnapshotDoesNotMutate) {
-  LocationTable table;
-  table.apply(LocationEntry{1, 1, 1});
-  EXPECT_EQ(table.snapshot().size(), 1u);
-  EXPECT_EQ(table.size(), 1u);
 }
 
 TEST(Predicate, EmptyMatchesEverything) {

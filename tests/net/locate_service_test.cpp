@@ -63,6 +63,14 @@ TEST(LocateDirectory, SeqZeroTombstoneRefusesEqualSeq) {
   }
 }
 
+TEST(LocateDirectory, DeregisterBeforeFirstUpdateRefusesIt) {
+  LocateDirectory directory(4);
+  EXPECT_FALSE(directory.deregister_agent(42, 3));  // nothing live yet
+  EXPECT_FALSE(directory.apply_update(42, 1, 2));
+  EXPECT_EQ(directory.locate(42).status, core::LocateStatus::kUnknown);
+  EXPECT_EQ(directory.size(), 0u);
+}
+
 TEST(LocateDirectory, UnknownAgentNotFound) {
   LocateDirectory directory(4);
   EXPECT_EQ(directory.locate(12345).status, core::LocateStatus::kUnknown);

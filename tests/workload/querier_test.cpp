@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/centralized_scheme.hpp"
+#include "core/home_scheme.hpp"
 #include "net/network.hpp"
 #include "platform/agent_system.hpp"
 #include "sim/simulator.hpp"
@@ -19,7 +19,7 @@ class QuerierTest : public ::testing::Test {
                      sim::SimTime::millis(1)),
                  util::Rng(3)),
         system_(simulator_, network_),
-        scheme_(system_, core::MechanismConfig{}) {}
+        scheme_(system_, core::MechanismConfig{}, /*registries=*/1) {}
 
   std::vector<platform::AgentId> spawn_targets(int count,
                                                bool mobile = false) {
@@ -41,7 +41,7 @@ class QuerierTest : public ::testing::Test {
   sim::Simulator simulator_;
   net::Network network_;
   platform::AgentSystem system_;
-  core::CentralizedLocationScheme scheme_;
+  core::HomeRegistryLocationScheme scheme_;
 };
 
 TEST_F(QuerierTest, CompletesQuotaAndSignals) {

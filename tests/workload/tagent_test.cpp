@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/centralized_scheme.hpp"
+#include "core/home_scheme.hpp"
 #include "net/network.hpp"
 #include "platform/agent_system.hpp"
 #include "sim/simulator.hpp"
@@ -18,7 +18,7 @@ class TAgentTest : public ::testing::Test {
                      sim::SimTime::millis(1)),
                  util::Rng(3)),
         system_(simulator_, network_),
-        scheme_(system_, core::MechanismConfig{}) {}
+        scheme_(system_, core::MechanismConfig{}, /*registries=*/1) {}
 
   TAgent& spawn(TAgent::Config config, net::NodeId node = 0) {
     return system_.create<TAgent>(node, scheme_, config);
@@ -27,7 +27,7 @@ class TAgentTest : public ::testing::Test {
   sim::Simulator simulator_;
   net::Network network_;
   platform::AgentSystem system_;
-  core::CentralizedLocationScheme scheme_;
+  core::HomeRegistryLocationScheme scheme_;
 };
 
 TEST_F(TAgentTest, RegistersOnStart) {
@@ -36,7 +36,7 @@ TEST_F(TAgentTest, RegistersOnStart) {
   TAgent& agent = spawn(config);
   simulator_.run_until(sim::SimTime::millis(100));
   EXPECT_TRUE(agent.registered());
-  EXPECT_EQ(scheme_.tracker().entry_count(), 1u);
+  EXPECT_EQ(scheme_.registry(0).entry_count(), 1u);
   EXPECT_EQ(agent.moves_completed(), 0u);
 }
 
@@ -134,10 +134,10 @@ TEST_F(TAgentTest, DisposeDeregisters) {
   config.mobile = false;
   TAgent& agent = spawn(config);
   simulator_.run_until(sim::SimTime::millis(100));
-  ASSERT_EQ(scheme_.tracker().entry_count(), 1u);
+  ASSERT_EQ(scheme_.registry(0).entry_count(), 1u);
   system_.dispose(agent.id());
   simulator_.run_until(simulator_.now() + sim::SimTime::millis(100));
-  EXPECT_EQ(scheme_.tracker().entry_count(), 0u);
+  EXPECT_EQ(scheme_.registry(0).entry_count(), 0u);
 }
 
 }  // namespace
