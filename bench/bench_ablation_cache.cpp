@@ -69,7 +69,6 @@ Outcome run(double skew, std::size_t capacity, const Params& params) {
   platform::AgentSystem system(simulator, network, platform_config);
 
   core::MechanismConfig mechanism;
-  mechanism.location_cache.enabled = capacity > 0;
   mechanism.location_cache.capacity = capacity;
   mechanism.location_cache.ttl =
       sim::SimTime::micros(static_cast<std::uint64_t>(params.ttl_ms * 1000));

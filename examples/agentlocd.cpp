@@ -6,11 +6,12 @@
 // into --partitions IAgent shards, exactly the paper's extendible hash — but
 // answering RPCs between real processes instead of simulated messages.
 //
-// With --workers N the daemon shards into N serving threads (LocateServer):
-// worker 0 listens on --listen itself, worker k on the derived address
-// (unix path + ".w<k>" / tcp port + k), and every worker advertises the
-// leaf → worker ownership map via kPartitionMap so routing clients
-// (agentloc_loadgen --cluster) spread load without any shared lock.
+// With --workers N the daemon shards into N serving threads (LocateServer),
+// each on its own epoll loop: worker 0 listens on --listen itself, worker k
+// on the derived address (unix path + ".w<k>" / tcp port + k), and every
+// worker advertises the leaf → worker ownership map via kPartitionMap so
+// routing clients (agentloc_loadgen --cluster) spread load without any
+// shared lock.
 //
 //   agentlocd --listen unix:/tmp/agentloc.sock --partitions 8
 //   agentlocd --listen tcp:127.0.0.1:7421 --workers 4
@@ -44,7 +45,6 @@ int main(int argc, char** argv) {
   flags.declare("listen");
   flags.declare("partitions");
   flags.declare("workers");
-  flags.declare("backend");
   flags.declare("probe");
   flags.declare("max-requests");
   flags.declare("quiet");
@@ -58,16 +58,16 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("help", false)) {
     std::printf(
-        "usage: agentlocd [--listen ADDR] [--partitions N] [--probe]\n"
+        "usage: agentlocd [--listen ADDR] [--partitions N] [--workers N] "
+        "[--probe]\n"
         "  --listen ADDR    unix:/path or tcp:host:port "
         "(default unix:/tmp/agentloc.sock)\n"
         "  --partitions N   IAgent shards in the hash tree (default 8)\n"
-        "  --workers N      serving threads; worker k>0 listens on the\n"
-        "                   derived address (unix +\".w<k>\" / tcp port+k)\n"
-        "  --backend B      readiness backend: auto|poll|epoll (default "
-        "auto)\n"
-        "  --probe          exit 0 if this sandbox can create sockets, 77 "
-        "otherwise\n"
+        "  --workers N      serving threads, each on its own epoll loop;\n"
+        "                   worker k>0 listens on the derived address\n"
+        "                   (unix +\".w<k>\" / tcp port+k)\n"
+        "  --probe          exit 0 if this sandbox can create and watch "
+        "sockets, 77 otherwise\n"
         "  --max-requests N stop after N locate requests (0 = run forever)\n"
         "  --quiet          suppress the startup/shutdown lines\n");
     return 0;
@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
 
   const std::string listen_text =
       flags.get_string("listen", "unix:/tmp/agentloc.sock");
-  const std::string backend_text = flags.get_string("backend", "auto");
 
   net::LocateServer::Config config;
   config.partitions =
@@ -94,14 +93,6 @@ int main(int argc, char** argv) {
   config.workers = static_cast<std::size_t>(flags.get_int("workers", 1));
   config.max_locates =
       static_cast<std::uint64_t>(flags.get_int("max-requests", 0));
-  if (backend_text == "poll") {
-    config.backend = net::EventLoop::Backend::kPoll;
-  } else if (backend_text == "epoll") {
-    config.backend = net::EventLoop::Backend::kEpoll;
-  } else if (backend_text != "auto") {
-    std::fprintf(stderr, "agentlocd: bad --backend (auto|poll|epoll)\n");
-    return 2;
-  }
   const bool quiet = flags.get_bool("quiet", false);
 
   net::SocketAddress address;
@@ -156,8 +147,8 @@ int main(int argc, char** argv) {
       for (std::size_t k = 0; k < server.stats().size(); ++k) {
         const net::LocateServer::WorkerStats& w = server.stats()[k];
         std::printf(
-            "agentlocd:   worker %zu (%s, %s): %llu locates, %llu updates\n",
-            k, w.address.c_str(), w.backend.c_str(),
+            "agentlocd:   worker %zu (%s): %llu locates, %llu updates\n",
+            k, w.address.c_str(),
             static_cast<unsigned long long>(w.counters.locates),
             static_cast<unsigned long long>(w.counters.updates));
       }

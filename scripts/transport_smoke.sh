@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 smoke for the socket transport (DESIGN.md §17), three rounds:
+# Tier-1 smoke for the socket transport (DESIGN.md §17), four rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
 #   3. multi-worker — agentlocd --workers 4, loadgen --cluster routing via
-#      the kPartitionMap advertisement.
+#      the kPartitionMap advertisement;
+#   4. multi-worker TCP — agentlocd --workers 2 on tcp:127.0.0.1, so worker
+#      1 listens on port+1 (SO_REUSEPORT), loadgen --cluster routing.
 # Fails on any mismatch or nonzero exit.
 #
 # Exit codes:
 #   0   all rounds verified
-#   77  sandbox cannot create sockets (skip; automake/ctest convention)
+#   77  sandbox cannot create or watch sockets (skip; automake/ctest
+#       convention)
 #   1   anything else
 #
 # Usage: scripts/transport_smoke.sh [BUILD_DIR]   (default: build)
@@ -20,6 +23,8 @@ AGENTLOCD="${BUILD_DIR}/examples/agentlocd"
 LOADGEN="${BUILD_DIR}/examples/agentloc_loadgen"
 SOCK="/tmp/agentloc-smoke-$$.sock"
 TCP_PORT=$((20000 + $$ % 20000))
+# Round 4's base port; its worker 1 takes +1, clear of round 2's port.
+TCP_CLUSTER_PORT=$((TCP_PORT + 1))
 
 for bin in "${AGENTLOCD}" "${LOADGEN}"; do
   if [ ! -x "${bin}" ]; then
@@ -89,14 +94,20 @@ run_loadgen --connect "unix:${SOCK}"
 stop_server
 echo "transport_smoke: UDS round OK"
 
+# wait_for_tcp — TCP has no socket file to poll; the listeners bind before
+# serving, so give the server a moment and check it is still alive.
+wait_for_tcp() {
+  sleep 0.2
+  if ! kill -0 "${server_pid}" 2>/dev/null; then
+    echo "transport_smoke: agentlocd (tcp) exited before serving" >&2
+    return 1
+  fi
+}
+
 # --- round 2: TCP loopback ---------------------------------------------------
 "${AGENTLOCD}" --listen "tcp:127.0.0.1:${TCP_PORT}" --partitions 8 --quiet &
 server_pid=$!
-sleep 0.2  # TCP has no socket file to poll; the listener binds before serving
-if ! kill -0 "${server_pid}" 2>/dev/null; then
-  echo "transport_smoke: agentlocd (tcp) exited before serving" >&2
-  exit 1
-fi
+wait_for_tcp || exit 1
 run_loadgen --connect "tcp:127.0.0.1:${TCP_PORT}"
 stop_server
 echo "transport_smoke: TCP round OK"
@@ -108,6 +119,15 @@ wait_for_uds "${SOCK}.w3" || exit 1
 run_loadgen --connect "unix:${SOCK}" --cluster true
 stop_server
 echo "transport_smoke: multi-worker round OK"
+
+# --- round 4: sharded workers over TCP (port+k derivation) -------------------
+"${AGENTLOCD}" --listen "tcp:127.0.0.1:${TCP_CLUSTER_PORT}" --partitions 8 \
+  --workers 2 --quiet &
+server_pid=$!
+wait_for_tcp || exit 1
+run_loadgen --connect "tcp:127.0.0.1:${TCP_CLUSTER_PORT}" --cluster true
+stop_server
+echo "transport_smoke: multi-worker TCP round OK"
 
 echo "transport_smoke: OK"
 exit 0

@@ -7,20 +7,35 @@
 namespace agentloc::core {
 
 /// Opt-in per-node location caching (DESIGN.md §12). Every knob only takes
-/// effect when `enabled` is set; the default-off state leaves the locate
-/// path, the committed bench baselines, and the paper-faithful figures
-/// byte-identical to a build without the cache.
+/// effect when `capacity` is nonzero; the default-off state leaves the
+/// locate path, the committed bench baselines, and the paper-faithful
+/// figures byte-identical to a build without the cache.
 struct LocationCacheConfig {
-  /// Master switch: give every LHAgent a `LocationCache` and consult it on
-  /// the locate path.
-  bool enabled = false;
-
   /// Cache capacity in bindings per node (rounded up to a power of two).
-  std::size_t capacity = 1024;
+  /// Nonzero gives every LHAgent a `LocationCache` consulted on the locate
+  /// path; 0 (the default) turns caching off.
+  std::size_t capacity = 0;
 
   /// Sim-time bound on a binding's age; expired entries count as misses.
   sim::SimTime ttl = sim::SimTime::seconds(2);
 };
+
+/// Client-side delay before retrying a kTransient locate.
+inline constexpr sim::SimTime kTransientRetryDelay = sim::SimTime::millis(5);
+
+/// Client-side RPC deadline for location traffic. Deliberately generous: a
+/// request to an overloaded tracker should *wait* in its queue (that
+/// queueing delay is the phenomenon the paper measures), not time out and
+/// retry — retries amplify exactly the overload they react to.
+inline constexpr sim::SimTime kRpcTimeout = sim::SimTime::seconds(2);
+
+/// Largest number of entries shipped in one HandoffTransfer message; bigger
+/// tables move as a chain of batches (final_batch marks the last).
+inline constexpr std::size_t kMaxHandoffBatch = 64;
+
+/// Most watchers an IAgent keeps per tracked agent (guaranteed-discovery
+/// extension); further WatchRequests are refused with kTransient.
+inline constexpr std::size_t kMaxWatchersPerAgent = 8;
 
 /// Tunables of the hash-based location mechanism. Defaults reproduce the
 /// paper's setting (Tmax/Tmin reconstructed as 50/5 msg/s — DESIGN.md §5).
@@ -46,33 +61,11 @@ struct MechanismConfig {
   /// kTransient (handoff in flight) for this long.
   sim::SimTime transient_grace = sim::SimTime::millis(300);
 
-  /// Client-side delay before retrying a kTransient locate.
-  sim::SimTime transient_retry_delay = sim::SimTime::millis(5);
-
-  /// Client-side RPC deadline for location traffic. Deliberately generous:
-  /// a request to an overloaded tracker should *wait* in its queue (that
-  /// queueing delay is the phenomenon the paper measures), not time out and
-  /// retry — retries amplify exactly the overload they react to.
-  sim::SimTime rpc_timeout = sim::SimTime::seconds(2);
-
   /// Run a backup HAgent that replicates the primary copy op-by-op and can
   /// be promoted when the primary dies (the paper's §7 fault-tolerance
   /// extension: "the HAgent that keeps this copy [is] a vulnerability
   /// point").
   bool hagent_replication = false;
-
-  /// Serve hash-copy refreshes as operation deltas when the coordinator's
-  /// journal still covers the requester's version (falls back to full
-  /// snapshots otherwise). Extension over the paper's whole-copy refresh.
-  bool delta_refresh = true;
-
-  /// Largest number of entries shipped in one HandoffTransfer message;
-  /// bigger tables move as a chain of batches (final_batch marks the last).
-  std::size_t max_handoff_batch = 64;
-
-  /// Most watchers an IAgent keeps per tracked agent (guaranteed-discovery
-  /// extension); further WatchRequests are refused with kTransient.
-  std::size_t max_watchers_per_agent = 8;
 
   /// Client-side deadline for a watch to fire before reporting failure.
   sim::SimTime watch_timeout = sim::SimTime::seconds(10);

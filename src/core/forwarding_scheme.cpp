@@ -38,9 +38,8 @@ void ForwarderAgent::on_message(const platform::Message& message) {
 }
 
 ForwardingLocationScheme::ForwardingLocationScheme(
-    platform::AgentSystem& system, MechanismConfig config,
-    net::NodeId name_service_node)
-    : system_(system), config_(config) {
+    platform::AgentSystem& system, net::NodeId name_service_node)
+    : system_(system) {
   name_service_ = &system_.create<CentralTracker>(name_service_node);
   name_service_address_ =
       platform::AgentAddress{name_service_node, name_service_->id()};
@@ -70,7 +69,7 @@ void ForwardingLocationScheme::register_agent(platform::Agent& self,
       [done = std::move(done)](platform::RpcResult result) {
         done(result.ok());
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void ForwardingLocationScheme::update_location(platform::Agent& self,
@@ -134,7 +133,7 @@ void ForwardingLocationScheme::locate(
         }
         chase(requester_id, target, reply->node, 0, 2, std::move(done));
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void ForwardingLocationScheme::chase(
@@ -176,7 +175,7 @@ void ForwardingLocationScheme::chase(
         chase(requester, target, reply->next, hops + 1, attempt + 1,
               std::move(done));
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 }  // namespace agentloc::core

@@ -69,9 +69,8 @@ class ForwarderAgent : public platform::Agent {
 /// scheme-comparison ablation shows against the hash mechanism.
 class ForwardingLocationScheme : public LocationScheme {
  public:
-  ForwardingLocationScheme(platform::AgentSystem& system,
-                           MechanismConfig config,
-                           net::NodeId name_service_node = 0);
+  explicit ForwardingLocationScheme(platform::AgentSystem& system,
+                                    net::NodeId name_service_node = 0);
 
   std::string name() const override { return "forwarding"; }
 
@@ -125,7 +124,6 @@ class ForwardingLocationScheme : public LocationScheme {
   }
 
   platform::AgentSystem& system_;
-  MechanismConfig config_;
   CentralTracker* name_service_ = nullptr;
   platform::AgentAddress name_service_address_;
   std::vector<ForwarderAgent*> forwarders_;

@@ -179,7 +179,7 @@ void HAgent::handle_pull(const platform::Message& message,
   // Prefer a delta when the journal still covers the requester's version —
   // an O(changes) payload instead of an O(tree) one. Both widths are known
   // analytically, so the loser is never serialized at all.
-  if (config_.delta_refresh && !request.force_full) {
+  if (!request.force_full) {
     if (const auto delta = journal_.since(request.have_version)) {
       if (delta->serialized_bytes() < tree_->serialized_bytes()) {
         ++stats_.delta_pulls_served;

@@ -27,7 +27,7 @@ LHAgent& create_lhagent(platform::AgentSystem& system, net::NodeId node,
     lhagent.enable_update_batching(config.batch_flush_interval,
                                    kBatchMaxEntries);
   }
-  if (config.location_cache.enabled) {
+  if (config.location_cache.capacity > 0) {
     lhagent.enable_location_cache(config.location_cache);
   }
   return lhagent;
@@ -225,7 +225,7 @@ void HashLocationScheme::send_register(platform::AgentId self,
           send_register(self, seq, attempts_left - 1, std::move(done));
         });
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void HashLocationScheme::watch(platform::Agent& requester,
@@ -279,7 +279,7 @@ void HashLocationScheme::watch_attempt(
           watch_attempt(requester, target, attempt + 1, std::move(done));
         });
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void HashLocationScheme::arm_watch(
@@ -380,7 +380,7 @@ void HashLocationScheme::probe_cached_node(
         }
         locate_via_iagent(requester, target, attempt, std::move(done));
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void HashLocationScheme::locate_via_iagent(
@@ -403,7 +403,7 @@ void HashLocationScheme::locate_via_iagent(
           handle_locate_reply(requester, target, attempt, std::move(done),
                               result);
         },
-        config_.rpc_timeout);
+        kRpcTimeout);
     return;
   }
 
@@ -431,7 +431,7 @@ void HashLocationScheme::locate_via_iagent(
         if (flight.empty()) return;
         for (auto& waiter : flight.mapped()) waiter(result);
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void HashLocationScheme::handle_locate_reply(
@@ -490,7 +490,7 @@ void HashLocationScheme::handle_locate_reply(
       // without refreshing.
       ++stats_.transient_retries;
       system_.simulator().schedule_after(
-          config_.transient_retry_delay,
+          kTransientRetryDelay,
           [this, requester, target, attempt, done = std::move(done)]() mutable {
             locate_attempt(requester, target, attempt + 1, std::move(done));
           });

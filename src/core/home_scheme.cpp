@@ -27,9 +27,8 @@ void CentralTracker::on_message(const platform::Message& message) {
 }
 
 HomeRegistryLocationScheme::HomeRegistryLocationScheme(
-    platform::AgentSystem& system, MechanismConfig config,
-    std::size_t registries)
-    : system_(system), config_(config) {
+    platform::AgentSystem& system, std::size_t registries)
+    : system_(system) {
   registries_.reserve(registries);
   for (net::NodeId node = 0; node < registries; ++node) {
     registries_.push_back(&system_.create<CentralTracker>(node));
@@ -91,7 +90,7 @@ void HomeRegistryLocationScheme::send_register(
         ++stats_.timeout_retries;
         send_register(self, seq, attempts_left - 1, std::move(done));
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void HomeRegistryLocationScheme::locate(
@@ -125,13 +124,13 @@ void HomeRegistryLocationScheme::locate_attempt(
           ++stats_.timeout_retries;
         }
         system_.simulator().schedule_after(
-            config_.transient_retry_delay,
+            kTransientRetryDelay,
             [this, requester, target, attempt,
              done = std::move(done)]() mutable {
               locate_attempt(requester, target, attempt + 1, std::move(done));
             });
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 }  // namespace agentloc::core

@@ -53,7 +53,7 @@ class HomeRegistryLocationScheme : public LocationScheme {
   /// Places registries on nodes 0 .. `registries` - 1; `registries` must be
   /// between 1 and the node count.
   HomeRegistryLocationScheme(platform::AgentSystem& system,
-                             MechanismConfig config, std::size_t registries);
+                             std::size_t registries);
 
   std::string name() const override {
     return registries_.size() == 1 ? "centralized" : "home";
@@ -103,7 +103,6 @@ class HomeRegistryLocationScheme : public LocationScheme {
                       std::function<void(const LocateOutcome&)> done);
 
   platform::AgentSystem& system_;
-  MechanismConfig config_;
   std::vector<CentralTracker*> registries_;
   /// Per-agent update sequence numbers (flat storage, never erased; see
   /// HashLocationScheme).

@@ -149,7 +149,7 @@ void IAgent::handle_watch(const platform::Message& message,
     ack.status = LocateStatus::kNotResponsible;
   } else {
     auto& list = watchers_[request.target];
-    if (list.size() >= config_.max_watchers_per_agent) {
+    if (list.size() >= kMaxWatchersPerAgent) {
       ++stats_.watches_refused;
       ack.status = LocateStatus::kTransient;  // try again later
     } else {
@@ -274,21 +274,17 @@ void IAgent::finish_retirement() {
 void IAgent::push_entries(platform::AgentAddress target,
                           std::vector<LocationEntry> entries,
                           std::function<void()> done) {
-  const std::size_t batch_size =
-      config_.max_handoff_batch == 0 ? 64 : config_.max_handoff_batch;
-  if (entries.size() <= batch_size) {
+  if (entries.size() <= kMaxHandoffBatch) {
     push_batch(target, std::move(entries), true, 3, std::move(done));
     return;
   }
   // Ship the head batch, then recurse on the tail once it is acked: the
   // chain keeps at most one batch in flight, so a slow receiver applies
   // back-pressure instead of absorbing a burst.
-  std::vector<LocationEntry> head(entries.begin(),
-                                  entries.begin() +
-                                      static_cast<std::ptrdiff_t>(batch_size));
-  std::vector<LocationEntry> tail(entries.begin() +
-                                      static_cast<std::ptrdiff_t>(batch_size),
-                                  entries.end());
+  const auto split =
+      entries.begin() + static_cast<std::ptrdiff_t>(kMaxHandoffBatch);
+  std::vector<LocationEntry> head(entries.begin(), split);
+  std::vector<LocationEntry> tail(split, entries.end());
   push_batch(target, std::move(head), false, 3,
              [this, target, tail = std::move(tail),
               done = std::move(done)]() mutable {
@@ -326,7 +322,7 @@ void IAgent::push_batch(platform::AgentAddress target,
         push_batch(target, std::move(entries), final_batch,
                    attempts_left - 1, std::move(done));
       },
-      config_.rpc_timeout);
+      kRpcTimeout);
 }
 
 void IAgent::roll_window() {

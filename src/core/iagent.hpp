@@ -129,7 +129,7 @@ class IAgent : public platform::Agent {
   void consider_locality_migration();
 
   /// Reliable transfer of a whole entry set: splits into batches of
-  /// `max_handoff_batch`, ships them as a chain (only the last is marked
+  /// `kMaxHandoffBatch`, ships them as a chain (only the last is marked
   /// final), re-sending each until acked (entries are seq-checked on the
   /// receiving side, so duplicates are harmless). Calls `done` once.
   void push_entries(platform::AgentAddress target,

@@ -95,7 +95,7 @@ class LHAgent : public platform::Agent {
   /// --- Location caching (opt-in; DESIGN.md §12) -------------------------
   /// Install a per-node cache of (agent → node) bindings. Call after
   /// creation (the scheme does this when
-  /// `MechanismConfig::location_cache.enabled` is set).
+  /// `MechanismConfig::location_cache.capacity` is nonzero).
   void enable_location_cache(const LocationCacheConfig& config);
 
   LocationCache* location_cache() noexcept { return cache_.get(); }

@@ -25,12 +25,12 @@ struct LocationCacheStats {
 
 /// Per-node cache of (agent → node) location bindings (DESIGN.md §12).
 ///
-/// Owned by each LHAgent when `MechanismConfig::location_cache.enabled` is
-/// set: every LocateReply, WatchNotify, and co-located mover report the node
-/// sees anyway deposits a binding here, and the locate path consults it to
-/// skip the authoritative IAgent round trip (the optimistic jump — verified
-/// at the cached node, so a stale binding costs one extra hop, never a wrong
-/// answer).
+/// Owned by each LHAgent when `MechanismConfig::location_cache.capacity` is
+/// nonzero: every LocateReply, WatchNotify, and co-located mover report the
+/// node sees anyway deposits a binding here, and the locate path consults
+/// it to skip the authoritative IAgent round trip (the optimistic jump —
+/// verified at the cached node, so a stale binding costs one extra hop,
+/// never a wrong answer).
 ///
 /// Layout: fixed-capacity open addressing, FlatMap-style (power-of-two slot
 /// array, `mix64` home slots), organized as 4-way sets so displacement never

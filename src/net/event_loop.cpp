@@ -1,207 +1,66 @@
 #include "net/event_loop.hpp"
 
 #include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <poll.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define AGENTLOC_HAVE_EPOLL 1
-#else
-#define AGENTLOC_HAVE_EPOLL 0
-#endif
 
 namespace agentloc::net {
 namespace {
 
-/// poll(2) backend: the interest set lives in a flat vector and the pollfd
-/// array is rebuilt per wait — exactly the pre-seam SocketTransport loop,
-/// kept as the portable fallback and the cross-check for epoll.
-class PollEventLoop final : public EventLoop {
- public:
-  const char* name() const noexcept override { return "poll"; }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (fd < 0 || find(fd) >= 0) return false;
-    entries_.push_back({fd, want_read, want_write});
-    return true;
-  }
-
-  bool modify(int fd, bool want_read, bool want_write) override {
-    const int at = find(fd);
-    if (at < 0) return false;
-    entries_[static_cast<std::size_t>(at)].want_read = want_read;
-    entries_[static_cast<std::size_t>(at)].want_write = want_write;
-    return true;
-  }
-
-  void remove(int fd) override {
-    const int at = find(fd);
-    if (at < 0) return;
-    entries_[static_cast<std::size_t>(at)] = entries_.back();
-    entries_.pop_back();
-  }
-
-  int wait(int timeout_ms, std::vector<Event>& out) override {
-    out.clear();
-    if (entries_.empty()) return 0;
-    fds_.clear();
-    for (const Entry& entry : entries_) {
-      short events = 0;
-      if (entry.want_read) events |= POLLIN;
-      if (entry.want_write) events |= POLLOUT;
-      fds_.push_back({entry.fd, events, 0});
-    }
-    int ready;
-    do {
-      ready = ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()),
-                     timeout_ms);
-    } while (ready < 0 && errno == EINTR);
-    if (ready <= 0) return ready;
-    for (const pollfd& pfd : fds_) {
-      if (pfd.revents == 0) continue;
-      Event event;
-      event.fd = pfd.fd;
-      event.readable = (pfd.revents & POLLIN) != 0;
-      event.writable = (pfd.revents & POLLOUT) != 0;
-      event.hangup = (pfd.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out.push_back(event);
-    }
-    return ready;
-  }
-
-  std::size_t watched() const noexcept override { return entries_.size(); }
-
- private:
-  struct Entry {
-    int fd;
-    bool want_read;
-    bool want_write;
-  };
-
-  int find(int fd) const noexcept {
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].fd == fd) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<pollfd> fds_;  ///< scratch, rebuilt each wait
-};
-
-#if AGENTLOC_HAVE_EPOLL
-
-/// epoll(7) backend, level-triggered so readiness semantics match poll
-/// bit for bit (no EPOLLET: a partially drained fd re-reports next wait).
-class EpollEventLoop final : public EventLoop {
- public:
-  EpollEventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
-
-  ~EpollEventLoop() override {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  bool valid() const noexcept { return epoll_fd_ >= 0; }
-
-  const char* name() const noexcept override { return "epoll"; }
-
-  bool add(int fd, bool want_read, bool want_write) override {
-    if (fd < 0) return false;
-    epoll_event event = make_event(fd, want_read, want_write);
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) return false;
-    ++watched_;
-    return true;
-  }
-
-  bool modify(int fd, bool want_read, bool want_write) override {
-    epoll_event event = make_event(fd, want_read, want_write);
-    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) == 0;
-  }
-
-  void remove(int fd) override {
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) == 0) {
-      if (watched_ > 0) --watched_;
-    }
-  }
-
-  int wait(int timeout_ms, std::vector<Event>& out) override {
-    out.clear();
-    if (watched_ == 0) return 0;
-    events_.resize(watched_);
-    int ready;
-    do {
-      ready = ::epoll_wait(epoll_fd_, events_.data(),
-                           static_cast<int>(events_.size()), timeout_ms);
-    } while (ready < 0 && errno == EINTR);
-    if (ready <= 0) return ready;
-    for (int i = 0; i < ready; ++i) {
-      const epoll_event& raw = events_[static_cast<std::size_t>(i)];
-      Event event;
-      event.fd = raw.data.fd;
-      event.readable = (raw.events & EPOLLIN) != 0;
-      event.writable = (raw.events & EPOLLOUT) != 0;
-      event.hangup = (raw.events & (EPOLLHUP | EPOLLERR)) != 0;
-      out.push_back(event);
-    }
-    return ready;
-  }
-
-  std::size_t watched() const noexcept override { return watched_; }
-
- private:
-  static epoll_event make_event(int fd, bool want_read, bool want_write) {
-    epoll_event event{};
-    if (want_read) event.events |= EPOLLIN;
-    if (want_write) event.events |= EPOLLOUT;
-    event.data.fd = fd;
-    return event;
-  }
-
-  int epoll_fd_ = -1;
-  std::size_t watched_ = 0;
-  std::vector<epoll_event> events_;  ///< scratch, sized to the interest set
-};
-
-#endif  // AGENTLOC_HAVE_EPOLL
+epoll_event make_event(int fd, bool want_read, bool want_write) {
+  epoll_event event{};
+  if (want_read) event.events |= EPOLLIN;
+  if (want_write) event.events |= EPOLLOUT;
+  event.data.fd = fd;
+  return event;
+}
 
 }  // namespace
 
-bool EventLoop::epoll_supported() {
-#if AGENTLOC_HAVE_EPOLL
-  const int fd = ::epoll_create1(EPOLL_CLOEXEC);
+EventLoop::EventLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {}
+
+EventLoop::~EventLoop() {
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+}
+
+bool EventLoop::add(int fd, bool want_read, bool want_write) {
   if (fd < 0) return false;
-  ::close(fd);
+  epoll_event event = make_event(fd, want_read, want_write);
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &event) != 0) return false;
+  ++watched_;
   return true;
-#else
-  return false;
-#endif
 }
 
-EventLoop::Backend EventLoop::env_backend() {
-  const char* text = std::getenv("AGENTLOC_EVENT_BACKEND");
-  if (text == nullptr) return Backend::kAuto;
-  if (std::strcmp(text, "poll") == 0) return Backend::kPoll;
-  if (std::strcmp(text, "epoll") == 0) return Backend::kEpoll;
-  return Backend::kAuto;
+bool EventLoop::modify(int fd, bool want_read, bool want_write) {
+  epoll_event event = make_event(fd, want_read, want_write);
+  return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &event) == 0;
 }
 
-std::unique_ptr<EventLoop> EventLoop::create(Backend preference) {
-  if (preference == Backend::kAuto) {
-    const Backend forced = env_backend();
-    preference = forced != Backend::kAuto
-                     ? forced
-                     : (epoll_supported() ? Backend::kEpoll : Backend::kPoll);
+void EventLoop::remove(int fd) {
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) == 0) {
+    if (watched_ > 0) --watched_;
   }
-#if AGENTLOC_HAVE_EPOLL
-  if (preference == Backend::kEpoll) {
-    auto loop = std::make_unique<EpollEventLoop>();
-    if (loop->valid()) return loop;
+}
+
+int EventLoop::wait(int timeout_ms, std::vector<Event>& out) {
+  out.clear();
+  if (watched_ == 0) return 0;
+  events_.resize(watched_);
+  int ready = 0;
+  do {
+    ready = ::epoll_wait(epoll_fd_, events_.data(),
+                         static_cast<int>(events_.size()), timeout_ms);
+  } while (ready < 0 && errno == EINTR);
+  if (ready <= 0) return ready;
+  for (int i = 0; i < ready; ++i) {
+    const epoll_event& raw = events_[static_cast<std::size_t>(i)];
+    Event event;
+    event.fd = raw.data.fd;
+    event.readable = (raw.events & EPOLLIN) != 0;
+    event.writable = (raw.events & EPOLLOUT) != 0;
+    event.hangup = (raw.events & (EPOLLHUP | EPOLLERR)) != 0;
+    out.push_back(event);
   }
-#endif
-  return std::make_unique<PollEventLoop>();
+  return ready;
 }
 
 }  // namespace agentloc::net

@@ -1,38 +1,27 @@
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <sys/epoll.h>
+
+#include <cstddef>
 #include <vector>
 
 namespace agentloc::net {
 
-/// Readiness-notification seam under `SocketTransport` (DESIGN.md §17).
+/// Readiness notification under `SocketTransport` (DESIGN.md §17): one
+/// level-triggered epoll(7) instance.
 ///
 /// The transport's turn loop only ever asks one question — "which of my fds
-/// are readable / writable right now?" — so the seam is exactly that: an
+/// are readable / writable right now?" — so the loop is exactly that: an
 /// interest set (`add`/`modify`/`remove`) plus one blocking `wait` that
-/// fills a caller-owned event vector. Both backends implement *level*
-/// semantics (an fd stays ready until the condition is drained), which is
-/// what the existing transport code assumes: `read_ready` may leave bytes
-/// buffered in the kernel and must be called again on the next turn.
-///
-///  - `PollEventLoop`  — portable `poll(2)`; rebuilds its pollfd array from
-///    the interest set each wait (the pre-seam behaviour, bit for bit).
-///  - `EpollEventLoop` — Linux `epoll(7)`, level-triggered (no EPOLLET);
-///    interest changes are O(1) `epoll_ctl` calls instead of a per-wait
-///    array rebuild, which is what makes many-peer servers cheap.
-///
-/// Selection is runtime: `create(kAuto)` picks epoll where the kernel
-/// supports it and falls back to poll elsewhere (macOS/CI parity), and the
-/// `AGENTLOC_EVENT_BACKEND=poll|epoll` environment variable forces a
-/// backend so the same test suite can pin each one.
+/// fills a caller-owned event vector. Readiness is *level*-triggered (no
+/// EPOLLET): an fd stays ready until the condition is drained, so
+/// `read_ready` may leave bytes buffered in the kernel and is simply called
+/// again on the next turn. Interest changes are O(1) `epoll_ctl` calls.
 class EventLoop {
  public:
-  enum class Backend : std::uint8_t { kAuto, kPoll, kEpoll };
-
-  /// One ready fd. `hangup` folds POLLHUP/POLLERR (EPOLLHUP/EPOLLERR):
-  /// the consumer treats it like readability so the next read observes
-  /// EOF/ECONNRESET and disconnects cleanly.
+  /// One ready fd. `hangup` folds EPOLLHUP/EPOLLERR: the consumer treats it
+  /// like readability so the next read observes EOF/ECONNRESET and
+  /// disconnects cleanly.
   struct Event {
     int fd = -1;
     bool readable = false;
@@ -40,40 +29,37 @@ class EventLoop {
     bool hangup = false;
   };
 
-  virtual ~EventLoop() = default;
+  EventLoop();
+  ~EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Backend tag for banners/tests: "poll" or "epoll".
-  virtual const char* name() const noexcept = 0;
+  /// False when the kernel refused the epoll instance; every `add` then
+  /// fails, so callers see dead fds rather than a loop that never wakes.
+  bool valid() const noexcept { return epoll_fd_ >= 0; }
 
-  /// Start watching `fd`. False if the fd cannot be registered (epoll_ctl
-  /// failure); callers treat that as a dead fd.
-  virtual bool add(int fd, bool want_read, bool want_write) = 0;
+  /// Start watching `fd`. False if epoll refuses it (a regular file, a bad
+  /// fd, or an invalid loop); callers treat that as a dead fd.
+  bool add(int fd, bool want_read, bool want_write);
 
   /// Change the interest set of a watched fd.
-  virtual bool modify(int fd, bool want_read, bool want_write) = 0;
+  bool modify(int fd, bool want_read, bool want_write);
 
   /// Stop watching `fd`. Safe to call for fds that were never added.
-  virtual void remove(int fd) = 0;
+  void remove(int fd);
 
   /// Block up to `timeout_ms` (-1 = forever) and append ready fds to
   /// `out` (cleared first). Returns the ready count, 0 on timeout, -1 on
   /// error (errno preserved; EINTR is retried internally).
-  virtual int wait(int timeout_ms, std::vector<Event>& out) = 0;
+  int wait(int timeout_ms, std::vector<Event>& out);
 
   /// Watched fd count.
-  virtual std::size_t watched() const noexcept = 0;
+  std::size_t watched() const noexcept { return watched_; }
 
-  /// Whether this kernel offers epoll (compile-time *and* runtime probe).
-  static bool epoll_supported();
-
-  /// Backend forced via AGENTLOC_EVENT_BACKEND ("poll"/"epoll"), or kAuto
-  /// when unset/unrecognized.
-  static Backend env_backend();
-
-  /// Build a backend. kAuto resolves env_backend() first, then prefers
-  /// epoll where supported. Asking for kEpoll where unsupported falls back
-  /// to poll rather than failing — callers can check `name()`.
-  static std::unique_ptr<EventLoop> create(Backend preference = Backend::kAuto);
+ private:
+  int epoll_fd_ = -1;
+  std::size_t watched_ = 0;
+  std::vector<epoll_event> events_;  ///< scratch, sized to the interest set
 };
 
 }  // namespace agentloc::net

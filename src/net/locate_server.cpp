@@ -21,16 +21,22 @@ struct LocateServer::Worker {
       : transport(transport_config), service(transport, partitions, map) {}
 };
 
-SocketAddress LocateServer::worker_address(const SocketAddress& base,
-                                           std::size_t k) {
-  SocketAddress address = base;
-  if (k == 0) return address;
-  if (address.kind == SocketAddress::Kind::kUnix) {
-    address.path += ".w" + std::to_string(k);
-  } else {
-    address.port = static_cast<std::uint16_t>(address.port + k);
+bool LocateServer::worker_address(const SocketAddress& base, std::size_t k,
+                                  SocketAddress& out, std::string* error) {
+  out = base;
+  if (k == 0) return true;
+  if (base.kind == SocketAddress::Kind::kUnix) {
+    // parse() owns the sun_path rule: it refuses what bind would truncate.
+    return SocketAddress::parse("unix:" + base.path + ".w" + std::to_string(k),
+                                out, error);
   }
-  return address;
+  const std::size_t port = base.port + k;
+  if (port > 65535) {
+    if (error) *error = "tcp port " + std::to_string(port) + " out of range";
+    return false;
+  }
+  out.port = static_cast<std::uint16_t>(port);
+  return true;
 }
 
 LocateServer::LocateServer(Config config) : config_(config) {
@@ -50,6 +56,18 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
     if (error != nullptr) *error = "server already started";
     return false;
   }
+  // Derive every listen address before binding anything, so a base whose
+  // derived ports or paths cannot be bound leaves nothing behind.
+  std::vector<SocketAddress> addresses(config_.workers);
+  for (std::size_t k = 0; k < config_.workers; ++k) {
+    std::string address_error;
+    if (!worker_address(base, k, addresses[k], &address_error)) {
+      if (error != nullptr) {
+        *error = "worker " + std::to_string(k) + ": " + address_error;
+      }
+      return false;
+    }
+  }
   stop_.store(false, std::memory_order_release);
 
   // The map every worker advertises: round-robin leaf ownership, worker 0
@@ -57,17 +75,14 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
   map_ = PartitionMap{};
   map_.workers = config_.workers;
   map_.partitions = config_.partitions;
-  map_.addresses.clear();
-  map_.owner.clear();
-  for (std::size_t k = 0; k < config_.workers; ++k) {
-    map_.addresses.push_back(worker_address(base, k).to_string());
+  for (const SocketAddress& address : addresses) {
+    map_.addresses.push_back(address.to_string());
   }
   for (std::size_t leaf = 0; leaf < config_.partitions; ++leaf) {
     map_.owner.push_back(static_cast<std::uint32_t>(leaf % config_.workers));
   }
 
   SocketTransport::Config transport_config;
-  transport_config.backend = config_.backend;
   transport_config.reuse_port = true;
 
   workers_.clear();
@@ -75,7 +90,7 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
   for (std::size_t k = 0; k < config_.workers; ++k) {
     workers_.push_back(std::make_unique<Worker>(transport_config,
                                                 config_.partitions, &map_));
-    workers_.back()->address = worker_address(base, k);
+    workers_.back()->address = addresses[k];
   }
   map_.tree_version = workers_.front()->service.directory().tree_version();
 
@@ -122,7 +137,6 @@ void LocateServer::run_worker(std::size_t index) {
   out.transport = worker.transport.stats();
   out.counters = worker.service.counters();
   out.bindings = worker.service.directory().size();
-  out.backend = worker.transport.backend_name();
   worker.transport.close_all();
 }
 

@@ -13,7 +13,7 @@
 namespace agentloc::net {
 
 /// Sharded `agentlocd`: N worker threads, each owning one complete serving
-/// stack — its own `SocketTransport` (event loop, buffer pool, listen
+/// stack — its own `SocketTransport` (epoll loop, buffer pool, listen
 /// socket) plus a `LocateService` with a full `LocateDirectory`. Nothing
 /// mutable is shared between workers: the only cross-thread state is the
 /// immutable `PartitionMap` built before the threads spawn and a handful of
@@ -24,7 +24,8 @@ namespace agentloc::net {
 ///    address itself (so legacy single-connection clients keep working),
 ///    worker k>0 on `path + ".w<k>"` (unix) / `port + k` (tcp). TCP
 ///    listeners set SO_REUSEPORT so restarts and side-by-side shards bind
-///    cleanly.
+///    cleanly. A base whose derived addresses cannot be bound (a port past
+///    65535, a path past `sun_path`) fails `start` before anything binds.
 ///  - the advertised map assigns leaf → worker round-robin
 ///    (`leaf % workers`), and every worker answers kPartitionMap with the
 ///    same map, so a client can bootstrap from any shard.
@@ -39,7 +40,6 @@ class LocateServer {
   struct Config {
     std::size_t workers = 1;      ///< clamped to [1, partitions]
     std::size_t partitions = 8;   ///< hash-tree leaves per directory
-    EventLoop::Backend backend = EventLoop::Backend::kAuto;
     int poll_timeout_ms = 50;     ///< worker loop tick (stop-flag latency)
     /// Stop serving once the workers' summed locate count reaches this
     /// (0 = run until `stop`). Mirrors agentlocd --max-requests.
@@ -52,7 +52,6 @@ class LocateServer {
     SocketTransport::Stats transport;
     LocateService::Counters counters;
     std::size_t bindings = 0;
-    std::string backend;  ///< readiness backend the worker actually ran
   };
 
   explicit LocateServer(Config config);
@@ -62,12 +61,16 @@ class LocateServer {
 
   /// Listen address of worker `k` for a given base address: k == 0 is the
   /// base itself; unix gets ".w<k>" appended to the path, tcp gets port+k.
-  static SocketAddress worker_address(const SocketAddress& base,
-                                      std::size_t k);
+  /// False + `error` when that address cannot be bound: a tcp port past
+  /// 65535, or a unix path longer than `sun_path` holds.
+  static bool worker_address(const SocketAddress& base, std::size_t k,
+                             SocketAddress& out, std::string* error);
 
-  /// Bind every worker's listener (so address conflicts fail fast, before
-  /// any thread exists), then spawn the worker threads. False + `error` on
-  /// any bind failure (already-bound listeners are closed).
+  /// Derive every worker's address (an unbindable one fails before any
+  /// listener exists), bind every worker's listener (so address conflicts
+  /// fail fast, before any thread exists), then spawn the worker threads.
+  /// False + `error` naming the worker on any failure (already-bound
+  /// listeners are closed).
   bool start(const SocketAddress& base, std::string* error);
 
   /// Signal every worker to finish its current turn and join them. Safe to

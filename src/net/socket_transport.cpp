@@ -88,21 +88,21 @@ std::string SocketAddress::to_string() const {
 
 SocketTransport::SocketTransport() : SocketTransport(Config{}) {}
 
-SocketTransport::SocketTransport(Config config)
-    : config_(config), loop_(EventLoop::create(config.backend)) {}
+SocketTransport::SocketTransport(Config config) : config_(config) {}
 
 SocketTransport::~SocketTransport() { close_all(); }
-
-const char* SocketTransport::backend_name() const noexcept {
-  return loop_->name();
-}
 
 bool SocketTransport::sockets_available() {
   int fds[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+  // A socket nothing can watch is as unusable as no socket: a kernel
+  // without epoll takes the same skip path.
+  EventLoop loop;
+  const bool watchable = loop.add(fds[0], /*want_read=*/true,
+                                  /*want_write=*/false);
   ::close(fds[0]);
   ::close(fds[1]);
-  return true;
+  return watchable;
 }
 
 bool SocketTransport::set_nonblocking(int fd) {
@@ -113,7 +113,11 @@ bool SocketTransport::set_nonblocking(int fd) {
 
 SocketTransport::PeerId SocketTransport::register_fd(int fd) {
   set_nonblocking(fd);
-  loop_->add(fd, /*want_read=*/true, /*want_write=*/false);
+  // An fd the loop refuses would be an open peer that is never polled.
+  if (!loop_.add(fd, /*want_read=*/true, /*want_write=*/false)) {
+    if (fd >= 0) ::close(fd);
+    return kInvalidPeer;
+  }
   FrameDecoder decoder(pool_);
   // Reuse a closed slot if one exists so long-lived servers don't grow the
   // peer table monotonically under connection churn.
@@ -152,6 +156,16 @@ bool SocketTransport::listen(const SocketAddress& address,
     return false;
   }
   int fd = -1;
+  // Every failure after socket() closes the fd and unlinks a bound path.
+  const auto fail = [&](std::string what) {
+    if (error) *error = std::move(what);
+    ::close(fd);
+    if (!listen_unix_path_.empty()) {
+      ::unlink(listen_unix_path_.c_str());
+      listen_unix_path_.clear();
+    }
+    return false;
+  };
   if (address.kind == SocketAddress::Kind::kUnix) {
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
@@ -164,9 +178,7 @@ bool SocketTransport::listen(const SocketAddress& address,
                  sizeof(sun.sun_path) - 1);
     ::unlink(address.path.c_str());  // stale socket from a previous run
     if (::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) != 0) {
-      if (error) *error = errno_text("bind(unix)");
-      ::close(fd);
-      return false;
+      return fail(errno_text("bind(unix)"));
     }
     listen_unix_path_ = address.path;
   } else {
@@ -184,27 +196,17 @@ bool SocketTransport::listen(const SocketAddress& address,
     sin.sin_family = AF_INET;
     sin.sin_port = htons(address.port);
     if (inet_pton(AF_INET, address.host.c_str(), &sin.sin_addr) != 1) {
-      if (error) *error = "tcp host must be an IPv4 literal";
-      ::close(fd);
-      return false;
+      return fail("tcp host must be an IPv4 literal");
     }
     if (::bind(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
-      if (error) *error = errno_text("bind(tcp)");
-      ::close(fd);
-      return false;
+      return fail(errno_text("bind(tcp)"));
     }
   }
-  if (::listen(fd, kListenBacklog) != 0) {
-    if (error) *error = errno_text("listen");
-    ::close(fd);
-    if (!listen_unix_path_.empty()) {
-      ::unlink(listen_unix_path_.c_str());
-      listen_unix_path_.clear();
-    }
-    return false;
-  }
+  if (::listen(fd, kListenBacklog) != 0) return fail(errno_text("listen"));
   set_nonblocking(fd);
-  loop_->add(fd, /*want_read=*/true, /*want_write=*/false);
+  if (!loop_.add(fd, /*want_read=*/true, /*want_write=*/false)) {
+    return fail(errno_text("epoll_ctl(listen)"));
+  }
   listen_fd_ = fd;
   return true;
 }
@@ -247,8 +249,13 @@ SocketTransport::PeerId SocketTransport::connect(const SocketAddress& address,
     ::close(fd);
     return kInvalidPeer;
   }
+  const PeerId id = register_fd(fd);
+  if (id == kInvalidPeer) {
+    if (error) *error = "event loop cannot watch the connected socket";
+    return kInvalidPeer;
+  }
   ++stats_.connects;
-  return register_fd(fd);
+  return id;
 }
 
 SocketTransport::PeerId SocketTransport::adopt(int fd) {
@@ -393,20 +400,21 @@ int SocketTransport::poll_once(int timeout_ms) {
     if (peer.fd < 0) continue;
     const bool want_write = !peer.sendq.empty();
     if (want_write != peer.want_write) {
-      loop_->modify(peer.fd, /*want_read=*/true, want_write);
+      loop_.modify(peer.fd, /*want_read=*/true, want_write);
       peer.want_write = want_write;
     }
   }
-  if (loop_->watched() == 0) return 0;
-  const int ready = loop_->wait(timeout_ms, events_);
+  if (loop_.watched() == 0) return 0;
+  const int ready = loop_.wait(timeout_ms, events_);
   if (ready <= 0) return ready;
   for (const EventLoop::Event& event : events_) {
     if (event.fd == listen_fd_ && listen_fd_ >= 0) {
       for (;;) {  // drain the accept queue
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) break;
-        ++stats_.accepts;
         const PeerId id = register_fd(fd);
+        if (id == kInvalidPeer) continue;
+        ++stats_.accepts;
         if (on_accept_) on_accept_(id);
       }
       continue;
@@ -443,7 +451,7 @@ std::size_t SocketTransport::pending_bytes(PeerId peer) const noexcept {
 void SocketTransport::drop_peer(PeerId id, bool count_disconnect) {
   Peer& peer = peers_[static_cast<std::size_t>(id)];
   if (peer.fd < 0) return;
-  loop_->remove(peer.fd);
+  loop_.remove(peer.fd);
   if (static_cast<std::size_t>(peer.fd) < fd_owner_.size()) {
     fd_owner_[static_cast<std::size_t>(peer.fd)] = kInvalidPeer;
   }
@@ -478,7 +486,7 @@ void SocketTransport::close_all() {
     if (peers_[i].fd >= 0) close_peer(static_cast<PeerId>(i));
   }
   if (listen_fd_ >= 0) {
-    loop_->remove(listen_fd_);
+    loop_.remove(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }

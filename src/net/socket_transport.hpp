@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,12 +44,10 @@ struct SocketAddress {
 /// in who carries the bytes.
 ///
 /// Mechanics:
-///  - one `net::EventLoop` per transport, all fds nonblocking. The loop
-///    backend is runtime-selected (epoll where the kernel has it, poll
-///    elsewhere; `AGENTLOC_EVENT_BACKEND` forces one for tests) and the
-///    transport only consumes readiness bits, so both backends are
-///    semantically identical — level-triggered, partial drains re-report.
-///    Write interest is subscribed only while a peer has sealed bytes
+///  - one `net::EventLoop` (a level-triggered epoll instance) per
+///    transport, all fds nonblocking: a partially drained fd re-reports on
+///    the next turn. An fd the loop refuses is closed and never becomes a
+///    peer. Write interest is subscribed only while a peer has sealed bytes
 ///    queued, synced at the top of each `poll_once` turn.
 ///  - per-peer send queues: frames are encoded back-to-back into pooled
 ///    buffers (`coalesce` mode) and flushed with a single `writev(2)`
@@ -72,9 +69,6 @@ class SocketTransport {
 
   struct Config {
     bool coalesce = true;  ///< pack frames per buffer + writev batches
-    /// Readiness backend: kAuto resolves AGENTLOC_EVENT_BACKEND, then
-    /// prefers epoll where supported (poll elsewhere).
-    EventLoop::Backend backend = EventLoop::Backend::kAuto;
     /// Set SO_REUSEPORT on TCP listen sockets so sharded workers can bind
     /// the same address family side by side (LocateServer sets this).
     bool reuse_port = false;
@@ -107,8 +101,9 @@ class SocketTransport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// Whether this process may create sockets at all (sandboxes differ).
-  /// Probes with a socketpair; cheap enough to call once at startup.
+  /// Whether this process may create sockets and watch them (sandboxes
+  /// differ). Probes with a socketpair registered on an `EventLoop`; cheap
+  /// enough to call once at startup.
   static bool sockets_available();
 
   void on_frame(FrameHandler handler) { on_frame_ = std::move(handler); }
@@ -117,7 +112,8 @@ class SocketTransport {
   }
   void on_accept(AcceptHandler handler) { on_accept_ = std::move(handler); }
 
-  /// Bind + listen. One listener per transport. False + `error` on failure.
+  /// Bind + listen. One listener per transport. False + `error` on failure,
+  /// including a listen socket the event loop refuses to watch.
   bool listen(const SocketAddress& address, std::string* error);
 
   /// Connect to a listening transport. Returns the new peer id, or
@@ -125,7 +121,8 @@ class SocketTransport {
   PeerId connect(const SocketAddress& address, std::string* error);
 
   /// Adopt an already-connected stream fd (e.g. one end of a socketpair).
-  /// The transport takes ownership and sets it nonblocking.
+  /// The transport takes ownership and sets it nonblocking. An fd the event
+  /// loop cannot watch is closed and kInvalidPeer returned.
   PeerId adopt(int fd);
 
   /// Encode one frame into `peer`'s pending batch; `encode_payload` writes
@@ -142,15 +139,12 @@ class SocketTransport {
   void flush(PeerId peer);
   void flush_all();
 
-  /// One event-loop turn: wait on the backend, accept, read/dispatch,
+  /// One event-loop turn: wait on the loop, accept, read/dispatch,
   /// drain writable send queues, then flush everything queued during the
   /// turn — so replies to all requests processed this turn coalesce into
-  /// one writev per peer. Returns the backend's ready count (0 on
+  /// one writev per peer. Returns the loop's ready count (0 on
   /// timeout). Not reentrant: frame handlers must not call poll_once.
   int poll_once(int timeout_ms);
-
-  /// Name of the readiness backend actually running: "poll" or "epoll".
-  const char* backend_name() const noexcept;
 
   /// True while `peer` has an open fd.
   bool peer_open(PeerId peer) const noexcept;
@@ -193,7 +187,7 @@ class SocketTransport {
   Config config_;
   Stats stats_;
   util::BufferPool pool_;
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   std::vector<Peer> peers_;
   std::vector<PeerId> fd_owner_;  ///< fd → open peer id (kInvalidPeer: none)
   std::vector<EventLoop::Event> events_;  ///< scratch for poll_once

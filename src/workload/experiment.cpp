@@ -25,15 +25,14 @@ std::unique_ptr<core::LocationScheme> make_scheme(
   }
   if (name == "centralized") {
     return std::make_unique<core::HomeRegistryLocationScheme>(
-        system, mechanism, /*registries=*/1);
+        system, /*registries=*/1);
   }
   if (name == "home") {
     return std::make_unique<core::HomeRegistryLocationScheme>(
-        system, mechanism, system.node_count());
+        system, system.node_count());
   }
   if (name == "forwarding") {
-    return std::make_unique<core::ForwardingLocationScheme>(system,
-                                                            mechanism);
+    return std::make_unique<core::ForwardingLocationScheme>(system);
   }
   throw std::invalid_argument("unknown location scheme: " + name);
 }
@@ -102,7 +101,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   simulator.run_until(config.warmup);
 
   // Measurement phase: closed-loop queriers, quota split evenly.
-  TraceLog trace_log;
   std::size_t remaining = config.queriers;
   std::vector<QuerierAgent*> queriers;
   const std::size_t per_querier =
@@ -113,7 +111,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     qconfig.think = config.think;
     qconfig.target_skew = config.target_skew;
     qconfig.seed = master.next();
-    if (!config.trace_csv_path.empty()) qconfig.trace_log = &trace_log;
     auto& agent = system.create<QuerierAgent>(
         static_cast<net::NodeId>((q * 3 + 1) % config.nodes), *scheme,
         qconfig, targets, [&remaining, &simulator] {
@@ -134,9 +131,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   for (const TAgent* agent : tagents) {
     result.tagent_moves += agent->moves_completed();
-  }
-  if (!config.trace_csv_path.empty()) {
-    trace_log.write_csv(config.trace_csv_path);
   }
   if (config.on_finish) config.on_finish(*scheme);
   result.trackers_at_end = scheme->tracker_count();
@@ -218,11 +212,10 @@ ExperimentResult run_parallel(const ExperimentConfig& config,
 
 ExperimentResult run_repeated(const ExperimentConfig& config,
                               std::size_t repeats) {
-  // Host callbacks and trace files are not promised thread-safe; run those
-  // configs sequentially. Results are identical either way.
+  // Host callbacks are not promised thread-safe; run those configs
+  // sequentially. Results are identical either way.
   const bool host_hooks = static_cast<bool>(config.sampler) ||
-                          static_cast<bool>(config.on_finish) ||
-                          !config.trace_csv_path.empty();
+                          static_cast<bool>(config.on_finish);
   const std::size_t threads =
       host_hooks ? 1 : util::ThreadPool::default_threads();
   return run_parallel(config, repeats, threads);

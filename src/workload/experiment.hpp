@@ -66,9 +66,6 @@ struct ExperimentConfig {
 
   /// Optional inspection hook invoked right before teardown.
   std::function<void(core::LocationScheme&)> on_finish;
-
-  /// When non-empty, write every measured query as CSV to this path.
-  std::string trace_csv_path;
 };
 
 /// What one run produced.
@@ -110,8 +107,8 @@ std::uint64_t replication_seed(std::uint64_t base_seed, std::size_t r);
 /// order. Replications run on a thread pool sized to the hardware (each one
 /// owns its private Simulator/Network/AgentSystem); the merged result is
 /// bit-identical to the sequential path. Falls back to sequential when the
-/// config carries host callbacks (sampler/on_finish) or a trace path, which
-/// the harness does not promise to invoke thread-safely.
+/// config carries host callbacks (sampler/on_finish), which the harness
+/// does not promise to invoke thread-safely.
 ExperimentResult run_repeated(const ExperimentConfig& config,
                               std::size_t repeats);
 

@@ -32,16 +32,6 @@ void QuerierAgent::issue() {
                                     const core::LocateOutcome& outcome) {
     latencies_.add((system().now() - started).as_millis());
     attempts_.add(static_cast<double>(outcome.attempts));
-    if (config_.trace_log != nullptr) {
-      QueryTrace trace;
-      trace.issued_at = started;
-      trace.completed_at = system().now();
-      trace.target = target;
-      trace.found = outcome.found;
-      trace.reported_node = outcome.node;
-      trace.attempts = outcome.attempts;
-      config_.trace_log->add(trace);
-    }
     if (outcome.found) {
       ++found_;
       // Staleness check against platform ground truth. The target may have

@@ -2,13 +2,13 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/scheme.hpp"
 #include "sim/timer.hpp"
 #include "util/rng.hpp"
 #include "util/summary.hpp"
-#include "workload/trace.hpp"
 
 namespace agentloc::workload {
 
@@ -31,9 +31,6 @@ class QuerierAgent : public platform::Agent {
     double target_skew = 0.0;
 
     std::uint64_t seed = 1;
-
-    /// When set, every completed query is appended here (not owned).
-    TraceLog* trace_log = nullptr;
   };
 
   QuerierAgent(core::LocationScheme& scheme, const Config& config,

@@ -131,8 +131,7 @@ TEST(ForwardingScheme, DepartedAgentYieldsStaleAnswer) {
   // leaves its presence marker behind, so the chase reports its last node —
   // a stale "found". (The requester discovers the truth only on contact.)
   TestCluster cluster(4);
-  MechanismConfig config;
-  ForwardingLocationScheme scheme(cluster.system, config);
+  ForwardingLocationScheme scheme(cluster.system);
   cluster.run_for(sim::SimTime::millis(10));
   Probe& target = cluster.system.create<Probe>(1, scheme);
   Probe& requester = cluster.system.create<Probe>(0, scheme);
@@ -153,10 +152,7 @@ TEST(ForwardingScheme, DepartedAgentYieldsStaleAnswer) {
 
 TEST(ForwardingScheme, CleanDeregistrationYieldsNotFound) {
   TestCluster cluster(4);
-  MechanismConfig config;
-  config.rpc_timeout = sim::SimTime::millis(200);
-  config.transient_retry_delay = sim::SimTime::millis(5);
-  ForwardingLocationScheme scheme(cluster.system, config);
+  ForwardingLocationScheme scheme(cluster.system);
   cluster.run_for(sim::SimTime::millis(10));
   Probe& target = cluster.system.create<Probe>(1, scheme);
   Probe& requester = cluster.system.create<Probe>(0, scheme);
@@ -175,8 +171,7 @@ TEST(ForwardingScheme, CleanDeregistrationYieldsNotFound) {
 
 TEST(ForwardingScheme, ChaseHopsAccumulateAcrossMoves) {
   TestCluster cluster(4);
-  MechanismConfig config;
-  ForwardingLocationScheme scheme(cluster.system, config);
+  ForwardingLocationScheme scheme(cluster.system);
   cluster.run_for(sim::SimTime::millis(10));
   Probe& target = cluster.system.create<Probe>(1, scheme);
   Probe& requester = cluster.system.create<Probe>(0, scheme);

@@ -193,19 +193,18 @@ TEST_F(IAgentTest, TransferHandsOffMatchingEntries) {
 }
 
 TEST_F(IAgentTest, LargeTransferShipsAsBatchChain) {
-  config_.max_handoff_batch = 10;
   IAgent& big = cluster_.system.create<IAgent>(
       1, config_, platform::AgentAddress{0, hagent_stub_->id()});
   cluster_.run_for(sim::SimTime::millis(5));
-  // 25 entries in the to-transfer region.
-  for (std::uint64_t i = 0; i < 25; ++i) {
+  // 150 entries in the to-transfer region.
+  for (std::uint64_t i = 0; i < 150; ++i) {
     cluster_.system.send(client_->id(),
                          platform::AgentAddress{1, big.id()},
                          UpdateRequest{LocationEntry{i + 1, 2, 1}},
                          UpdateRequest::kWireBytes);
   }
   cluster_.run_for(sim::SimTime::millis(100));
-  ASSERT_EQ(big.entry_count(), 25u);
+  ASSERT_EQ(big.entry_count(), 150u);
 
   AckingScriptAgent& fresh = cluster_.system.create<AckingScriptAgent>(4);
   cluster_.run_for(sim::SimTime::millis(5));
@@ -220,14 +219,16 @@ TEST_F(IAgentTest, LargeTransferShipsAsBatchChain) {
                        platform::AgentAddress{1, big.id()}, update, bytes);
   cluster_.run_for(sim::SimTime::millis(200));
 
-  // 25 entries in batches of 10: 10 + 10 + 5, only the last marked final.
+  // 150 entries in batches of kMaxHandoffBatch: 64 + 64 + 22, only the
+  // last marked final.
+  static_assert(kMaxHandoffBatch == 64);
   const auto batches = fresh.bodies<HandoffTransfer>();
   ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0].entries.size(), 10u);
+  EXPECT_EQ(batches[0].entries.size(), 64u);
   EXPECT_FALSE(batches[0].final_batch);
-  EXPECT_EQ(batches[1].entries.size(), 10u);
+  EXPECT_EQ(batches[1].entries.size(), 64u);
   EXPECT_FALSE(batches[1].final_batch);
-  EXPECT_EQ(batches[2].entries.size(), 5u);
+  EXPECT_EQ(batches[2].entries.size(), 22u);
   EXPECT_TRUE(batches[2].final_batch);
   EXPECT_EQ(big.entry_count(), 0u);
   // RehashDone only after the whole chain was acked.
@@ -258,26 +259,28 @@ TEST_F(IAgentTest, WatchFiresOnceAndOnlyOnUpdate) {
 }
 
 TEST_F(IAgentTest, WatchRefusedBeyondCap) {
-  config_.max_watchers_per_agent = 1;
   IAgent& capped = cluster_.system.create<IAgent>(
       1, config_, platform::AgentAddress{0, hagent_stub_->id()});
   cluster_.run_for(sim::SimTime::millis(5));
-  LocateStatus second_status = LocateStatus::kFound;
-  for (int i = 0; i < 2; ++i) {
+  // One watch past the cap: the first kMaxWatchersPerAgent arm, the last is
+  // refused.
+  constexpr int kWatches = static_cast<int>(kMaxWatchersPerAgent) + 1;
+  LocateStatus last_status = LocateStatus::kFound;
+  for (int i = 0; i < kWatches; ++i) {
     cluster_.system.request(client_->id(),
                             platform::AgentAddress{1, capped.id()},
                             WatchRequest{kHighId}, WatchRequest::kWireBytes,
                             [&, i](platform::RpcResult result) {
-                              if (i == 1 && result.ok()) {
-                                second_status =
+                              if (i == kWatches - 1 && result.ok()) {
+                                last_status =
                                     result.reply.body_as<LocateReply>()->status;
                               }
                             });
     cluster_.run_for(sim::SimTime::millis(20));
   }
-  EXPECT_EQ(capped.stats().watches_armed, 1u);
+  EXPECT_EQ(capped.stats().watches_armed, kMaxWatchersPerAgent);
   EXPECT_EQ(capped.stats().watches_refused, 1u);
-  EXPECT_EQ(second_status, LocateStatus::kTransient);
+  EXPECT_EQ(last_status, LocateStatus::kTransient);
 }
 
 TEST_F(IAgentTest, GrantWithoutTransferAcksImmediately) {

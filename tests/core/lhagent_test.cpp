@@ -112,17 +112,24 @@ TEST_F(LHAgentTest, RefreshUsesDeltasWhenJournalCovers) {
   EXPECT_EQ(lhagent_->tree(), hagent_->tree());
 }
 
-TEST_F(LHAgentTest, FullSnapshotWhenDeltaDisabled) {
-  config_.delta_refresh = false;
-  HAgent& plain_hagent = cluster_.system.create<HAgent>(3, config_);
-  plain_hagent.bootstrap(1);
-  LHAgent& plain_lh = cluster_.system.create<LHAgent>(
-      2, platform::AgentAddress{3, plain_hagent.id()}, plain_hagent.tree());
+TEST_F(LHAgentTest, FullSnapshotWhenCopyPredatesJournal) {
+  // bootstrap's pre-split is not journaled, so a copy taken before it is
+  // older than anything the journal covers: only a full snapshot serves it.
+  config_.initial_iagents = 4;
+  HAgent& presplit = cluster_.system.create<HAgent>(3, config_);
+  const platform::AgentId first = presplit.bootstrap(1);
+  LHAgent& stale_lh = cluster_.system.create<LHAgent>(
+      2, platform::AgentAddress{3, presplit.id()},
+      hashtree::HashTree(first, 1));
   cluster_.run_for(sim::SimTime::millis(10));
-  plain_lh.refresh([] {});
+  ASSERT_LT(stale_lh.version(), presplit.tree().version());
+  stale_lh.refresh([] {});
   cluster_.run_for(sim::SimTime::millis(50));
-  EXPECT_EQ(plain_lh.stats().delta_refreshes, 0u);
-  EXPECT_EQ(plain_lh.stats().refreshes_completed, 1u);
+  EXPECT_EQ(stale_lh.stats().delta_refreshes, 0u);
+  EXPECT_EQ(stale_lh.stats().refreshes_completed, 1u);
+  EXPECT_EQ(presplit.stats().delta_pulls_served, 0u);
+  EXPECT_EQ(stale_lh.known_iagents(), 4u);
+  EXPECT_EQ(stale_lh.tree(), presplit.tree());
 }
 
 TEST_F(LHAgentTest, RefreshNeverRegresses) {

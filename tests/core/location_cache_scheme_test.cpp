@@ -55,7 +55,7 @@ class CacheSchemeTest : public ::testing::Test {
     config_.rehash_cooldown = sim::SimTime::seconds(1);
     config_.t_max = 40.0;
     config_.t_min = 0.0;
-    config_.location_cache.enabled = true;
+    config_.location_cache.capacity = 1024;
     // The locate() helper advances sim time 15 s per call; keep bindings
     // alive across calls unless a test explicitly shortens the TTL.
     config_.location_cache.ttl = sim::SimTime::seconds(60);
@@ -91,7 +91,7 @@ class CacheSchemeTest : public ::testing::Test {
 };
 
 TEST_F(CacheSchemeTest, DisabledByDefault) {
-  config_.location_cache.enabled = false;
+  config_.location_cache = LocationCacheConfig{};  // capacity 0: off
   make_scheme();
   Trackee& target = spawn(3);
   Trackee& requester = spawn(5);
@@ -219,7 +219,7 @@ TEST_F(CacheSchemeTest, TtlExpiryForcesAuthoritativeRefetch) {
 }
 
 TEST_F(CacheSchemeTest, SingleflightCoalescesConcurrentLocates) {
-  config_.location_cache.enabled = false;
+  config_.location_cache.capacity = 0;
   config_.locate_singleflight = true;
   make_scheme();
   Trackee& target = spawn(3);
@@ -246,7 +246,7 @@ TEST_F(CacheSchemeTest, SingleflightCoalescesConcurrentLocates) {
 }
 
 TEST_F(CacheSchemeTest, SingleflightKeysOnRequesterNode) {
-  config_.location_cache.enabled = false;
+  config_.location_cache.capacity = 0;
   config_.locate_singleflight = true;
   make_scheme();
   Trackee& target = spawn(3);
@@ -331,7 +331,7 @@ TEST(CacheEquivalenceTest, FixedSeedOutcomesMatchCacheOnAndOff) {
   config.t_min = 0.0;
 
   MechanismConfig cached = config;
-  cached.location_cache.enabled = true;
+  cached.location_cache.capacity = 1024;
   cached.location_cache.ttl = sim::SimTime::seconds(600);  // outlives the run
 
   const ScenarioResult off = run_scenario(config);

@@ -65,13 +65,12 @@ class SchemeTest : public ::testing::Test {
       scheme_ = std::make_unique<HashLocationScheme>(cluster_.system, config_);
     } else if (name == "centralized") {
       scheme_ = std::make_unique<HomeRegistryLocationScheme>(
-          cluster_.system, config_, /*registries=*/1);
+          cluster_.system, /*registries=*/1);
     } else if (name == "home") {
       scheme_ = std::make_unique<HomeRegistryLocationScheme>(
-          cluster_.system, config_, cluster_.system.node_count());
+          cluster_.system, cluster_.system.node_count());
     } else {
-      scheme_ = std::make_unique<ForwardingLocationScheme>(cluster_.system,
-                                                           config_);
+      scheme_ = std::make_unique<ForwardingLocationScheme>(cluster_.system);
     }
   }
 
@@ -320,7 +319,6 @@ TEST_F(HashSchemeTest, TrackerCountFollowsTree) {
 // --- home-registry-specific -------------------------------------------------
 
 TEST_F(SchemeTest, HomeRegistrySpreadsEntriesByAgentId) {
-  config_.rpc_timeout = sim::SimTime::seconds(2);
   make_scheme_by_name("home");
   auto& home = static_cast<HomeRegistryLocationScheme&>(*scheme_);
   std::vector<Trackee*> population;

@@ -4,27 +4,18 @@
 
 #include <unistd.h>
 
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 namespace agentloc::net {
 namespace {
 
-/// Both backends must satisfy the same contract (level-triggered readiness
-/// over an interest set), so every test here runs against each one. Pipes
-/// are used instead of sockets so the suite runs even in sandboxes without
-/// socket support.
-class EventLoopBackends
-    : public ::testing::TestWithParam<EventLoop::Backend> {
+/// The loop's contract: level-triggered readiness over an interest set.
+/// Pipes are used instead of sockets so the suite runs even in sandboxes
+/// without socket support.
+class EventLoopTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == EventLoop::Backend::kEpoll &&
-        !EventLoop::epoll_supported()) {
-      GTEST_SKIP() << "kernel has no epoll";
-    }
-    loop_ = EventLoop::create(GetParam());
-    ASSERT_NE(loop_, nullptr);
+    if (!loop_.valid()) GTEST_SKIP() << "kernel has no epoll";
     ASSERT_EQ(::pipe(fds_), 0);
   }
 
@@ -36,30 +27,24 @@ class EventLoopBackends
   /// The events `wait` reported for `fd` (empty if it was not ready).
   std::vector<EventLoop::Event> wait_events(int timeout_ms) {
     std::vector<EventLoop::Event> out;
-    loop_->wait(timeout_ms, out);
+    loop_.wait(timeout_ms, out);
     return out;
   }
 
-  std::unique_ptr<EventLoop> loop_;
+  EventLoop loop_;
   int fds_[2] = {-1, -1};  ///< pipe: [0] read end, [1] write end
 };
 
-TEST_P(EventLoopBackends, NameMatchesRequestedBackend) {
-  const char* expected =
-      GetParam() == EventLoop::Backend::kEpoll ? "epoll" : "poll";
-  EXPECT_STREQ(loop_->name(), expected);
-}
-
-TEST_P(EventLoopBackends, TimeoutWithNothingReadyReturnsZero) {
-  ASSERT_TRUE(loop_->add(fds_[0], /*want_read=*/true, /*want_write=*/false));
-  EXPECT_EQ(loop_->watched(), 1u);
+TEST_F(EventLoopTest, TimeoutWithNothingReadyReturnsZero) {
+  ASSERT_TRUE(loop_.add(fds_[0], /*want_read=*/true, /*want_write=*/false));
+  EXPECT_EQ(loop_.watched(), 1u);
   std::vector<EventLoop::Event> events;
-  EXPECT_EQ(loop_->wait(0, events), 0);
+  EXPECT_EQ(loop_.wait(0, events), 0);
   EXPECT_TRUE(events.empty());
 }
 
-TEST_P(EventLoopBackends, ReportsReadableWhenDataArrives) {
-  ASSERT_TRUE(loop_->add(fds_[0], true, false));
+TEST_F(EventLoopTest, ReportsReadableWhenDataArrives) {
+  ASSERT_TRUE(loop_.add(fds_[0], true, false));
   ASSERT_EQ(::write(fds_[1], "x", 1), 1);
   const auto events = wait_events(1000);
   ASSERT_EQ(events.size(), 1u);
@@ -68,8 +53,8 @@ TEST_P(EventLoopBackends, ReportsReadableWhenDataArrives) {
   EXPECT_FALSE(events[0].writable);
 }
 
-TEST_P(EventLoopBackends, LevelTriggeredReadinessReReports) {
-  ASSERT_TRUE(loop_->add(fds_[0], true, false));
+TEST_F(EventLoopTest, LevelTriggeredReadinessReReports) {
+  ASSERT_TRUE(loop_.add(fds_[0], true, false));
   ASSERT_EQ(::write(fds_[1], "xy", 2), 2);
   // Not draining the pipe must re-report readable on every wait — the
   // transport's read_ready relies on this to resume partial drains.
@@ -81,92 +66,58 @@ TEST_P(EventLoopBackends, LevelTriggeredReadinessReReports) {
   char buffer[4];
   ASSERT_EQ(::read(fds_[0], buffer, sizeof buffer), 2);
   std::vector<EventLoop::Event> events;
-  EXPECT_EQ(loop_->wait(0, events), 0);  // drained: no longer ready
+  EXPECT_EQ(loop_.wait(0, events), 0);  // drained: no longer ready
 }
 
-TEST_P(EventLoopBackends, WriteInterestTogglesViaModify) {
-  ASSERT_TRUE(loop_->add(fds_[1], false, true));
+TEST_F(EventLoopTest, WriteInterestTogglesViaModify) {
+  ASSERT_TRUE(loop_.add(fds_[1], false, true));
   auto events = wait_events(1000);
   ASSERT_EQ(events.size(), 1u);  // empty pipe: write end is writable
   EXPECT_TRUE(events[0].writable);
 
-  ASSERT_TRUE(loop_->modify(fds_[1], false, false));
-  EXPECT_EQ(loop_->wait(0, events), 0);
+  ASSERT_TRUE(loop_.modify(fds_[1], false, false));
+  EXPECT_EQ(loop_.wait(0, events), 0);
 
-  ASSERT_TRUE(loop_->modify(fds_[1], false, true));
+  ASSERT_TRUE(loop_.modify(fds_[1], false, true));
   events = wait_events(1000);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_TRUE(events[0].writable);
 }
 
-TEST_P(EventLoopBackends, RemoveStopsReporting) {
-  ASSERT_TRUE(loop_->add(fds_[0], true, false));
+TEST_F(EventLoopTest, RemoveStopsReporting) {
+  ASSERT_TRUE(loop_.add(fds_[0], true, false));
   ASSERT_EQ(::write(fds_[1], "x", 1), 1);
   ASSERT_EQ(wait_events(1000).size(), 1u);
-  loop_->remove(fds_[0]);
-  EXPECT_EQ(loop_->watched(), 0u);
+  loop_.remove(fds_[0]);
+  EXPECT_EQ(loop_.watched(), 0u);
   std::vector<EventLoop::Event> events;
-  EXPECT_EQ(loop_->wait(0, events), 0);
-  loop_->remove(fds_[0]);  // double-remove is a no-op
+  EXPECT_EQ(loop_.wait(0, events), 0);
+  loop_.remove(fds_[0]);  // double-remove is a no-op
 }
 
-TEST_P(EventLoopBackends, ClosedWriterReportsHangupOrReadable) {
-  ASSERT_TRUE(loop_->add(fds_[0], true, false));
+TEST_F(EventLoopTest, ClosedWriterReportsHangupOrReadable) {
+  ASSERT_TRUE(loop_.add(fds_[0], true, false));
   ::close(fds_[1]);
   fds_[1] = -1;
   const auto events = wait_events(1000);
   ASSERT_EQ(events.size(), 1u);
-  // Backends may flag POLLHUP, readability (EOF), or both; the transport
-  // treats either as "read now and observe EOF".
+  // The kernel may flag EPOLLHUP, readability (EOF), or both; the
+  // transport treats either as "read now and observe EOF".
   EXPECT_TRUE(events[0].hangup || events[0].readable);
 }
 
-TEST_P(EventLoopBackends, WatchesManyFdsIndependently) {
+TEST_F(EventLoopTest, WatchesManyFdsIndependently) {
   int second[2] = {-1, -1};
   ASSERT_EQ(::pipe(second), 0);
-  ASSERT_TRUE(loop_->add(fds_[0], true, false));
-  ASSERT_TRUE(loop_->add(second[0], true, false));
-  EXPECT_EQ(loop_->watched(), 2u);
+  ASSERT_TRUE(loop_.add(fds_[0], true, false));
+  ASSERT_TRUE(loop_.add(second[0], true, false));
+  EXPECT_EQ(loop_.watched(), 2u);
   ASSERT_EQ(::write(second[1], "x", 1), 1);
   const auto events = wait_events(1000);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].fd, second[0]);
   ::close(second[0]);
   ::close(second[1]);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, EventLoopBackends,
-    ::testing::Values(EventLoop::Backend::kPoll, EventLoop::Backend::kEpoll),
-    [](const ::testing::TestParamInfo<EventLoop::Backend>& info) {
-      return info.param == EventLoop::Backend::kEpoll ? "epoll" : "poll";
-    });
-
-TEST(EventLoopCreate, AutoPicksASupportedBackend) {
-  auto loop = EventLoop::create(EventLoop::Backend::kAuto);
-  ASSERT_NE(loop, nullptr);
-  if (EventLoop::epoll_supported()) {
-    EXPECT_STREQ(loop->name(), "epoll");
-  } else {
-    EXPECT_STREQ(loop->name(), "poll");
-  }
-}
-
-TEST(EventLoopCreate, EnvironmentForcesBackend) {
-  ASSERT_EQ(::setenv("AGENTLOC_EVENT_BACKEND", "poll", 1), 0);
-  EXPECT_EQ(EventLoop::env_backend(), EventLoop::Backend::kPoll);
-  auto loop = EventLoop::create(EventLoop::Backend::kAuto);
-  EXPECT_STREQ(loop->name(), "poll");
-  ASSERT_EQ(::setenv("AGENTLOC_EVENT_BACKEND", "nonsense", 1), 0);
-  EXPECT_EQ(EventLoop::env_backend(), EventLoop::Backend::kAuto);
-  ASSERT_EQ(::unsetenv("AGENTLOC_EVENT_BACKEND"), 0);
-  EXPECT_EQ(EventLoop::env_backend(), EventLoop::Backend::kAuto);
-}
-
-TEST(EventLoopCreate, EpollRequestFallsBackWhereUnsupported) {
-  auto loop = EventLoop::create(EventLoop::Backend::kEpoll);
-  ASSERT_NE(loop, nullptr);
-  if (!EventLoop::epoll_supported()) EXPECT_STREQ(loop->name(), "poll");
 }
 
 }  // namespace

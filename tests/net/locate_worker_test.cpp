@@ -43,16 +43,56 @@ std::uint16_t next_tcp_port() {
 
 TEST(WorkerAddress, DerivesPerWorkerListenAddresses) {
   const SocketAddress uds = unix_address("/tmp/agl.sock");
-  EXPECT_EQ(LocateServer::worker_address(uds, 0).to_string(),
-            "unix:/tmp/agl.sock");
-  EXPECT_EQ(LocateServer::worker_address(uds, 2).to_string(),
-            "unix:/tmp/agl.sock.w2");
+  SocketAddress out;
+  std::string error;
+  ASSERT_TRUE(LocateServer::worker_address(uds, 0, out, &error)) << error;
+  EXPECT_EQ(out.to_string(), "unix:/tmp/agl.sock");
+  ASSERT_TRUE(LocateServer::worker_address(uds, 2, out, &error)) << error;
+  EXPECT_EQ(out.to_string(), "unix:/tmp/agl.sock.w2");
 
   SocketAddress tcp;
-  std::string error;
   ASSERT_TRUE(SocketAddress::parse("tcp:127.0.0.1:7421", tcp, &error));
-  EXPECT_EQ(LocateServer::worker_address(tcp, 0).port, 7421);
-  EXPECT_EQ(LocateServer::worker_address(tcp, 3).port, 7424);
+  ASSERT_TRUE(LocateServer::worker_address(tcp, 0, out, &error)) << error;
+  EXPECT_EQ(out.port, 7421);
+  ASSERT_TRUE(LocateServer::worker_address(tcp, 3, out, &error)) << error;
+  EXPECT_EQ(out.port, 7424);
+  SocketAddress top;
+  ASSERT_TRUE(SocketAddress::parse("tcp:127.0.0.1:65534", top, &error));
+  ASSERT_TRUE(LocateServer::worker_address(top, 1, out, &error)) << error;
+  EXPECT_EQ(out.port, 65535);
+  EXPECT_FALSE(LocateServer::worker_address(top, 2, out, &error));
+}
+
+/// The error a two-worker server reports when started on `base_text`, or
+/// "" if it started.
+std::string two_worker_start_error(const std::string& base_text) {
+  SocketAddress base;
+  std::string error;
+  EXPECT_TRUE(SocketAddress::parse(base_text, base, &error)) << error;
+  LocateServer::Config config;
+  config.workers = 2;
+  config.partitions = 4;
+  LocateServer server(config);
+  return server.start(base, &error) ? "" : error;
+}
+
+TEST(WorkerAddress, RefusesTcpPortPastRange) {
+  // port + 1 would wrap to port 0, which binds an ephemeral port.
+  const std::string error = two_worker_start_error("tcp:127.0.0.1:65535");
+  EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
+}
+
+TEST(WorkerAddress, RefusesUnixPathPastSunPath) {
+  // 105 bytes fit sun_path (108 with the NUL); 105 + ".w1" does not, and
+  // bind would silently truncate it.
+  std::string path = unique_socket_path("long");
+  path.insert(5, 105 - path.size(), 'x');
+  ASSERT_EQ(path.size(), 105u);
+  const std::string error = two_worker_start_error("unix:" + path);
+  EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
+  // Refused before anything bound: worker 0's path was never created.
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  ::unlink(path.c_str());
 }
 
 TEST(WorkerConfig, ClampsWorkersToPartitions) {
@@ -104,13 +144,11 @@ struct WorkerCluster {
   SocketAddress base;
 
   explicit WorkerCluster(std::size_t workers, std::size_t partitions,
-                         bool tcp = false,
-                         EventLoop::Backend backend = EventLoop::Backend::kAuto)
+                         bool tcp = false)
       : server([&] {
           LocateServer::Config config;
           config.workers = workers;
           config.partitions = partitions;
-          config.backend = backend;
           config.poll_timeout_ms = 5;
           return config;
         }()) {
@@ -247,23 +285,6 @@ TEST(WorkerCluster_, TcpClusterRoundTrips) {
   ASSERT_TRUE(client.connect_cluster(cluster.base, &error)) << error;
   EXPECT_EQ(client.worker_count(), 2u);
   EXPECT_TRUE(run_verified_load(client, 300, 2));
-}
-
-TEST(WorkerCluster_, PollAndEpollBackendsAgree) {
-  SKIP_WITHOUT_SOCKETS();
-  for (const EventLoop::Backend backend :
-       {EventLoop::Backend::kPoll, EventLoop::Backend::kEpoll}) {
-    if (backend == EventLoop::Backend::kEpoll &&
-        !EventLoop::epoll_supported()) {
-      continue;
-    }
-    WorkerCluster cluster(2, 4, /*tcp=*/false, backend);
-    ASSERT_TRUE(cluster.started);
-    LocateClient client;
-    std::string error;
-    ASSERT_TRUE(client.connect_cluster(cluster.base, &error)) << error;
-    EXPECT_TRUE(run_verified_load(client, 200, 2));
-  }
 }
 
 TEST(WorkerCluster_, DisconnectMidBatchFailsFastAndReturnsBuffers) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -243,6 +244,22 @@ TEST(SocketTransport, ListenConnectOverUnixSocket) {
   EXPECT_EQ(echoed, 41u);
   EXPECT_EQ(answer, 42u);
   ::unlink(path.c_str());
+}
+
+TEST(SocketTransport, AdoptRejectsUnwatchableFd) {
+  SKIP_WITHOUT_SOCKETS();
+  // epoll refuses regular files. Adopting one must not yield an open peer
+  // that is never polled: the transport closes the fd and reports no peer.
+  std::string path = ::testing::TempDir() + "agentloc_unwatchable_XXXXXX";
+  const int fd = ::mkstemp(path.data());
+  ASSERT_GE(fd, 0);
+  ::unlink(path.c_str());
+  SocketTransport transport;
+  const auto peer = transport.adopt(fd);
+  EXPECT_EQ(peer, SocketTransport::kInvalidPeer);
+  EXPECT_FALSE(transport.peer_open(peer));
+  EXPECT_EQ(transport.peer_count(), 0u);
+  EXPECT_EQ(::fcntl(fd, F_GETFD), -1) << "adopted fd left open";
 }
 
 TEST(SocketTransport, PeerSlotReuseAfterDisconnect) {

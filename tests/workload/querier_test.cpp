@@ -19,7 +19,7 @@ class QuerierTest : public ::testing::Test {
                      sim::SimTime::millis(1)),
                  util::Rng(3)),
         system_(simulator_, network_),
-        scheme_(system_, core::MechanismConfig{}, /*registries=*/1) {}
+        scheme_(system_, /*registries=*/1) {}
 
   std::vector<platform::AgentId> spawn_targets(int count,
                                                bool mobile = false) {

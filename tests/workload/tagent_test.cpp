@@ -18,7 +18,7 @@ class TAgentTest : public ::testing::Test {
                      sim::SimTime::millis(1)),
                  util::Rng(3)),
         system_(simulator_, network_),
-        scheme_(system_, core::MechanismConfig{}, /*registries=*/1) {}
+        scheme_(system_, /*registries=*/1) {}
 
   TAgent& spawn(TAgent::Config config, net::NodeId node = 0) {
     return system_.create<TAgent>(node, scheme_, config);
