@@ -4,6 +4,7 @@
 // workload used to judge engine PRs (self-rescheduling delivery chains with
 // delivery-closure-sized captures plus armed-then-cancelled timeouts), so
 // BENCH_sim_micro.json is directly comparable across engine generations.
+// The BM_Hold rows time the event set at 64 to 1M pending timers.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,15 @@ using namespace agentloc;
 using sim::SimTime;
 
 namespace {
+
+// Numbers are only comparable between builds of the same kind.
+#if defined(__OPTIMIZE__) && defined(NDEBUG)
+constexpr const char* kBuild = "optimized, NDEBUG";
+#elif defined(__OPTIMIZE__)
+constexpr const char* kBuild = "optimized, asserts on";
+#else
+constexpr const char* kBuild = "unoptimized";
+#endif
 
 /// Self-rescheduling event the size of the network's delivery closure
 /// (~40 bytes) — the hot handler shape of a real experiment run.
@@ -103,6 +113,38 @@ void BM_ScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCancel)->Arg(64)->Arg(4096);
 
+/// One timer of the hold model: on firing it re-arms itself after an
+/// exponential increment (mean 500 ms), the shape of a TAgent's residence
+/// timer.
+struct HoldTimer {
+  sim::Simulator* simulator;
+  util::Rng* rng;
+
+  void operator()() const {
+    simulator->schedule_after(SimTime::millis(rng->exponential(500.0)), *this);
+  }
+};
+
+void BM_Hold(benchmark::State& state) {
+  // The classic hold model: N pending timers, each pop pushes one back.
+  // Every TAgent at sim-scale holds one, so the event set carries ~1M
+  // entries there; the rows above stay at 16k pending or fewer. Timed per
+  // pop+push after one full turnover, so the set is in its steady state.
+  // The iteration count is fixed so the 1M-timer setup runs once.
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  simulator.reserve(timers);
+  util::Rng rng(11);
+  const HoldTimer timer{&simulator, &rng};
+  for (std::size_t i = 0; i < timers; ++i) {
+    simulator.schedule_after(SimTime::millis(rng.exponential(500.0)), timer);
+  }
+  for (std::size_t i = 0; i < timers; ++i) simulator.step();
+  for (auto _ : state) benchmark::DoNotOptimize(simulator.step());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Hold)->Arg(64)->Arg(131072)->Arg(1048576)->Iterations(1 << 21);
+
 void BM_MixedChurn(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -132,7 +174,8 @@ int main(int argc, char** argv) {
       .set("events_per_sec", best)
       .set("headline_events", kHeadlineEvents)
       .set("workload",
-           "64 delivery chains, 1us mean spacing, 25% cancelled timeouts");
+           "64 delivery chains, 1us mean spacing, 25% cancelled timeouts")
+      .set("build", kBuild);
 
   return benchjson::run_and_write(argc, argv, report);
 }

@@ -2,9 +2,10 @@
 """Compare a fresh BENCH_*.json against the committed reference.
 
 Matches rows by ``name`` and compares throughput (``items_per_second``;
-additionally the ``messages_per_sec`` headline in ``meta`` when both files
-carry it). Memory watermarks (``bytes_per_agent``, ``peak_inbox_depth``,
-``peak_resident_bytes``) — whether in ``meta`` or attached to individual
+additionally the headline in ``meta`` when both files carry it:
+``messages_per_sec`` for the platform microbench, ``events_per_sec`` for the
+event-engine microbench). Memory watermarks (``bytes_per_agent``,
+``peak_inbox_depth``, ``peak_resident_bytes``) — whether in ``meta`` or attached to individual
 rows, as ``bench_scale`` does per cell — are compared in the opposite
 direction: growing past the threshold is the regression. A metric regressing by more than the
 threshold is reported; with
@@ -33,6 +34,9 @@ LOWER_IS_BETTER_META = (
 )
 LOWER_IS_BETTER_ROW = ("bytes_per_agent", "peak_resident_bytes")
 
+# Headline throughputs a bench may carry in ``meta`` (higher is better).
+HEADLINES = ("messages_per_sec", "events_per_sec")
+
 
 def load_rates(path):
     """Return (higher_is_better, lower_is_better) metric dicts."""
@@ -42,8 +46,9 @@ def load_rates(path):
     lower = {}
     meta = doc.get("meta", doc)
     if isinstance(meta, dict):
-        if "messages_per_sec" in meta:
-            rates["meta:messages_per_sec"] = float(meta["messages_per_sec"])
+        for key in HEADLINES:
+            if key in meta:
+                rates[f"meta:{key}"] = float(meta[key])
         for key in LOWER_IS_BETTER_META:
             if key in meta and float(meta[key]) > 0:
                 lower[f"meta:{key}"] = float(meta[key])
