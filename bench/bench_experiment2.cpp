@@ -24,7 +24,7 @@
 
 #include "util/bench_report.hpp"
 #include "util/flags.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 #include "workload/experiment.hpp"
 #include "workload/report.hpp"
 
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  if (threads == 0) threads = util::ThreadPool::default_threads();
+  if (threads == 0) threads = util::default_threads();
   const std::string json_out =
       flags.get_string("json-out", "BENCH_experiment2.json");
   const std::string schemes_flag =
@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
       .set("repeats", static_cast<std::uint64_t>(repeats))
       .set("threads", static_cast<std::uint64_t>(threads))
       .set("hardware_threads",
-           static_cast<std::uint64_t>(util::ThreadPool::default_threads()))
+           static_cast<std::uint64_t>(util::default_threads()))
       .set("tagents", static_cast<std::uint64_t>(tagents))
       .set("queries", static_cast<std::uint64_t>(queries))
       .set("nodes", static_cast<std::uint64_t>(nodes))

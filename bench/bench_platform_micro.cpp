@@ -1,7 +1,6 @@
 // Microbenchmarks (google-benchmark) of the agent-platform message plane:
 // the send/dispatch pipeline, the request/reply (RPC) round trip, and the
-// per-node service registry that every fixed-size protocol payload rides
-// through. The headline `messages_per_sec` meta field replays a canonical
+// wire frame codec that every fixed-size protocol payload rides through. The headline `messages_per_sec` meta field replays a canonical
 // one-way UpdateRequest storm between two nodes (best of 3), so
 // BENCH_platform_micro.json is directly comparable across platform
 // generations — it is the number the CI bench-regression gate watches.
@@ -132,27 +131,6 @@ void BM_RequestReply(benchmark::State& state) {
                           static_cast<std::int64_t>(window));
 }
 BENCHMARK(BM_RequestReply)->Arg(64)->Arg(1024);
-
-void BM_ServiceLookup(benchmark::State& state) {
-  // The registry probe performed on agent arrivals: resolve a well-known
-  // name (e.g. "lhagent") against a node with a handful of registrations.
-  Cluster cluster;
-  auto& agent = cluster.system.create<SinkAgent>(0);
-  cluster.simulator.run();
-  const char* names[] = {"lhagent", "monitor", "market",  "gateway",
-                         "auditor", "cache",   "spooler", "registry"};
-  for (const char* name : names) {
-    cluster.system.register_service(0, name, agent.id());
-  }
-  std::uint64_t hits = 0;
-  for (auto _ : state) {
-    const auto found = cluster.system.lookup_service(0, "lhagent");
-    hits += found.has_value();
-  }
-  benchmark::DoNotOptimize(hits);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ServiceLookup);
 
 void BM_FrameEncode(benchmark::State& state) {
   // The wire layer's sender path (DESIGN.md §17): header + UpdateRequest

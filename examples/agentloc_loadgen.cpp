@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,24 +25,33 @@
 int main(int argc, char** argv) {
   using namespace agentloc;
 
+  // Every flag is read up front: a malformed value, or a count below its
+  // minimum, exits 2 naming the flag, before anything else happens.
   util::Flags flags(argc, argv);
-  flags.declare("connect");
-  flags.declare("cluster");
-  flags.declare("agents");
-  flags.declare("ops");
-  flags.declare("window");
-  flags.declare("seed");
-  flags.declare("verify");
-  flags.declare("moves");
-  flags.declare("help");
+  bool help = false;
+  std::string connect_text;
+  std::uint64_t agents = 0, ops = 0, moves = 0, seed = 0;
+  std::size_t window = 0;
+  bool verify = true;
+  bool cluster = false;
   try {
+    help = flags.get_bool("help", false);
+    connect_text = flags.get_string("connect", "");
+    agents = static_cast<std::uint64_t>(flags.get_int_in("agents", 1000, 1));
+    ops = static_cast<std::uint64_t>(flags.get_int_in("ops", 20000, 1));
+    moves = static_cast<std::uint64_t>(flags.get_int_in(
+        "moves", static_cast<std::int64_t>(agents / 4), 0));
+    window = static_cast<std::size_t>(flags.get_int_in("window", 64, 1));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    verify = flags.get_bool("verify", true);
+    cluster = flags.get_bool("cluster", false);
     flags.fail_on_unknown();
-  } catch (const std::exception& error) {
+  } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "agentloc_loadgen: %s\n", error.what());
     return 2;
   }
 
-  if (flags.get_bool("help", false)) {
+  if (help) {
     std::printf(
         "usage: agentloc_loadgen --connect ADDR [--agents N] [--ops N]\n"
         "  --connect ADDR  unix:/path or tcp:host:port of agentlocd\n"
@@ -62,21 +72,10 @@ int main(int argc, char** argv) {
     return 77;
   }
 
-  const std::string connect_text = flags.get_string("connect", "");
   if (connect_text.empty()) {
     std::fprintf(stderr, "agentloc_loadgen: --connect is required\n");
     return 2;
   }
-  const auto agents = static_cast<std::uint64_t>(flags.get_int("agents", 1000));
-  const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 20000));
-  const auto moves = static_cast<std::uint64_t>(
-      flags.get_int("moves", static_cast<std::int64_t>(agents / 4)));
-  const auto window =
-      static_cast<std::size_t>(flags.get_int("window", 64));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const bool verify = flags.get_bool("verify", true);
-  const bool cluster = flags.get_bool("cluster", false);
 
   net::SocketAddress address;
   std::string error;

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -41,41 +42,49 @@ void handle_signal(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   using namespace agentloc;
 
+  // Every flag is read up front: a malformed, non-positive or out-of-bounds
+  // value exits 2 naming the flag, before anything else happens.
   util::Flags flags(argc, argv);
-  flags.declare("listen");
-  flags.declare("partitions");
-  flags.declare("workers");
-  flags.declare("probe");
-  flags.declare("max-requests");
-  flags.declare("quiet");
-  flags.declare("help");
+  bool help = false;
+  bool probe = false;
+  bool quiet = false;
+  std::string listen_text;
+  net::LocateServer::Config config;
   try {
+    help = flags.get_bool("help", false);
+    probe = flags.get_bool("probe", false);
+    quiet = flags.get_bool("quiet", false);
+    listen_text = flags.get_string("listen", "unix:/tmp/agentloc.sock");
+    config.partitions = static_cast<std::size_t>(flags.get_int_in(
+        "partitions", 8, 1, net::PartitionMap::kMaxPartitions));
+    config.workers = static_cast<std::size_t>(
+        flags.get_int_in("workers", 1, 1, net::PartitionMap::kMaxWorkers));
     flags.fail_on_unknown();
-  } catch (const std::exception& error) {
+  } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "agentlocd: %s\n", error.what());
     return 2;
   }
 
-  if (flags.get_bool("help", false)) {
+  if (help) {
     std::printf(
         "usage: agentlocd [--listen ADDR] [--partitions N] [--workers N] "
         "[--probe]\n"
         "  --listen ADDR    unix:/path or tcp:host:port "
         "(default unix:/tmp/agentloc.sock)\n"
-        "  --partitions N   IAgent shards in the hash tree (default 8)\n"
+        "  --partitions N   IAgent shards in the hash tree (default 8, at "
+        "most 2^20)\n"
         "  --workers N      serving threads, each on its own epoll loop;\n"
         "                   worker k>0 listens on the derived address\n"
-        "                   (unix +\".w<k>\" / tcp port+k)\n"
+        "                   (unix +\".w<k>\" / tcp port+k; at most 4096)\n"
         "  --probe          exit 0 if this sandbox can create and watch "
         "sockets, 77 otherwise\n"
-        "  --max-requests N stop after N locate requests (0 = run forever)\n"
         "  --quiet          suppress the startup/shutdown lines\n");
     return 0;
   }
 
   // CI smoke + tests call this first; exit 77 is the standard "skipped"
   // convention (automake/ctest) and keeps sandboxes without sockets green.
-  if (flags.get_bool("probe", false)) {
+  if (probe) {
     return net::SocketTransport::sockets_available() ? 0 : 77;
   }
 
@@ -83,17 +92,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "agentlocd: sockets unavailable in this sandbox\n");
     return 77;
   }
-
-  const std::string listen_text =
-      flags.get_string("listen", "unix:/tmp/agentloc.sock");
-
-  net::LocateServer::Config config;
-  config.partitions =
-      static_cast<std::size_t>(flags.get_int("partitions", 8));
-  config.workers = static_cast<std::size_t>(flags.get_int("workers", 1));
-  config.max_locates =
-      static_cast<std::uint64_t>(flags.get_int("max-requests", 0));
-  const bool quiet = flags.get_bool("quiet", false);
 
   net::SocketAddress address;
   std::string error;
@@ -118,9 +116,8 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  // Workers serve on their own threads; this thread just waits for a signal
-  // or for a --max-requests server to retire itself.
-  while (g_stop == 0 && server.running()) {
+  // Workers serve on their own threads; this thread just waits for a signal.
+  while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   server.stop();

@@ -42,8 +42,6 @@ class ShoppingAgent : public platform::Agent {
                 std::uint64_t seed)
       : scheme_(scheme), tour_(std::move(tour)), rng_(seed) {}
 
-  std::string kind() const override { return "shopper"; }
-
   /// Carries its collected quotes when migrating.
   std::size_t serialized_size() const override {
     return 2048 + 16 * quotes_.size();
@@ -122,8 +120,6 @@ class BuyerConsole : public platform::Agent {
   BuyerConsole(core::HashLocationScheme& scheme,
                std::vector<platform::AgentId> shoppers)
       : scheme_(scheme), shoppers_(std::move(shoppers)) {}
-
-  std::string kind() const override { return "buyer"; }
 
   void on_start() override { poll_next(); }
 

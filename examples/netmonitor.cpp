@@ -37,8 +37,6 @@ class MonitorAgent : public platform::Agent {
   MonitorAgent(core::LocationScheme& scheme, std::uint64_t seed)
       : scheme_(scheme), rng_(seed) {}
 
-  std::string kind() const override { return "monitor"; }
-
   std::size_t serialized_size() const override {
     return 2048 + 12 * readings_.size();
   }
@@ -90,8 +88,6 @@ class MonitorAgent : public platform::Agent {
 class OperatorConsole : public platform::Agent {
  public:
   explicit OperatorConsole(core::LocationScheme& scheme) : scheme_(scheme) {}
-
-  std::string kind() const override { return "operator"; }
 
   void on_start() override { poll(); }
 

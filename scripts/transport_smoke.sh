@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 smoke for the socket transport (DESIGN.md §17), four rounds:
+# Tier-1 smoke for the socket transport (DESIGN.md §17), five rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
 #   3. multi-worker — agentlocd --workers 4, loadgen --cluster routing via
 #      the kPartitionMap advertisement;
 #   4. multi-worker TCP — agentlocd --workers 2 on tcp:127.0.0.1, so worker
-#      1 listens on port+1 (SO_REUSEPORT), loadgen --cluster routing.
-# Fails on any mismatch or nonzero exit.
+#      1 listens on port+1 (SO_REUSEPORT), loadgen --cluster routing;
+#   5. bad flags — a malformed or non-positive numeric flag makes either
+#      binary exit 2 at once, never abort or hang.
+# Fails on any mismatch or unexpected exit code.
 #
 # Exit codes:
 #   0   all rounds verified
@@ -128,6 +130,21 @@ wait_for_tcp || exit 1
 run_loadgen --connect "tcp:127.0.0.1:${TCP_CLUSTER_PORT}" --cluster true
 stop_server
 echo "transport_smoke: multi-worker TCP round OK"
+
+# --- round 5: bad numeric flags exit 2 (usage error) -------------------------
+# expect_flag_error CMD ARGS... — CMD must exit 2 within the timeout; 124
+# would be a hang, 134 an abort.
+expect_flag_error() {
+  timeout 5 "$@" > /dev/null
+  flag_rc=$?
+  if [ "${flag_rc}" -ne 2 ]; then
+    echo "transport_smoke: '$*' exited ${flag_rc}, expected 2" >&2
+    exit 1
+  fi
+}
+expect_flag_error "${AGENTLOCD}" --listen "unix:${SOCK}" --partitions abc
+expect_flag_error "${LOADGEN}" --connect "unix:${SOCK}" --window 0
+echo "transport_smoke: bad-flag round OK"
 
 echo "transport_smoke: OK"
 exit 0

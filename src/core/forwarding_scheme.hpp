@@ -41,8 +41,6 @@ struct ChaseReply {
 /// Per-node forwarding-pointer holder.
 class ForwarderAgent : public platform::Agent {
  public:
-  std::string kind() const override { return "forwarder"; }
-
   void on_message(const platform::Message& message) override;
 
   std::size_t pointer_count() const noexcept { return state_.size(); }

@@ -47,8 +47,6 @@ class HAgent : public platform::Agent {
 
   explicit HAgent(const MechanismConfig& config);
 
-  std::string kind() const override { return "hagent"; }
-
   /// The HAgent is stationary; its serialized size is irrelevant but kept
   /// honest: primary copy plus code.
   std::size_t serialized_size() const override {

@@ -86,7 +86,7 @@ void HashLocationScheme::update_location(platform::Agent& self,
                                          std::function<void(bool)> done) {
   ++stats_.updates;
   send_update(self.id());
-  // One-way semantics: "sent" is all the mover learns (paper Â§2.3); the
+  // One-way semantics: "sent" is all the mover learns (paper §2.3); the
   // error paths come back through handle_agent_message / bounce notices.
   done(true);
 }
@@ -118,7 +118,7 @@ bool HashLocationScheme::handle_agent_message(
     return true;
   }
   if (const auto* notice = message.body_as<NotResponsibleNotice>()) {
-    // Paper Â§4.3 trigger (i): our last update reached an IAgent that no
+    // Paper §4.3 trigger (i): our last update reached an IAgent that no
     // longer serves us. Refresh the local copy and resend.
     if (notice->agent == self.id()) {
       ++stats_.stale_retries;

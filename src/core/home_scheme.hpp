@@ -16,8 +16,6 @@ namespace agentloc::core {
 /// registries, and the forwarding scheme runs one as its name service.
 class CentralTracker : public platform::Agent {
  public:
-  std::string kind() const override { return "central-tracker"; }
-
   void on_message(const platform::Message& message) override;
 
   std::size_t entry_count() const noexcept { return table_.size(); }

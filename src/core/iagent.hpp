@@ -60,8 +60,6 @@ class IAgent : public platform::Agent {
   IAgent(const MechanismConfig& config,
          std::vector<platform::AgentAddress> coordinators);
 
-  std::string kind() const override { return "iagent"; }
-
   /// Migration ships the location table: 2 KiB of code/state plus ~20 bytes
   /// per entry.
   std::size_t serialized_size() const override {
@@ -98,8 +96,6 @@ class IAgent : public platform::Agent {
   }
   const Predicate& predicate() const noexcept { return predicate_; }
   std::uint64_t hash_version() const noexcept { return hash_version_; }
-  double last_window_rate() const noexcept { return window_.rate(); }
-  bool retiring() const noexcept { return retiring_; }
 
  private:
   void handle_register(const platform::Message& message,

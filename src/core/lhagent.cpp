@@ -36,10 +36,6 @@ void LHAgent::note_pull_failure() {
   system().send(id(), hagent_, PromoteRequest{}, PromoteRequest::kWireBytes);
 }
 
-void LHAgent::on_start() {
-  system().register_service(node(), "lhagent", id());
-}
-
 void LHAgent::on_message(const platform::Message& message) {
   if (const auto* probe = message.body_as<LocationProbeRequest>()) {
     // Optimistic-locate verification (DESIGN.md §12): answer from this

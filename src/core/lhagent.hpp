@@ -50,9 +50,6 @@ class LHAgent : public platform::Agent {
   LHAgent(std::vector<platform::AgentAddress> coordinators,
           hashtree::HashTree initial, int failover_threshold);
 
-  std::string kind() const override { return "lhagent"; }
-
-  void on_start() override;
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
 

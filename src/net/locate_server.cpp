@@ -3,18 +3,22 @@
 #include <utility>
 
 namespace agentloc::net {
+namespace {
+
+/// Worker loop tick: how long a worker waits for readiness before it checks
+/// the stop flag again, so it bounds how long `stop()` waits.
+constexpr int kPollTickMs = 50;
+
+}  // namespace
 
 /// One worker's whole serving stack, heap-pinned so the thread can hold a
 /// stable pointer while the vector that owns the workers never reallocates
 /// after start(). Everything here is touched only by the owning thread once
-/// the thread spawns — except the live_* atomics, which the control thread
-/// reads with relaxed loads.
+/// the thread spawns.
 struct LocateServer::Worker {
   SocketAddress address;
   SocketTransport transport;
   LocateService service;
-  std::atomic<std::uint64_t> live_locates{0};
-  std::atomic<std::uint64_t> live_ops{0};
 
   Worker(SocketTransport::Config transport_config, std::size_t partitions,
          const PartitionMap* map)
@@ -52,8 +56,24 @@ LocateServer::LocateServer(Config config) : config_(config) {
 LocateServer::~LocateServer() { stop(); }
 
 bool LocateServer::start(const SocketAddress& base, std::string* error) {
-  if (running_.load(std::memory_order_acquire) || !threads_.empty()) {
+  if (!threads_.empty()) {
     if (error != nullptr) *error = "server already started";
+    return false;
+  }
+  // Refuse a map no client could decode, before building a directory or
+  // starting a thread.
+  const auto exceeds = [error](const char* what, std::size_t count,
+                               std::uint64_t bound) {
+    if (count <= bound) return false;
+    if (error != nullptr) {
+      *error = std::string(what) + " " + std::to_string(count) +
+               " exceed the partition map's bound of " +
+               std::to_string(bound);
+    }
+    return true;
+  };
+  if (exceeds("partitions", config_.partitions, PartitionMap::kMaxPartitions) ||
+      exceeds("workers", config_.workers, PartitionMap::kMaxWorkers)) {
     return false;
   }
   // Derive every listen address before binding anything, so a base whose
@@ -108,7 +128,6 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
   }
 
   stats_.assign(config_.workers, WorkerStats{});
-  running_.store(true, std::memory_order_release);
   threads_.reserve(config_.workers);
   for (std::size_t k = 0; k < config_.workers; ++k) {
     threads_.emplace_back([this, k] { run_worker(k); });
@@ -119,17 +138,7 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
 void LocateServer::run_worker(std::size_t index) {
   Worker& worker = *workers_[index];
   while (!stop_.load(std::memory_order_acquire)) {
-    worker.transport.poll_once(config_.poll_timeout_ms);
-    const LocateService::Counters& counters = worker.service.counters();
-    worker.live_locates.store(counters.locates, std::memory_order_relaxed);
-    worker.live_ops.store(
-        counters.updates + counters.locates + counters.deregisters,
-        std::memory_order_relaxed);
-    if (config_.max_locates != 0 && live_locates_total() >= config_.max_locates) {
-      // Quota served across the fleet: ask every worker to wind down. The
-      // others notice within one poll tick.
-      stop_.store(true, std::memory_order_release);
-    }
+    worker.transport.poll_once(kPollTickMs);
   }
   // Snapshot into the control thread's slot; published by thread join.
   WorkerStats& out = stats_[index];
@@ -146,37 +155,6 @@ void LocateServer::stop() {
     if (thread.joinable()) thread.join();
   }
   threads_.clear();
-  running_.store(false, std::memory_order_release);
-}
-
-bool LocateServer::running() const noexcept {
-  return running_.load(std::memory_order_acquire) &&
-         !stop_.load(std::memory_order_acquire);
-}
-
-std::uint64_t LocateServer::live_locates_total() const {
-  std::uint64_t total = 0;
-  for (const auto& worker : workers_) {
-    total += worker->live_locates.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::vector<std::uint64_t> LocateServer::live_locates() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    out.push_back(worker->live_locates.load(std::memory_order_relaxed));
-  }
-  return out;
-}
-
-std::uint64_t LocateServer::live_ops() const {
-  std::uint64_t total = 0;
-  for (const auto& worker : workers_) {
-    total += worker->live_ops.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 }  // namespace agentloc::net

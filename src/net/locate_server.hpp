@@ -16,8 +16,8 @@ namespace agentloc::net {
 /// stack — its own `SocketTransport` (epoll loop, buffer pool, listen
 /// socket) plus a `LocateService` with a full `LocateDirectory`. Nothing
 /// mutable is shared between workers: the only cross-thread state is the
-/// immutable `PartitionMap` built before the threads spawn and a handful of
-/// monotonic per-worker atomics for live observability (DESIGN.md §17).
+/// immutable `PartitionMap` built before the threads spawn and the stop
+/// flag (DESIGN.md §17).
 ///
 /// Sharding contract:
 ///  - worker k listens on `worker_address(base, k)` — worker 0 on the base
@@ -38,12 +38,8 @@ namespace agentloc::net {
 class LocateServer {
  public:
   struct Config {
-    std::size_t workers = 1;      ///< clamped to [1, partitions]
-    std::size_t partitions = 8;   ///< hash-tree leaves per directory
-    int poll_timeout_ms = 50;     ///< worker loop tick (stop-flag latency)
-    /// Stop serving once the workers' summed locate count reaches this
-    /// (0 = run until `stop`). Mirrors agentlocd --max-requests.
-    std::uint64_t max_locates = 0;
+    std::size_t workers = 1;     ///< clamped to [1, partitions]
+    std::size_t partitions = 8;  ///< hash-tree leaves per directory
   };
 
   /// Post-join snapshot of one worker's serving stack.
@@ -77,19 +73,9 @@ class LocateServer {
   /// call twice; the destructor calls it.
   void stop();
 
-  /// True from a successful start() until stop() completes. A max_locates
-  /// server flips to false on its own once the quota is served.
-  bool running() const noexcept;
-
   std::size_t worker_count() const noexcept { return config_.workers; }
   const Config& config() const noexcept { return config_; }
   const PartitionMap& partition_map() const noexcept { return map_; }
-
-  /// Live per-worker locate counts (relaxed atomics — approximate while
-  /// serving, exact after stop()). Index = worker.
-  std::vector<std::uint64_t> live_locates() const;
-  /// Live total ops (updates + locates + deregisters) across workers.
-  std::uint64_t live_ops() const;
 
   /// Per-worker detail; meaningful after stop() (workers write their
   /// snapshot as they exit).
@@ -99,7 +85,6 @@ class LocateServer {
   struct Worker;
 
   void run_worker(std::size_t index);
-  std::uint64_t live_locates_total() const;
 
   Config config_;
   PartitionMap map_;
@@ -107,7 +92,6 @@ class LocateServer {
   std::vector<std::thread> threads_;
   std::vector<WorkerStats> stats_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
 };
 
 }  // namespace agentloc::net

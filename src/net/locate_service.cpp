@@ -30,10 +30,10 @@ PartitionMap PartitionMap::decode(util::ByteReader& reader) {
   map.tree_version = reader.read_varint();
   // Sanity bounds before the length-driven loops: a corrupt count must not
   // turn into a multi-gigabyte allocation.
-  if (map.workers == 0 || map.workers > 4096) {
+  if (map.workers == 0 || map.workers > kMaxWorkers) {
     throw std::runtime_error("partition map: bad worker count");
   }
-  if (map.partitions == 0 || map.partitions > (1u << 20)) {
+  if (map.partitions == 0 || map.partitions > kMaxPartitions) {
     throw std::runtime_error("partition map: bad partition count");
   }
   map.addresses.reserve(map.workers);

@@ -18,6 +18,11 @@ namespace agentloc::net {
 /// a degenerate map (workers=1, empty address = "the connection you
 /// already hold"), so clients can probe unconditionally.
 struct PartitionMap {
+  /// Largest counts `decode` accepts. A server must not advertise more:
+  /// every client would reject the map.
+  static constexpr std::uint64_t kMaxWorkers = 4096;
+  static constexpr std::uint64_t kMaxPartitions = std::uint64_t{1} << 20;
+
   std::uint64_t workers = 1;
   std::uint64_t partitions = 1;
   std::uint64_t tree_version = 0;

@@ -10,8 +10,7 @@ Network::Network(sim::Simulator& simulator, std::size_t node_count,
     : simulator_(simulator),
       node_count_(node_count),
       latency_(std::move(latency)),
-      rng_(rng),
-      per_node_delivered_(node_count, 0) {
+      rng_(rng) {
   if (node_count_ == 0) {
     throw std::invalid_argument("Network: node_count must be > 0");
   }
@@ -24,8 +23,8 @@ bool Network::send(NodeId from, NodeId to, std::size_t bytes,
                    std::function<void()> deliver) {
   const TransmitPlan plan = plan_transmission(from, to, bytes);
   for (int copy = 0; copy < plan.copies; ++copy) {
-    simulator_.schedule_after(plan.delay[copy], [this, to, deliver] {
-      note_delivered(to);
+    simulator_.schedule_after(plan.delay[copy], [this, deliver] {
+      note_delivered();
       deliver();
     });
   }

@@ -5,7 +5,6 @@
 #include <memory>
 #include <set>
 #include <utility>
-#include <vector>
 
 #include "net/latency.hpp"
 #include "sim/simulator.hpp"
@@ -98,19 +97,10 @@ class Network {
   TransmitPlan plan_transmission(NodeId from, NodeId to, std::size_t bytes);
 
   /// Record one delivery planned via `plan_transmission`.
-  void note_delivered(NodeId to) noexcept {
-    ++stats_.messages_delivered;
-    ++per_node_delivered_[to];
-  }
+  void note_delivered() noexcept { ++stats_.messages_delivered; }
 
   FaultPlan& faults() noexcept { return faults_; }
   const NetworkStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = NetworkStats{}; }
-
-  /// Per-node delivered-message counters (index = node id).
-  const std::vector<std::uint64_t>& per_node_delivered() const noexcept {
-    return per_node_delivered_;
-  }
 
  private:
   sim::Simulator& simulator_;
@@ -119,7 +109,6 @@ class Network {
   util::Rng rng_;
   FaultPlan faults_;
   NetworkStats stats_;
-  std::vector<std::uint64_t> per_node_delivered_;
 };
 
 }  // namespace agentloc::net

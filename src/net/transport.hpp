@@ -74,9 +74,7 @@ class SimTransport final : public Transport {
     return network_.plan_transmission(from, to, bytes);
   }
 
-  void note_delivered(NodeId to) noexcept override {
-    network_.note_delivered(to);
-  }
+  void note_delivered(NodeId) noexcept override { network_.note_delivered(); }
 
   bool send(NodeId from, NodeId to, std::size_t bytes,
             std::function<void()> deliver) override {

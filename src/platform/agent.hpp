@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 #include "platform/message.hpp"
 
 namespace agentloc::platform {
@@ -24,9 +22,6 @@ class Agent {
 
   /// Node currently hosting this agent. Valid except while in transit.
   net::NodeId node() const noexcept { return node_; }
-
-  /// Human-readable type tag for logs ("iagent", "tagent", ...).
-  virtual std::string kind() const { return "agent"; }
 
   /// Size of the serialized agent image charged when migrating. The default
   /// matches a small Java agent (class refs + state); stateful agents (e.g.

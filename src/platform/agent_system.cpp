@@ -30,8 +30,7 @@ AgentSystem::AgentSystem(sim::Simulator& simulator, net::Network& network,
       network_(network),
       sim_transport_(network),
       transport_(&sim_transport_),
-      config_(config),
-      services_(network.node_count()) {
+      config_(config) {
   if (config_.reserve_agents > 0) reserve(config_.reserve_agents);
 }
 
@@ -166,9 +165,6 @@ void AgentSystem::dispose(AgentId id) {
   // arrays, so re-index `slots_[slot]` after each.
   drop_rpcs_from(id);
 
-  // Remove any service registrations pointing at the agent.
-  unregister_agent_services(slots_[slot].node, id);
-
   // The contract protocol teardown relies on: on_dispose runs before
   // removal, so the agent can still send (e.g. deregister itself).
   agents_[slot]->on_dispose();
@@ -208,9 +204,6 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   record.state = State::kInTransit;
   record.serving = false;
   bounce_inbox(slot);
-
-  // A mobile service provider leaves its registrations behind.
-  unregister_agent_services(source, id);
 
   record.node = net::kNoNode;
   agents_[slot]->node_ = net::kNoNode;
@@ -543,74 +536,6 @@ void AgentSystem::drop_rpcs_from(AgentId id) {
   }
 }
 
-AgentSystem::ServiceKey AgentSystem::service_key(std::string_view name) {
-  for (std::size_t i = 0; i < service_names_.size(); ++i) {
-    if (service_names_[i] == name) return static_cast<ServiceKey>(i);
-  }
-  service_names_.emplace_back(name);
-  return static_cast<ServiceKey>(service_names_.size() - 1);
-}
-
-void AgentSystem::register_service(net::NodeId node, const std::string& name,
-                                   AgentId agent) {
-  if (node >= services_.size()) {
-    throw std::out_of_range("AgentSystem::register_service: node");
-  }
-  const ServiceKey key = service_key(name);
-  auto& local = services_[node];
-  const std::size_t capacity_before = local.capacity();
-  const auto it = std::lower_bound(
-      local.begin(), local.end(), key,
-      [](const auto& entry, ServiceKey k) { return entry.first < k; });
-  if (it != local.end() && it->first == key) {
-    it->second = agent;
-  } else {
-    local.insert(it, {key, agent});
-  }
-  service_bytes_ += (local.capacity() - capacity_before) *
-                    sizeof(std::pair<ServiceKey, AgentId>);
-}
-
-void AgentSystem::unregister_service(net::NodeId node,
-                                     const std::string& name) {
-  if (node >= services_.size()) {
-    throw std::out_of_range("AgentSystem::unregister_service: node");
-  }
-  const ServiceKey key = service_key(name);
-  auto& local = services_[node];
-  const auto it = std::lower_bound(
-      local.begin(), local.end(), key,
-      [](const auto& entry, ServiceKey k) { return entry.first < k; });
-  if (it != local.end() && it->first == key) local.erase(it);
-}
-
-std::optional<AgentId> AgentSystem::lookup_service(net::NodeId node,
-                                                   ServiceKey key) const {
-  if (node >= services_.size()) return std::nullopt;
-  const auto& local = services_[node];
-  const auto it = std::lower_bound(
-      local.begin(), local.end(), key,
-      [](const auto& entry, ServiceKey k) { return entry.first < k; });
-  if (it == local.end() || it->first != key) return std::nullopt;
-  return it->second;
-}
-
-std::optional<AgentId> AgentSystem::lookup_service(
-    net::NodeId node, const std::string& name) const {
-  for (std::size_t i = 0; i < service_names_.size(); ++i) {
-    if (service_names_[i] == name) {
-      return lookup_service(node, static_cast<ServiceKey>(i));
-    }
-  }
-  return std::nullopt;  // never registered anywhere
-}
-
-void AgentSystem::unregister_agent_services(net::NodeId node, AgentId id) {
-  if (node >= services_.size()) return;
-  auto& local = services_[node];
-  std::erase_if(local, [id](const auto& entry) { return entry.second == id; });
-}
-
 bool AgentSystem::hosts(net::NodeId node, AgentId agent) const noexcept {
   const Slot* record = find_record(agent);
   return record != nullptr && record->state == State::kActive &&
@@ -655,8 +580,6 @@ MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
   memory.rpc_table =
       pending_rpcs_.capacity() * (sizeof(std::uint64_t) + sizeof(PendingRpc));
   memory.in_flight = in_flight_.capacity() * sizeof(InFlight);
-  memory.services =
-      services_.capacity() * sizeof(services_[0]) + service_bytes_;
   return memory;
 }
 

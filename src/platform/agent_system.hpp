@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,11 +52,13 @@ struct MemoryBreakdown {
   /// Message slot pool: every message between transmit and dispatch, in
   /// flight or queued in an inbox.
   std::size_t in_flight = 0;
-  /// Per-node service registry vectors.
+  /// Always 0: the platform keeps no service registry (each node's LHAgent
+  /// is held by the location scheme). Kept because perfbench reports the
+  /// field.
   std::size_t services = 0;
 
   std::size_t total() const noexcept {
-    return agent_records + rpc_table + in_flight + services;
+    return agent_records + rpc_table + in_flight;
   }
 };
 
@@ -227,26 +227,6 @@ class AgentSystem {
   void reply(const Message& request, AgentId from, util::PayloadBox body,
              std::size_t wire_bytes);
 
-  /// --- Node-local service registry -------------------------------------
-  /// Stationary per-node infrastructure (the paper's LHAgents) registers
-  /// here so that newly created or arriving agents can find it without any
-  /// remote communication. Names are interned to small integer keys; each
-  /// node holds a sorted vector of (key, agent) so the arrival-path lookup
-  /// is a name-table probe plus a binary search, not a `std::map` walk.
-  using ServiceKey = std::uint32_t;
-
-  void register_service(net::NodeId node, const std::string& name,
-                        AgentId agent);
-  void unregister_service(net::NodeId node, const std::string& name);
-  std::optional<AgentId> lookup_service(net::NodeId node,
-                                        const std::string& name) const;
-
-  /// Intern `name`, returning the key accepted by the key-based overload —
-  /// hot callers resolve the key once and skip the string compare forever.
-  ServiceKey service_key(std::string_view name);
-  std::optional<AgentId> lookup_service(net::NodeId node,
-                                        ServiceKey key) const;
-
   /// --- Core-layer stats hooks -------------------------------------------
   /// Called by the update-batching layer when it flushes a batch that
   /// absorbed `coalesced` updates which would otherwise have been messages.
@@ -280,10 +260,9 @@ class AgentSystem {
   std::size_t inbox_depth(AgentId id) const noexcept;
 
   /// Estimate of the platform's resident heap footprint: record slab and
-  /// RPC table slots, the message pool, and the service registry. Counts
-  /// capacities (what is allocated), not sizes (what is momentarily
-  /// occupied), because pooled capacity is what the process actually holds
-  /// at steady state. O(1): the service byte total is tracked incrementally.
+  /// RPC table slots and the message pool. Counts capacities (what is
+  /// allocated), not sizes (what is momentarily occupied), because pooled
+  /// capacity is what the process actually holds at steady state. O(1).
   std::size_t estimated_resident_bytes() const noexcept;
 
   /// The same estimate, itemized by subsystem.
@@ -400,8 +379,6 @@ class AgentSystem {
   /// Empty `target`'s inbox, bouncing each message in FIFO order.
   void bounce_inbox(std::uint32_t target);
 
-  void unregister_agent_services(net::NodeId node, AgentId id);
-
   /// Record a new resident-bytes high-water mark. Called at allocation
   /// growth points only, which is where the (capacity-counting) estimate can
   /// actually move up.
@@ -431,15 +408,6 @@ class AgentSystem {
   std::vector<std::uint32_t> free_slots_;
 
   util::FlatMap<std::uint64_t, PendingRpc, 0> pending_rpcs_;
-
-  /// Incrementally tracked, so `estimated_resident_bytes` is O(1) and cheap
-  /// enough to sample at every growth point.
-  std::size_t service_bytes_ = 0;
-
-  /// Interned service names; index in this vector IS the `ServiceKey`.
-  std::vector<std::string> service_names_;
-  /// Per node: (key, agent), sorted by key.
-  std::vector<std::vector<std::pair<ServiceKey, AgentId>>> services_;
 
   std::vector<InFlight> in_flight_;
   std::uint32_t in_flight_free_ = kNoSlot;

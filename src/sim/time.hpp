@@ -36,7 +36,6 @@ class SimTime {
   }
 
   constexpr std::int64_t as_nanos() const { return nanos_; }
-  constexpr double as_micros() const { return static_cast<double>(nanos_) / 1e3; }
   constexpr double as_millis() const { return static_cast<double>(nanos_) / 1e6; }
   constexpr double as_seconds() const { return static_cast<double>(nanos_) / 1e9; }
 

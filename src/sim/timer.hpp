@@ -31,9 +31,6 @@ class PeriodicTimer {
 
   SimTime period() const noexcept { return period_; }
 
-  /// Change the period; takes effect from the next arming.
-  void set_period(SimTime period) noexcept { period_ = period; }
-
  private:
   void arm();
 

@@ -243,22 +243,6 @@ BitString BitString::suffix_from(std::size_t begin) const {
   return substr(begin, size_ - begin);
 }
 
-bool BitString::is_prefix_of(const BitString& other) const noexcept {
-  if (size_ > other.size_) return false;
-  const std::uint64_t* a = words_ptr();
-  const std::uint64_t* b = other.words_ptr();
-  const std::size_t full = size_ >> 6;
-  for (std::size_t i = 0; i < full; ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  const unsigned tail = size_ & 63;
-  if (tail != 0) {
-    const std::uint64_t mask = ~std::uint64_t{0} << (64 - tail);
-    if (((a[full] ^ b[full]) & mask) != 0) return false;
-  }
-  return true;
-}
-
 std::size_t BitString::common_prefix_length(
     const BitString& other) const noexcept {
   const std::size_t limit = size_ < other.size_ ? size_ : other.size_;
@@ -273,12 +257,6 @@ std::size_t BitString::common_prefix_length(
     }
   }
   return limit;
-}
-
-std::uint64_t BitString::to_uint() const noexcept {
-  if (size_ == 0) return 0;
-  const std::uint64_t word = words_ptr()[0];
-  return size_ >= 64 ? word : word >> (64 - size_);
 }
 
 std::string BitString::to_string() const {
@@ -306,20 +284,6 @@ std::strong_ordering operator<=>(const BitString& a,
   if (common == b.size_) return std::strong_ordering::greater;
   return a.get_unchecked(common) ? std::strong_ordering::greater
                                  : std::strong_ordering::less;
-}
-
-std::size_t BitString::hash() const noexcept {
-  // FNV-1a over the packed words plus the length.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(size_);
-  const std::uint64_t* w = words_ptr();
-  const std::size_t wc = word_count();
-  for (std::size_t i = 0; i < wc; ++i) mix(w[i]);
-  return static_cast<std::size_t>(h);
 }
 
 std::ostream& operator<<(std::ostream& os, const BitString& bits) {

@@ -22,11 +22,11 @@ namespace agentloc::util {
 /// bit position 63 - i%64) with a small-buffer optimization: strings of up
 /// to `kInlineBits` bits — every edge label, every 64-bit agent id, and all
 /// but pathological hyper-labels — live inline in the object and never touch
-/// the heap. All kernels (append, substr, prefix, comparison, prefix tests)
-/// operate word-at-a-time.
+/// the heap. All kernels (append, substr, prefix, comparison) operate
+/// word-at-a-time.
 ///
 /// Invariant: the unused low bits of the last word are always zero, so
-/// equality and hashing can compare whole words.
+/// equality can compare whole words.
 class BitString {
  public:
   /// Bits held inline before the representation spills to the heap.
@@ -71,13 +71,6 @@ class BitString {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Number of 64-bit words backing the string.
-  std::size_t word_count() const noexcept { return (size_ + 63) >> 6; }
-
-  /// Read-only view of the packed words (unused low bits of the last word
-  /// are zero). Valid for `word_count()` words.
-  const std::uint64_t* words() const noexcept { return words_ptr(); }
-
   /// Bit at position `i` (0 = left-most). Throws `std::out_of_range`.
   bool at(std::size_t i) const;
 
@@ -118,15 +111,8 @@ class BitString {
   /// Bits `[begin, size())`.
   BitString suffix_from(std::size_t begin) const;
 
-  /// True when `*this` is a (not necessarily proper) prefix of `other`.
-  bool is_prefix_of(const BitString& other) const noexcept;
-
   /// Length of the longest common prefix with `other`.
   std::size_t common_prefix_length(const BitString& other) const noexcept;
-
-  /// Interpret the first min(size, 64) bits as an unsigned integer, most
-  /// significant bit first. An empty string yields 0.
-  std::uint64_t to_uint() const noexcept;
 
   /// "0"/"1" text, e.g. "0110". Empty string renders as "".
   std::string to_string() const;
@@ -137,10 +123,9 @@ class BitString {
   friend std::strong_ordering operator<=>(const BitString& a,
                                           const BitString& b) noexcept;
 
-  /// Hash suitable for unordered containers.
-  std::size_t hash() const noexcept;
-
  private:
+  /// Number of 64-bit words backing the string.
+  std::size_t word_count() const noexcept { return (size_ + 63) >> 6; }
   bool is_inline() const noexcept { return cap_words_ <= kInlineWords; }
   std::uint64_t* words_ptr() noexcept { return is_inline() ? sbo_ : heap_; }
   const std::uint64_t* words_ptr() const noexcept {
@@ -182,9 +167,5 @@ class BitString {
 };
 
 std::ostream& operator<<(std::ostream& os, const BitString& bits);
-
-struct BitStringHash {
-  std::size_t operator()(const BitString& b) const noexcept { return b.hash(); }
-};
 
 }  // namespace agentloc::util

@@ -1,6 +1,5 @@
 #include "util/bytebuffer.hpp"
 
-#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,12 +9,6 @@ void ByteWriter::write_u8(std::uint8_t value) { bytes_.push_back(value); }
 
 void ByteWriter::write_u32(std::uint32_t value) {
   for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
-}
-
-void ByteWriter::write_u64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
     bytes_.push_back(static_cast<std::uint8_t>(value >> shift));
   }
 }
@@ -45,10 +38,6 @@ void ByteWriter::patch_varint4(std::size_t offset, std::uint32_t value) {
   bytes_[offset + 1] = static_cast<std::uint8_t>((value >> 7) & 0x7f) | 0x80;
   bytes_[offset + 2] = static_cast<std::uint8_t>((value >> 14) & 0x7f) | 0x80;
   bytes_[offset + 3] = static_cast<std::uint8_t>(value >> 21);
-}
-
-void ByteWriter::write_double(double value) {
-  write_u64(std::bit_cast<std::uint64_t>(value));
 }
 
 void ByteWriter::write_string(std::string_view text) {
@@ -88,15 +77,6 @@ std::uint32_t ByteReader::read_u32() {
   return value;
 }
 
-std::uint64_t ByteReader::read_u64() {
-  require(8);
-  std::uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    value |= static_cast<std::uint64_t>(data_[pos_++]) << shift;
-  }
-  return value;
-}
-
 std::uint64_t ByteReader::read_varint() {
   std::uint64_t value = 0;
   int shift = 0;
@@ -110,10 +90,6 @@ std::uint64_t ByteReader::read_varint() {
     if ((byte & 0x80) == 0) return value;
     shift += 7;
   }
-}
-
-double ByteReader::read_double() {
-  return std::bit_cast<double>(read_u64());
 }
 
 std::string ByteReader::read_string() {

@@ -39,7 +39,6 @@ class ByteWriter {
 
   void write_u8(std::uint8_t value);
   void write_u32(std::uint32_t value);
-  void write_u64(std::uint64_t value);
 
   /// LEB128 variable-length unsigned integer.
   void write_varint(std::uint64_t value);
@@ -58,7 +57,6 @@ class ByteWriter {
   void patch_varint4(std::size_t offset, std::uint32_t value);
 
   void write_bool(bool value) { write_u8(value ? 1 : 0); }
-  void write_double(double value);
   void write_string(std::string_view text);
   void write_bits(const BitString& bits);
   void write_bytes(const std::uint8_t* data, std::size_t size);
@@ -88,10 +86,8 @@ class ByteReader {
 
   std::uint8_t read_u8();
   std::uint32_t read_u32();
-  std::uint64_t read_u64();
   std::uint64_t read_varint();
   bool read_bool() { return read_u8() != 0; }
-  double read_double();
   std::string read_string();
   BitString read_bits();
 

@@ -1,21 +1,40 @@
 #include "util/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 namespace agentloc::util {
 
 namespace {
-bool parse_bool_text(std::string_view text) {
+
+[[noreturn]] void bad_value(std::string_view name, const char* expected,
+                            std::string_view text) {
+  throw std::invalid_argument("--" + std::string(name) + ": expected " +
+                              expected + ", got '" + std::string(text) + "'");
+}
+
+/// The whole of `text` as a number: trailing characters are an error.
+template <typename T>
+T parse_number(std::string_view name, const char* expected,
+               std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) bad_value(name, expected, text);
+  return value;
+}
+
+bool parse_bool(std::string_view name, std::string_view text) {
   if (text == "1" || text == "true" || text == "yes" || text == "on") {
     return true;
   }
   if (text == "0" || text == "false" || text == "no" || text == "off") {
     return false;
   }
-  throw std::invalid_argument("invalid boolean flag value: " +
-                              std::string(text));
+  bad_value(name, "a boolean", text);
 }
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
@@ -67,19 +86,33 @@ std::int64_t Flags::get_int(std::string_view name,
                             std::int64_t fallback) const {
   const auto text = get(name);
   if (!text) return fallback;
-  return std::stoll(*text);
+  return parse_number<std::int64_t>(name, "an integer", *text);
+}
+
+std::int64_t Flags::get_int_in(std::string_view name, std::int64_t fallback,
+                               std::int64_t min, std::int64_t max) const {
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max) {
+    const std::string range =
+        max == std::numeric_limits<std::int64_t>::max()
+            ? "an integer >= " + std::to_string(min)
+            : "an integer in [" + std::to_string(min) + ", " +
+                  std::to_string(max) + "]";
+    bad_value(name, range.c_str(), std::to_string(value));
+  }
+  return value;
 }
 
 double Flags::get_double(std::string_view name, double fallback) const {
   const auto text = get(name);
   if (!text) return fallback;
-  return std::stod(*text);
+  return parse_number<double>(name, "a number", *text);
 }
 
 bool Flags::get_bool(std::string_view name, bool fallback) const {
   const auto text = get(name);
   if (!text) return fallback;
-  return parse_bool_text(*text);
+  return parse_bool(name, *text);
 }
 
 std::vector<std::int64_t> Flags::get_int_list(
@@ -91,7 +124,11 @@ std::vector<std::int64_t> Flags::get_int_list(
   while (pos <= text->size()) {
     const auto comma = text->find(',', pos);
     const auto end = comma == std::string::npos ? text->size() : comma;
-    if (end > pos) out.push_back(std::stoll(text->substr(pos, end - pos)));
+    if (end > pos) {
+      out.push_back(parse_number<std::int64_t>(
+          name, "a comma-separated list of integers",
+          std::string_view(*text).substr(pos, end - pos)));
+    }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,10 +28,18 @@ class Flags {
 
   std::optional<std::string> get(std::string_view name) const;
 
+  /// The typed getters read the whole value: `--n=8x` is an error, not 8.
+  /// A malformed value throws `std::invalid_argument` naming the flag.
   std::string get_string(std::string_view name, std::string fallback) const;
   std::int64_t get_int(std::string_view name, std::int64_t fallback) const;
   double get_double(std::string_view name, double fallback) const;
   bool get_bool(std::string_view name, bool fallback) const;
+
+  /// `get_int`, refused (`std::invalid_argument` naming the flag) unless
+  /// `min <= value <= max`. For counts that must be positive or bounded.
+  std::int64_t get_int_in(
+      std::string_view name, std::int64_t fallback, std::int64_t min,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Comma-separated list of integers, e.g. `--agents=100,200,300`.
   std::vector<std::int64_t> get_int_list(

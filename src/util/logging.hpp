@@ -16,7 +16,7 @@ std::string_view to_string(LogLevel level) noexcept;
 ///
 /// Threading rule: `set_level` and `set_sink` are setup calls, made before
 /// any thread that may log starts (and after they all joined). `log` may
-/// run concurrently — experiment replications on `util::ThreadPool` log
+/// run concurrently — experiment replications on `util::parallel_for` log
 /// from their worker threads — because it only reads the level and the
 /// sink. The sink itself must tolerate concurrent calls; the default
 /// writes each line with one `fprintf` to stderr.

@@ -49,12 +49,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return span == 0 ? static_cast<std::int64_t>(next())  // full 64-bit range
-                   : lo + static_cast<std::int64_t>(next_below(span));
-}
-
 double Rng::uniform() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

@@ -36,9 +36,6 @@ class Rng {
   /// rejection sampling).
   std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double uniform() noexcept;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace agentloc::util {
@@ -25,22 +23,9 @@ double Summary::mean() const noexcept {
   return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
 }
 
-double Summary::min() const noexcept {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
 double Summary::max() const noexcept {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());
-}
-
-double Summary::stddev() const noexcept {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double s : samples_) acc += (s - m) * (s - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
 void Summary::ensure_sorted() const {
@@ -62,67 +47,6 @@ double Summary::percentile(double p) const {
   if (rank > 0) --rank;
   if (rank >= sorted_.size()) rank = sorted_.size() - 1;
   return sorted_[rank];
-}
-
-double Summary::trimmed_mean(double fraction) const {
-  if (samples_.empty()) return 0.0;
-  if (fraction < 0.0 || fraction >= 0.5) {
-    throw std::invalid_argument("Summary::trimmed_mean: fraction in [0, 0.5)");
-  }
-  ensure_sorted();
-  const auto drop =
-      static_cast<std::size_t>(fraction * static_cast<double>(sorted_.size()));
-  if (2 * drop >= sorted_.size()) return median();
-  double acc = 0.0;
-  for (std::size_t i = drop; i < sorted_.size() - drop; ++i) acc += sorted_[i];
-  return acc / static_cast<double>(sorted_.size() - 2 * drop);
-}
-
-std::string Summary::str() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << mean() << " p50=" << percentile(50)
-     << " p95=" << percentile(95) << " max=" << max();
-  return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (!(lo < hi) || buckets == 0) {
-    throw std::invalid_argument("Histogram: require lo < hi and buckets > 0");
-  }
-}
-
-void Histogram::add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-  } else if (value >= hi_) {
-    ++overflow_;
-  } else {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::size_t>((value - lo_) / width);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-    ++counts_[idx];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    os << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  if (underflow_ != 0) os << "underflow " << underflow_ << "\n";
-  if (overflow_ != 0) os << "overflow " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace agentloc::util

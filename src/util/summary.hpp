@@ -1,14 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace agentloc::util {
 
-/// Accumulates a sample set and reports the order statistics the experiment
-/// harness prints (the paper reports "statistically normalized averages"; we
-/// additionally expose percentiles for the extended analyses).
+/// Accumulates a sample set and reports what the experiment harness prints:
+/// the mean, the maximum and exact percentiles.
 ///
 /// Samples are retained so exact percentiles can be computed; experiment
 /// sample counts are in the low thousands, so memory is not a concern.
@@ -22,24 +20,11 @@ class Summary {
   std::size_t count() const noexcept { return samples_.size(); }
   bool empty() const noexcept { return samples_.empty(); }
 
-  double sum() const noexcept { return sum_; }
   double mean() const noexcept;
-  double min() const noexcept;
   double max() const noexcept;
-
-  /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
-  double stddev() const noexcept;
 
   /// Exact percentile by nearest-rank on the sorted samples; `p` in [0, 100].
   double percentile(double p) const;
-  double median() const { return percentile(50.0); }
-
-  /// Mean after discarding the `fraction` smallest and largest samples — the
-  /// "statistically normalized average" used when reporting location times.
-  double trimmed_mean(double fraction) const;
-
-  /// "n=… mean=… p50=… p95=… max=…" one-liner for logs.
-  std::string str() const;
 
   const std::vector<double>& samples() const noexcept { return samples_; }
 
@@ -50,35 +35,6 @@ class Summary {
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
   double sum_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-/// Used by tests and benches to describe load distributions across IAgents.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double value);
-
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  std::size_t total() const noexcept { return total_; }
-
-  /// Lower edge of bucket `i`.
-  double bucket_lo(std::size_t i) const noexcept;
-
-  /// Multi-line ASCII rendering (for example programs).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace agentloc::util

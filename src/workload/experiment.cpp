@@ -10,8 +10,8 @@
 #include "platform/agent_system.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/querier.hpp"
 #include "workload/tagent.hpp"
 
@@ -217,7 +217,7 @@ ExperimentResult run_repeated(const ExperimentConfig& config,
   const bool host_hooks = static_cast<bool>(config.sampler) ||
                           static_cast<bool>(config.on_finish);
   const std::size_t threads =
-      host_hooks ? 1 : util::ThreadPool::default_threads();
+      host_hooks ? 1 : util::default_threads();
   return run_parallel(config, repeats, threads);
 }
 

@@ -44,9 +44,7 @@ void QuerierAgent::issue() {
       ++failed_;
     }
     const sim::SimTime think =
-        config_.exponential_think
-            ? sim::SimTime::millis(rng_.exponential(config_.think.as_millis()))
-            : config_.think;
+        sim::SimTime::millis(rng_.exponential(config_.think.as_millis()));
     think_timer_->arm(think, [this] { issue(); });
   });
 }

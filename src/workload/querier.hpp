@@ -22,9 +22,9 @@ class QuerierAgent : public platform::Agent {
     /// Queries to issue before completing (0 = unlimited).
     std::size_t quota = 500;
 
-    /// Mean pause between a completed query and the next one.
+    /// Mean of the exponentially distributed pause between a completed
+    /// query and the next one.
     sim::SimTime think = sim::SimTime::millis(100);
-    bool exponential_think = true;
 
     /// Zipf skew over the target population (0 = uniform, the paper's
     /// "selected randomly").
@@ -36,8 +36,6 @@ class QuerierAgent : public platform::Agent {
   QuerierAgent(core::LocationScheme& scheme, const Config& config,
                std::vector<platform::AgentId> targets,
                std::function<void()> on_complete = nullptr);
-
-  std::string kind() const override { return "querier"; }
 
   void on_start() override;
 

@@ -46,15 +46,14 @@ class TAgent : public platform::Agent {
 
   TAgent(core::LocationScheme& scheme, const Config& config);
 
-  std::string kind() const override { return "tagent"; }
-
   void on_start() override;
   void on_arrival(net::NodeId from_node) override;
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
   void on_dispose() override;
 
-  /// Pause/resume roaming (used by adaptation benches to create load steps).
+  /// Pause/resume roaming (the invariant tests freeze the population with
+  /// it before comparing the mechanism against ground truth).
   void set_mobile(bool mobile);
 
   /// Change the dwell time; takes effect from the next scheduled move

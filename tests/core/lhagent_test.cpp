@@ -42,10 +42,6 @@ class LHAgentTest : public ::testing::Test {
   LHAgent* lhagent_ = nullptr;
 };
 
-TEST_F(LHAgentTest, RegistersAsNodeService) {
-  EXPECT_EQ(cluster_.system.lookup_service(2, "lhagent"), lhagent_->id());
-}
-
 TEST_F(LHAgentTest, ResolveUsesLocalCopy) {
   const auto address = lhagent_->resolve(0xdeadbeefull);
   EXPECT_EQ(address.agent, first_iagent_);

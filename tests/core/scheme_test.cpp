@@ -22,8 +22,6 @@ class Trackee : public platform::Agent {
  public:
   explicit Trackee(LocationScheme& scheme) : scheme_(scheme) {}
 
-  std::string kind() const override { return "trackee"; }
-
   void on_start() override {
     scheme_.register_agent(*this, [this](bool ok) { registered = ok; });
   }

@@ -37,8 +37,6 @@ struct TestCluster {
 /// Records received messages and delivery failures; can send/reply.
 class ScriptAgent : public platform::Agent {
  public:
-  std::string kind() const override { return "script"; }
-
   void on_message(const platform::Message& message) override {
     received.push_back(message);
   }

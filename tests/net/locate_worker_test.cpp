@@ -63,22 +63,23 @@ TEST(WorkerAddress, DerivesPerWorkerListenAddresses) {
   EXPECT_FALSE(LocateServer::worker_address(top, 2, out, &error));
 }
 
-/// The error a two-worker server reports when started on `base_text`, or
-/// "" if it started.
-std::string two_worker_start_error(const std::string& base_text) {
+/// The error a server reports when started on `base_text`, or "" if it
+/// started.
+std::string start_error(std::size_t workers, std::size_t partitions,
+                        const std::string& base_text) {
   SocketAddress base;
   std::string error;
   EXPECT_TRUE(SocketAddress::parse(base_text, base, &error)) << error;
   LocateServer::Config config;
-  config.workers = 2;
-  config.partitions = 4;
+  config.workers = workers;
+  config.partitions = partitions;
   LocateServer server(config);
   return server.start(base, &error) ? "" : error;
 }
 
 TEST(WorkerAddress, RefusesTcpPortPastRange) {
   // port + 1 would wrap to port 0, which binds an ephemeral port.
-  const std::string error = two_worker_start_error("tcp:127.0.0.1:65535");
+  const std::string error = start_error(2, 4, "tcp:127.0.0.1:65535");
   EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
 }
 
@@ -88,7 +89,7 @@ TEST(WorkerAddress, RefusesUnixPathPastSunPath) {
   std::string path = unique_socket_path("long");
   path.insert(5, 105 - path.size(), 'x');
   ASSERT_EQ(path.size(), 105u);
-  const std::string error = two_worker_start_error("unix:" + path);
+  const std::string error = start_error(2, 4, "unix:" + path);
   EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
   // Refused before anything bound: worker 0's path was never created.
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
@@ -101,6 +102,27 @@ TEST(WorkerConfig, ClampsWorkersToPartitions) {
   config.partitions = 4;
   LocateServer server(config);
   EXPECT_EQ(server.worker_count(), 4u);
+}
+
+TEST(WorkerConfig, StartRefusesPartitionsPastMapBound) {
+  // A map of 2^20 + 1 leaves is one every client's decode rejects.
+  const std::string path = unique_socket_path("bound");
+  const std::string error =
+      start_error(1, PartitionMap::kMaxPartitions + 1, "unix:" + path);
+  EXPECT_NE(error.find("partitions 1048577"), std::string::npos) << error;
+  EXPECT_NE(error.find("1048576"), std::string::npos) << error;
+  // Refused before anything bound.
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+TEST(WorkerConfig, StartRefusesWorkersPastMapBound) {
+  // Worker 536 of this base would need port 65536, so a server that skipped
+  // the bound check would still fail before starting a thread.
+  const std::size_t workers = PartitionMap::kMaxWorkers + 1;
+  const std::string error =
+      start_error(workers, workers, "tcp:127.0.0.1:65000");
+  EXPECT_NE(error.find("workers 4097"), std::string::npos) << error;
+  EXPECT_NE(error.find("4096"), std::string::npos) << error;
 }
 
 TEST(WorkerPartitionMap, EncodeDecodeRoundTrips) {
@@ -149,7 +171,6 @@ struct WorkerCluster {
           LocateServer::Config config;
           config.workers = workers;
           config.partitions = partitions;
-          config.poll_timeout_ms = 5;
           return config;
         }()) {
     std::string error;

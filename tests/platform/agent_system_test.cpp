@@ -16,8 +16,6 @@ struct TextPayload {
 /// Records everything that happens to it.
 class Probe : public Agent {
  public:
-  std::string kind() const override { return "probe"; }
-
   void on_start() override { events.push_back("start"); }
 
   void on_arrival(net::NodeId from) override {
@@ -325,34 +323,6 @@ TEST_F(AgentSystemTest, AgentCanDisposeItselfInCallback) {
   sim_.run();
   EXPECT_FALSE(system_.exists(victim_id));
   EXPECT_EQ(system_.stats().agents_disposed, 1u);
-}
-
-TEST_F(AgentSystemTest, ServiceRegistryIsPerNode) {
-  Probe& lh0 = system_.create<Probe>(0);
-  Probe& lh1 = system_.create<Probe>(1);
-  system_.register_service(0, "lhagent", lh0.id());
-  system_.register_service(1, "lhagent", lh1.id());
-  EXPECT_EQ(system_.lookup_service(0, "lhagent"), lh0.id());
-  EXPECT_EQ(system_.lookup_service(1, "lhagent"), lh1.id());
-  EXPECT_EQ(system_.lookup_service(2, "lhagent"), std::nullopt);
-  system_.unregister_service(0, "lhagent");
-  EXPECT_EQ(system_.lookup_service(0, "lhagent"), std::nullopt);
-}
-
-TEST_F(AgentSystemTest, MigrationDropsServiceRegistration) {
-  Probe& probe = system_.create<Probe>(0);
-  system_.register_service(0, "svc", probe.id());
-  sim_.run();
-  system_.migrate(probe.id(), 1);
-  EXPECT_EQ(system_.lookup_service(0, "svc"), std::nullopt);
-}
-
-TEST_F(AgentSystemTest, DisposeDropsServiceRegistration) {
-  Probe& probe = system_.create<Probe>(0);
-  system_.register_service(0, "svc", probe.id());
-  sim_.run();
-  system_.dispose(probe.id());
-  EXPECT_EQ(system_.lookup_service(0, "svc"), std::nullopt);
 }
 
 TEST_F(AgentSystemTest, SequentialIdsWhenMixedDisabled) {

@@ -22,8 +22,6 @@ struct Note {
 
 class Recorder : public Agent {
  public:
-  std::string kind() const override { return "recorder"; }
-
   void on_message(const Message& message) override {
     if (const auto* note = message.body_as<Note>()) {
       served.push_back(note->value);

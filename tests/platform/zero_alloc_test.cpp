@@ -57,7 +57,6 @@ struct Fixed {
 
 class Sink : public Agent {
  public:
-  std::string kind() const override { return "sink"; }
   void on_message(const Message& message) override {
     if (const auto* fixed = message.body_as<Fixed>()) consumed += fixed->a;
   }

@@ -136,8 +136,10 @@ class Script {
     trace_.push_back(static_cast<std::int64_t>(value));
   }
 
+  /// Uniform in [lo, hi]; requires lo <= hi and a span below 2^64.
   std::int64_t uniform(std::int64_t lo, std::int64_t hi) {
-    return rng_.uniform_int(lo, hi);
+    return lo + static_cast<std::int64_t>(
+                    rng_.next_below(static_cast<std::uint64_t>(hi - lo) + 1));
   }
 
   /// An absolute time drawn from the delay mix.

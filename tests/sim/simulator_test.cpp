@@ -12,7 +12,7 @@ namespace {
 TEST(SimTime, ConversionsAndArithmetic) {
   EXPECT_EQ(SimTime::millis(1.5).as_nanos(), 1'500'000);
   EXPECT_DOUBLE_EQ(SimTime::seconds(2).as_millis(), 2000.0);
-  EXPECT_DOUBLE_EQ(SimTime::micros(5).as_micros(), 5.0);
+  EXPECT_EQ(SimTime::micros(5).as_nanos(), 5'000);
   EXPECT_EQ(SimTime::millis(1) + SimTime::millis(2), SimTime::millis(3));
   EXPECT_EQ(SimTime::millis(3) - SimTime::millis(2), SimTime::millis(1));
   EXPECT_EQ(SimTime::millis(2) * 3, SimTime::millis(6));

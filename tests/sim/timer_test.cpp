@@ -73,20 +73,6 @@ TEST(PeriodicTimer, RestartResetsPhase) {
   EXPECT_EQ(ticks, 1);
 }
 
-TEST(PeriodicTimer, SetPeriodAppliesFromNextArm) {
-  Simulator sim;
-  int ticks = 0;
-  PeriodicTimer timer(sim, SimTime::millis(10), [&] { ++ticks; });
-  timer.start();
-  timer.set_period(SimTime::millis(50));
-  sim.run_until(SimTime::millis(10));
-  EXPECT_EQ(ticks, 1);  // first tick still on the old schedule
-  sim.run_until(SimTime::millis(59));
-  EXPECT_EQ(ticks, 1);
-  sim.run_until(SimTime::millis(60));
-  EXPECT_EQ(ticks, 2);
-}
-
 TEST(Timeout, FiresOnce) {
   Simulator sim;
   int fired = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace agentloc::util {
 namespace {
@@ -59,6 +60,47 @@ TEST(Flags, BoolSpellings) {
   EXPECT_FALSE(flags.get_bool("d", true));
   Flags bad({"--e=maybe"});
   EXPECT_THROW(bad.get_bool("e", false), std::invalid_argument);
+}
+
+/// The message of the `std::invalid_argument` that `read` throws, or "".
+template <typename Read>
+std::string flag_error(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Flags, TrailingGarbageIsAnErrorNamingTheFlag) {
+  Flags flags({"--n=8x", "--rate=2.5s", "--list=1,2x", "--word=abc",
+               "--empty="});
+  EXPECT_EQ(flag_error([&] { flags.get_int("n", 0); }),
+            "--n: expected an integer, got '8x'");
+  EXPECT_EQ(flag_error([&] { flags.get_double("rate", 0); }),
+            "--rate: expected a number, got '2.5s'");
+  EXPECT_NE(flag_error([&] { flags.get_int_list("list", {}); }).find("--list"),
+            std::string::npos);
+  EXPECT_EQ(flag_error([&] { flags.get_int("word", 0); }),
+            "--word: expected an integer, got 'abc'");
+  EXPECT_EQ(flag_error([&] { flags.get_int("empty", 0); }),
+            "--empty: expected an integer, got ''");
+  EXPECT_NE(flag_error([&] { Flags({"--b=maybe"}).get_bool("b", false); })
+                .find("--b"),
+            std::string::npos);
+}
+
+TEST(Flags, IntInRefusesValuesOutsideItsRange) {
+  Flags flags({"--zero=0", "--neg=-1", "--big=9", "--ok=4"});
+  EXPECT_EQ(flag_error([&] { flags.get_int_in("zero", 1, 1); }),
+            "--zero: expected an integer >= 1, got '0'");
+  EXPECT_EQ(flag_error([&] { flags.get_int_in("neg", 1, 1, 8); }),
+            "--neg: expected an integer in [1, 8], got '-1'");
+  EXPECT_EQ(flag_error([&] { flags.get_int_in("big", 1, 1, 8); }),
+            "--big: expected an integer in [1, 8], got '9'");
+  EXPECT_EQ(flags.get_int_in("ok", 1, 1, 8), 4);
+  EXPECT_EQ(flags.get_int_in("absent", 3, 1, 8), 3);
 }
 
 TEST(Flags, FailOnUnknown) {

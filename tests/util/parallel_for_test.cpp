@@ -1,4 +1,4 @@
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,37 +11,8 @@
 namespace agentloc::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<bool> ran{false};
-  pool.submit([&ran] { ran = true; });
-  pool.wait_idle();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, DestructorDrainsPendingTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&count] { ++count; });
-  }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, DefaultThreadsIsPositive) {
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+TEST(ParallelFor, DefaultThreadsIsPositive) {
+  EXPECT_GE(default_threads(), 1u);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -87,7 +58,7 @@ TEST(ParallelFor, PropagatesTheFirstException) {
   } catch (const std::runtime_error& error) {
     EXPECT_STREQ(error.what(), "boom");
   }
-  // Every other index still ran: one failure doesn't strand the pool.
+  // Every other index still ran: one failure doesn't strand the others.
   EXPECT_EQ(completed.load(), 15);
 }
 

@@ -13,7 +13,7 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.percentile(50), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
 }
 
 TEST(Summary, BasicStatistics) {
@@ -21,9 +21,7 @@ TEST(Summary, BasicStatistics) {
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);
 }
 
 TEST(Summary, PercentilesNearestRank) {
@@ -33,7 +31,6 @@ TEST(Summary, PercentilesNearestRank) {
   EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
   EXPECT_DOUBLE_EQ(s.percentile(95), 95.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.median(), 50.0);
   EXPECT_THROW(s.percentile(101), std::invalid_argument);
   EXPECT_THROW(s.percentile(-1), std::invalid_argument);
 }
@@ -46,15 +43,6 @@ TEST(Summary, PercentileAfterLaterAdds) {
   EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
 }
 
-TEST(Summary, TrimmedMeanDropsOutliers) {
-  Summary s;
-  for (int i = 0; i < 98; ++i) s.add(10.0);
-  s.add(1000.0);
-  s.add(-1000.0);
-  EXPECT_DOUBLE_EQ(s.trimmed_mean(0.02), 10.0);
-  EXPECT_THROW(s.trimmed_mean(0.5), std::invalid_argument);
-}
-
 TEST(Summary, MergeCombines) {
   Summary a, b;
   a.add(1.0);
@@ -65,45 +53,6 @@ TEST(Summary, MergeCombines) {
   EXPECT_EQ(a.count(), 4u);
   EXPECT_DOUBLE_EQ(a.mean(), 2.5);
   EXPECT_DOUBLE_EQ(a.max(), 4.0);
-}
-
-TEST(Summary, StrMentionsCount) {
-  Summary s;
-  s.add(1.0);
-  EXPECT_NE(s.str().find("n=1"), std::string::npos);
-}
-
-TEST(Histogram, BucketsValues) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(2.0);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(50.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.total(), 7u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderShowsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find('#'), std::string::npos);
-  EXPECT_NE(text.find("[0, 1)"), std::string::npos);
 }
 
 }  // namespace

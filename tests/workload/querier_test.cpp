@@ -71,7 +71,7 @@ TEST_F(QuerierTest, LatenciesArePositiveAndPlausible) {
   simulator_.run_until(sim::SimTime::seconds(30));
   ASSERT_EQ(querier.latencies_ms().count(), 10u);
   // Fixed 1 ms links + default 400 us service each way: ~3 ms round trip.
-  EXPECT_GT(querier.latencies_ms().min(), 2.0);
+  EXPECT_GT(querier.latencies_ms().percentile(0), 2.0);  // the minimum
   EXPECT_LT(querier.latencies_ms().max(), 10.0);
   EXPECT_DOUBLE_EQ(querier.attempts().mean(), 1.0);
 }
