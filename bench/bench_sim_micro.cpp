@@ -56,7 +56,7 @@ struct DeliveryChain {
     }
   }
 };
-static_assert(sizeof(DeliveryChain) <= 48,
+static_assert(sim::Simulator::Handler::stored_inline<DeliveryChain>(),
               "chain must fit the simulator's inline handler buffer");
 
 /// One full mixed-churn run; returns events/second.

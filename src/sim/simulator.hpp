@@ -40,10 +40,12 @@ inline constexpr EventId kInvalidEvent = 0;
 /// instance is strictly single-threaded.
 class Simulator {
  public:
-  /// Handler storage is small-buffer-optimized: captures up to 48 bytes
-  /// (e.g. the network's delivery closure) are stored inline in the event
-  /// record; larger ones fall back to one heap allocation.
-  using Handler = util::InlineFunction<void(), 48>;
+  /// Handler storage is small-buffer-optimized: captures up to 40 bytes are
+  /// stored inline in the event record; larger ones fall back to one heap
+  /// allocation. 40 is the largest hot capture: `this` plus a
+  /// `std::function`, as in the network's delivery closure and
+  /// `Timeout::arm` (DESIGN.md §8).
+  using Handler = util::InlineFunction<void(), 40>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -129,7 +131,7 @@ class Simulator {
   static constexpr std::uint32_t kInNear = UINT32_MAX - 1;
   static constexpr std::uint32_t kFree = UINT32_MAX - 2;
 
-  /// One pooled event, 96 bytes: the pool is the only per-event storage of
+  /// One pooled event, 80 bytes: the pool is the only per-event storage of
   /// every tier. A slot's generation is bumped whenever the event it held
   /// is cancelled or executed, so stale `EventId`s and stale near-heap
   /// entries referring to an earlier occupant are detected in O(1).
@@ -146,6 +148,8 @@ class Simulator {
     /// The list holding the record while `prev` is a link or kNil.
     std::uint32_t list = 0;
   };
+  static_assert(sizeof(Record) == 80,
+                "one record per pending event; sim-scale keeps ~1M live");
 
   struct List {
     std::uint32_t head = kNil;

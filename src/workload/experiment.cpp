@@ -77,6 +77,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::vector<TAgent*> tagents;
   std::vector<platform::AgentId> targets;
   tagents.reserve(config.tagents);
+  targets.reserve(config.tagents);
   for (std::size_t i = 0; i < config.tagents; ++i) {
     TAgent::Config tconfig;
     tconfig.residence = config.residence;
@@ -100,7 +101,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   simulator.run_until(config.warmup);
 
-  // Measurement phase: closed-loop queriers, quota split evenly.
+  // Measurement phase: closed-loop queriers, quota split evenly, all
+  // drawing from one read-only target list.
+  const auto shared_targets =
+      std::make_shared<const std::vector<platform::AgentId>>(
+          std::move(targets));
   std::size_t remaining = config.queriers;
   std::vector<QuerierAgent*> queriers;
   const std::size_t per_querier =
@@ -113,7 +118,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     qconfig.seed = master.next();
     auto& agent = system.create<QuerierAgent>(
         static_cast<net::NodeId>((q * 3 + 1) % config.nodes), *scheme,
-        qconfig, targets, [&remaining, &simulator] {
+        qconfig, shared_targets, [&remaining, &simulator] {
           if (--remaining == 0) simulator.request_stop();
         });
     queriers.push_back(&agent);

@@ -4,14 +4,23 @@
 
 namespace agentloc::workload {
 
-QuerierAgent::QuerierAgent(core::LocationScheme& scheme, const Config& config,
-                           std::vector<platform::AgentId> targets,
-                           std::function<void()> on_complete)
+QuerierAgent::QuerierAgent(
+    core::LocationScheme& scheme, const Config& config,
+    std::shared_ptr<const std::vector<platform::AgentId>> targets,
+    std::function<void()> on_complete)
     : scheme_(scheme),
       config_(config),
       targets_(std::move(targets)),
       on_complete_(std::move(on_complete)),
       rng_(config.seed) {}
+
+QuerierAgent::QuerierAgent(core::LocationScheme& scheme, const Config& config,
+                           std::vector<platform::AgentId> targets,
+                           std::function<void()> on_complete)
+    : QuerierAgent(scheme, config,
+                   std::make_shared<const std::vector<platform::AgentId>>(
+                       std::move(targets)),
+                   std::move(on_complete)) {}
 
 void QuerierAgent::on_start() {
   think_timer_ = std::make_unique<sim::Timeout>(system().simulator());
@@ -19,14 +28,14 @@ void QuerierAgent::on_start() {
 }
 
 void QuerierAgent::issue() {
-  if (targets_.empty() ||
-      (config_.quota != 0 && issued_ >= config_.quota)) {
+  const std::vector<platform::AgentId>& targets = *targets_;
+  if (targets.empty() || (config_.quota != 0 && issued_ >= config_.quota)) {
     complete();
     return;
   }
   ++issued_;
   const platform::AgentId target =
-      targets_[rng_.zipf(targets_.size(), config_.target_skew)];
+      targets[rng_.zipf(targets.size(), config_.target_skew)];
   const sim::SimTime started = system().now();
   scheme_.locate(*this, target, [this, started, target](
                                     const core::LocateOutcome& outcome) {

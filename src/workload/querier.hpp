@@ -33,6 +33,13 @@ class QuerierAgent : public platform::Agent {
     std::uint64_t seed = 1;
   };
 
+  /// Queriers of one population share one read-only target list; at
+  /// sim-scale a private copy is 8 MB per querier.
+  QuerierAgent(core::LocationScheme& scheme, const Config& config,
+               std::shared_ptr<const std::vector<platform::AgentId>> targets,
+               std::function<void()> on_complete = nullptr);
+
+  /// Takes ownership of a private target list.
   QuerierAgent(core::LocationScheme& scheme, const Config& config,
                std::vector<platform::AgentId> targets,
                std::function<void()> on_complete = nullptr);
@@ -56,7 +63,7 @@ class QuerierAgent : public platform::Agent {
 
   core::LocationScheme& scheme_;
   Config config_;
-  std::vector<platform::AgentId> targets_;
+  std::shared_ptr<const std::vector<platform::AgentId>> targets_;
   std::function<void()> on_complete_;
   util::Rng rng_;
   std::unique_ptr<sim::Timeout> think_timer_;

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "core/scheme.hpp"
-#include "sim/timer.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace agentloc::workload {
@@ -13,6 +13,11 @@ namespace agentloc::workload {
 /// evaluation (§5): it registers with the location mechanism at creation,
 /// roams the network staying `residence` at each node, and reports its new
 /// location after every migration.
+///
+/// A million of them are live at sim-scale, so a TAgent holds only its own
+/// state (DESIGN.md §15): `Config` is read once at construction, and the
+/// pending admission or move is a simulator event the agent owns directly,
+/// cancelled by `set_mobile(false)` and `on_dispose`.
 class TAgent : public platform::Agent {
  public:
   struct Config {
@@ -58,23 +63,34 @@ class TAgent : public platform::Agent {
 
   /// Change the dwell time; takes effect from the next scheduled move
   /// (used by adaptation benches to create mobility steps).
-  void set_residence(sim::SimTime residence) {
-    config_.residence = residence;
-  }
+  void set_residence(sim::SimTime residence) { residence_ = residence; }
 
   std::uint64_t moves_completed() const noexcept { return moves_; }
   bool registered() const noexcept { return registered_; }
 
  private:
+  void admit();
   void schedule_move();
   void do_move();
+  /// Cancel the pending admission or move, then schedule `fn` after `delay`
+  /// (cancel first, as `sim::Timeout::arm` does).
+  void arm(sim::SimTime delay, void (TAgent::*fn)());
+  void cancel_timer();
 
   core::LocationScheme& scheme_;
-  Config config_;
   util::Rng rng_;
-  std::unique_ptr<sim::Timeout> move_timer_;
-  bool registered_ = false;
+  sim::SimTime residence_;
+  sim::SimTime start_stagger_;
+  sim::EventId timer_ = sim::kInvalidEvent;
+  /// Cluster mobility's node pool; null unless `Config::node_pool` was set.
+  std::unique_ptr<const std::vector<net::NodeId>> node_pool_;
   std::uint64_t moves_ = 0;
+  bool exponential_residence_;
+  bool mobile_;
+  bool registered_ = false;
 };
+
+// One 128-byte allocator chunk per agent (DESIGN.md §15).
+static_assert(sizeof(TAgent) <= 120);
 
 }  // namespace agentloc::workload

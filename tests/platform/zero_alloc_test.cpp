@@ -14,6 +14,7 @@
 #include <string>
 
 #include "platform/agent_system.hpp"
+#include "sim/timer.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -131,6 +132,41 @@ TEST(ZeroAlloc, FirstMessageToFreshAgentDoesNotAllocate) {
       g_allocations.load(std::memory_order_relaxed) - allocations_before;
 
   EXPECT_EQ(fresh.consumed, 7u);
+  EXPECT_EQ(allocation_delta, 0u);
+}
+
+// The event record's inline handler holds 40 bytes: `this` plus a
+// `std::function`, the capture of the network's delivery closure and of
+// `sim::Timeout::arm`. Either spilling to the heap would allocate per event.
+TEST(ZeroAlloc, NetworkSendAndTimeoutRearmDoNotAllocate) {
+  sim::Simulator sim;
+  net::Network network(
+      sim, 2, std::make_unique<net::FixedLatencyModel>(sim::SimTime::millis(1)),
+      util::Rng(5));
+  sim::Timeout timeout(sim);
+  std::uint64_t delivered = 0;
+  std::uint64_t fired = 0;
+  const auto round = [&] {
+    for (int i = 0; i < 16; ++i) {
+      network.send(0, 1, 64, [&delivered] { ++delivered; });
+    }
+    timeout.arm(sim::SimTime::millis(5), [&fired] { ++fired; });
+    timeout.arm(sim::SimTime::millis(2), [&fired] { ++fired; });  // re-arm
+    sim.run();
+  };
+
+  round();  // warm the event pool
+  round();
+
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  round();
+  round();
+  const std::uint64_t allocation_delta =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+
+  EXPECT_EQ(delivered, 64u);
+  EXPECT_EQ(fired, 4u);
   EXPECT_EQ(allocation_delta, 0u);
 }
 

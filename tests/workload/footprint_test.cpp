@@ -1,0 +1,229 @@
+// A million TAgents are live at sim-scale, so what each one costs on the
+// heap sets the footprint (DESIGN.md §15). This binary replaces the global
+// allocation functions with counting versions and pins that cost: one
+// allocation of at most 120 bytes per agent at creation, none when it
+// starts, none per move beyond the platform's own migration, and no
+// private copy of the target list per querier.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "core/scheme.hpp"
+#include "net/network.hpp"
+#include "platform/agent_system.hpp"
+#include "sim/simulator.hpp"
+#include "workload/querier.hpp"
+#include "workload/tagent.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
+std::atomic<std::size_t> g_largest{0};
+
+void note_allocation(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+  std::size_t largest = g_largest.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest.compare_exchange_weak(largest, size,
+                                          std::memory_order_relaxed)) {
+  }
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  note_allocation(size);
+  if (void* ptr = std::malloc(size)) return ptr;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  note_allocation(size);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+
+namespace agentloc::workload {
+namespace {
+
+/// Allocations made since construction (or the last `reset`).
+class AllocationWindow {
+ public:
+  AllocationWindow() { reset(); }
+  void reset() {
+    allocations_ = g_allocations.load(std::memory_order_relaxed);
+    bytes_ = g_bytes.load(std::memory_order_relaxed);
+    g_largest.store(0, std::memory_order_relaxed);
+  }
+  std::uint64_t allocations() const {
+    return g_allocations.load(std::memory_order_relaxed) - allocations_;
+  }
+  std::uint64_t bytes() const {
+    return g_bytes.load(std::memory_order_relaxed) - bytes_;
+  }
+  std::size_t largest() const {
+    return g_largest.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::uint64_t allocations_ = 0;
+  std::uint64_t bytes_ = 0;
+};
+
+/// Accepts every call and keeps nothing, so the only allocations left are
+/// the agents' own and the platform's.
+class NullScheme : public core::LocationScheme {
+ public:
+  std::string name() const override { return "null"; }
+  void register_agent(platform::Agent&,
+                      std::function<void(bool)> done) override {
+    done(true);
+  }
+  void update_location(platform::Agent&,
+                       std::function<void(bool)> done) override {
+    done(true);
+  }
+  void deregister_agent(platform::Agent&) override {}
+  void locate(platform::Agent&, platform::AgentId,
+              std::function<void(const core::LocateOutcome&)> done) override {
+    done(core::LocateOutcome{});
+  }
+  std::size_t tracker_count() const override { return 0; }
+};
+
+/// An agent with no code of its own, to measure what a bare platform
+/// migration allocates.
+class Porter : public platform::Agent {};
+
+constexpr std::size_t kAgents = 10'000;
+constexpr std::size_t kNodes = 16;
+
+class FootprintTest : public ::testing::Test {
+ protected:
+  FootprintTest()
+      : network_(simulator_, kNodes,
+                 std::make_unique<net::FixedLatencyModel>(
+                     sim::SimTime::millis(1)),
+                 util::Rng(5)),
+        system_(simulator_, network_) {
+    simulator_.reserve(4 * kAgents);
+    system_.reserve(kAgents + 1);
+  }
+
+  /// Allocations of one platform migration: the transport's delivery
+  /// closure, whatever agent moves.
+  std::uint64_t allocations_per_migration() {
+    Porter& porter = system_.create<Porter>(0);
+    simulator_.run();
+    constexpr std::uint64_t kHops = 8;
+    const AllocationWindow window;
+    for (std::uint64_t hop = 0; hop < kHops; ++hop) {
+      system_.migrate(porter.id(), static_cast<net::NodeId>((hop + 1) % 2));
+      simulator_.run();
+    }
+    EXPECT_EQ(window.allocations() % kHops, 0u);
+    return window.allocations() / kHops;
+  }
+
+  /// Create the population, start it, then let it register and roam,
+  /// expecting `allocations_per_agent` at creation and nothing after it but
+  /// the platform's own migrations.
+  void expect_footprint(TAgent::Config config,
+                        std::uint64_t allocations_per_agent) {
+    const std::uint64_t per_migration = allocations_per_migration();
+    std::vector<TAgent*> agents;
+    agents.reserve(kAgents);
+
+    AllocationWindow window;
+    for (std::size_t i = 0; i < kAgents; ++i) {
+      config.seed = 100 + i;
+      agents.push_back(&system_.create<TAgent>(
+          static_cast<net::NodeId>(i % kNodes), scheme_, config));
+    }
+    EXPECT_EQ(window.allocations(), allocations_per_agent * kAgents);
+    EXPECT_LE(window.largest(), 120u);
+
+    window.reset();
+    simulator_.run_until(simulator_.now());  // every on_start
+    EXPECT_EQ(window.allocations(), 0u);
+
+    // Past the admission spread and a few residences.
+    const std::uint64_t migrations = system_.stats().migrations_started;
+    window.reset();
+    simulator_.run_until(simulator_.now() + sim::SimTime::millis(200));
+    const std::uint64_t moved =
+        system_.stats().migrations_started - migrations;
+    EXPECT_EQ(std::count_if(agents.begin(), agents.end(),
+                            [](const TAgent* agent) {
+                              return agent->registered();
+                            }),
+              static_cast<std::ptrdiff_t>(kAgents));
+    EXPECT_GT(moved, 2 * kAgents);
+    EXPECT_EQ(window.allocations(), per_migration * moved);
+  }
+
+  sim::Simulator simulator_;
+  net::Network network_;
+  platform::AgentSystem system_;
+  NullScheme scheme_;
+};
+
+TEST_F(FootprintTest, TAgentIsOneChunkAndAllocatesNothingOnceCreated) {
+  TAgent::Config config;
+  config.residence = sim::SimTime::millis(20);
+  config.start_stagger = sim::SimTime::millis(50);
+  expect_footprint(config, /*allocations_per_agent=*/1);
+}
+
+TEST_F(FootprintTest, ClusteredTAgentAllocatesNothingPerMove) {
+  // The pool is copied once at creation (the vector and its buffer).
+  TAgent::Config config;
+  config.residence = sim::SimTime::millis(20);
+  config.start_stagger = sim::SimTime::millis(50);
+  config.node_pool = {2, 3, 5, 7};
+  expect_footprint(config, /*allocations_per_agent=*/3);
+}
+
+TEST_F(FootprintTest, QueriersShareOneTargetList) {
+  constexpr std::size_t kTargets = 100'000;
+  std::vector<platform::AgentId> ids(kTargets);
+  for (std::size_t i = 0; i < kTargets; ++i) ids[i] = i + 1;
+  const auto targets =
+      std::make_shared<const std::vector<platform::AgentId>>(std::move(ids));
+
+  const AllocationWindow window;
+  for (std::uint64_t q = 0; q < 8; ++q) {
+    QuerierAgent::Config config;
+    config.seed = q + 1;
+    system_.create<QuerierAgent>(static_cast<net::NodeId>(q), scheme_, config,
+                                 targets);
+  }
+  EXPECT_LT(window.bytes(), kTargets * sizeof(platform::AgentId));
+  EXPECT_EQ(targets.use_count(), 9);
+}
+
+}  // namespace
+}  // namespace agentloc::workload

@@ -140,5 +140,40 @@ TEST_F(TAgentTest, DisposeDeregisters) {
   EXPECT_EQ(scheme_.registry(0).entry_count(), 0u);
 }
 
+// The pending admission and move are events owned by the agent itself. A
+// disposed agent lives on until the platform's next sweep and is freed
+// after it, so on_dispose must cancel them or they fire on a freed agent.
+TEST_F(TAgentTest, DisposeDuringAdmissionCancelsRegistration) {
+  TAgent::Config config;
+  config.residence = sim::SimTime::millis(100);
+  config.exponential_residence = false;
+  config.start_stagger = sim::SimTime::seconds(1);
+  TAgent& agent = spawn(config);
+  simulator_.run_until(sim::SimTime::zero());  // on_start: admission pending
+  ASSERT_FALSE(agent.registered());
+  system_.dispose(agent.id());
+  simulator_.run_until(sim::SimTime::seconds(1) + sim::SimTime::millis(200));
+  EXPECT_EQ(scheme_.stats().registers, 0u);
+  EXPECT_EQ(system_.stats().migrations_started, 0u);
+  EXPECT_EQ(scheme_.registry(0).entry_count(), 0u);
+}
+
+TEST_F(TAgentTest, DisposeMidDwellCancelsTheNextMove) {
+  TAgent::Config config;
+  config.residence = sim::SimTime::millis(100);
+  config.exponential_residence = false;
+  TAgent& agent = spawn(config);
+  // First move at 100 ms; the second is due one residence after arrival.
+  simulator_.run_until(sim::SimTime::millis(150));
+  ASSERT_EQ(agent.moves_completed(), 1u);
+  const std::uint64_t updates = scheme_.stats().updates;
+  system_.dispose(agent.id());
+  simulator_.run_until(sim::SimTime::millis(150) + sim::SimTime::millis(300));
+  EXPECT_EQ(system_.stats().migrations_started, 1u);
+  EXPECT_EQ(scheme_.stats().updates, updates);
+  EXPECT_EQ(scheme_.stats().registers, 1u);
+  EXPECT_EQ(scheme_.registry(0).entry_count(), 0u);
+}
+
 }  // namespace
 }  // namespace agentloc::workload
