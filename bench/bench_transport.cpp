@@ -11,7 +11,7 @@
 //      answering a pipelined LocateClient;
 //   4. uds_locate_workers/w{W}_c{C} — the sharded-server sweep: a forked
 //      LocateServer with W worker threads serving C routing clients
-//      (connect_cluster) at once. Rows record throughput, p95 window
+//      (LocateClient::connect) at once. Rows record throughput, p95 window
 //      latency, and the per-worker op spread (balance evidence for the
 //      round-robin leaf ownership). On a 1-hardware-thread box the sweep
 //      is a determinism/balance contract, not a speedup claim — meta
@@ -298,13 +298,13 @@ bool bench_worker_sweep(std::size_t workers, std::size_t clients,
   }
 
   // Wait until every worker listener answers (they all bind before start()
-  // returns in the child, so one successful cluster connect proves all).
+  // returns in the child, so one successful connect proves all).
   {
     net::LocateClient probe;
     std::string error;
     bool up = false;
     for (int attempt = 0; attempt < 200; ++attempt) {
-      if (probe.connect_cluster(address, &error)) {
+      if (probe.connect(address, &error)) {
         up = true;
         break;
       }
@@ -344,7 +344,7 @@ bool bench_worker_sweep(std::size_t workers, std::size_t clients,
       ClientResult& result = results[c];
       net::LocateClient client;
       std::string error;
-      if (!client.connect_cluster(address, &error)) {
+      if (!client.connect(address, &error)) {
         ready.fetch_add(1);
         return;
       }

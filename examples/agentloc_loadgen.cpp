@@ -3,12 +3,15 @@
 // Registers --agents mobile agents at synthetic nodes, then runs --ops
 // pipelined locate queries against the daemon and verifies every reply
 // against its own ground truth (--verify, on by default). Exits nonzero on
-// any mismatch, which is what the CI transport smoke keys off.
+// any mismatch, which is what the CI transport smoke keys off. Every op goes
+// to the worker that owns the agent's leaf, as the daemon's partition map
+// says.
 //
 //   agentlocd --listen unix:/tmp/agentloc.sock &
 //   agentloc_loadgen --connect unix:/tmp/agentloc.sock --agents 1000 --ops 20000
 //
-// Output is one summary line: ops, wall time, ops/s, mismatches.
+// Output is two lines: ops, wall time, ops/s and mismatches; then the ops
+// sent to each worker.
 
 #include <chrono>
 #include <cstdio>
@@ -33,7 +36,6 @@ int main(int argc, char** argv) {
   std::uint64_t agents = 0, ops = 0, moves = 0, seed = 0;
   std::size_t window = 0;
   bool verify = true;
-  bool cluster = false;
   try {
     help = flags.get_bool("help", false);
     connect_text = flags.get_string("connect", "");
@@ -44,7 +46,6 @@ int main(int argc, char** argv) {
     window = static_cast<std::size_t>(flags.get_int_in("window", 64, 1));
     seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     verify = flags.get_bool("verify", true);
-    cluster = flags.get_bool("cluster", false);
     flags.fail_on_unknown();
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "agentloc_loadgen: %s\n", error.what());
@@ -55,8 +56,6 @@ int main(int argc, char** argv) {
     std::printf(
         "usage: agentloc_loadgen --connect ADDR [--agents N] [--ops N]\n"
         "  --connect ADDR  unix:/path or tcp:host:port of agentlocd\n"
-        "  --cluster BOOL  fetch the partition map and route ops to the\n"
-        "                  owning worker shard (default false)\n"
         "  --agents N      registered population (default 1000)\n"
         "  --ops N         locate queries to issue (default 20000)\n"
         "  --moves N       re-updates between query phases (default agents/4)\n"
@@ -86,9 +85,7 @@ int main(int argc, char** argv) {
   }
 
   net::LocateClient client;
-  const bool ok = cluster ? client.connect_cluster(address, &error)
-                          : client.connect(address, &error);
-  if (!ok) {
+  if (!client.connect(address, &error)) {
     std::fprintf(stderr, "agentloc_loadgen: connect failed: %s\n",
                  error.c_str());
     return 1;
@@ -191,13 +188,11 @@ int main(int argc, char** argv) {
       "%llu mismatches\n",
       static_cast<unsigned long long>(completed), elapsed, ops_per_s, window,
       static_cast<unsigned long long>(mismatches));
-  if (cluster) {
-    std::printf("agentloc_loadgen: %zu worker connection(s), ops per worker:",
-                client.worker_count());
-    for (const std::uint64_t count : client.per_worker_ops()) {
-      std::printf(" %llu", static_cast<unsigned long long>(count));
-    }
-    std::printf("\n");
+  std::printf("agentloc_loadgen: %zu worker connection(s), ops per worker:",
+              client.worker_count());
+  for (const std::uint64_t count : client.per_worker_ops()) {
+    std::printf(" %llu", static_cast<unsigned long long>(count));
   }
+  std::printf("\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -8,10 +8,10 @@
 //
 // With --workers N the daemon shards into N serving threads (LocateServer),
 // each on its own epoll loop: worker 0 listens on --listen itself, worker k
-// on the derived address (unix path + ".w<k>" / tcp port + k), and every
-// worker advertises the leaf → worker ownership map via kPartitionMap so
-// routing clients (agentloc_loadgen --cluster) spread load without any
-// shared lock.
+// on the derived address (unix path + ".w<k>" / tcp port + k). Every worker
+// advertises the leaf → worker ownership map via kPartitionMap, answers only
+// for the leaves it owns and refuses the rest with kNotResponsible, so
+// routing clients (agentloc_loadgen) spread load without any shared lock.
 //
 //   agentlocd --listen unix:/tmp/agentloc.sock --partitions 8
 //   agentlocd --listen tcp:127.0.0.1:7421 --workers 4
@@ -124,21 +124,23 @@ int main(int argc, char** argv) {
 
   if (!quiet) {
     std::uint64_t updates = 0, applied = 0, locates = 0, found = 0,
-                  bindings = 0;
+                  refused = 0, bindings = 0;
     for (const net::LocateServer::WorkerStats& w : server.stats()) {
       updates += w.counters.updates;
       applied += w.counters.updates_applied;
       locates += w.counters.locates;
       found += w.counters.locates_found;
+      refused += w.counters.not_responsible;
       bindings += w.bindings;
     }
     std::printf(
         "agentlocd: served %llu updates (%llu applied), %llu locates "
-        "(%llu found), %llu bindings held\n",
+        "(%llu found), %llu not responsible, %llu bindings held\n",
         static_cast<unsigned long long>(updates),
         static_cast<unsigned long long>(applied),
         static_cast<unsigned long long>(locates),
         static_cast<unsigned long long>(found),
+        static_cast<unsigned long long>(refused),
         static_cast<unsigned long long>(bindings));
     if (server.worker_count() > 1) {
       for (std::size_t k = 0; k < server.stats().size(); ++k) {

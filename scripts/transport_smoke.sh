@@ -2,10 +2,10 @@
 # Tier-1 smoke for the socket transport (DESIGN.md §17), five rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
-#   3. multi-worker — agentlocd --workers 4, loadgen --cluster routing via
-#      the kPartitionMap advertisement;
+#   3. multi-worker — agentlocd --workers 4, the loadgen routing each op to
+#      the leaf's owner via the kPartitionMap advertisement;
 #   4. multi-worker TCP — agentlocd --workers 2 on tcp:127.0.0.1, so worker
-#      1 listens on port+1 (SO_REUSEPORT), loadgen --cluster routing;
+#      1 listens on port+1 (SO_REUSEPORT), the same routing loadgen;
 #   5. bad flags — a malformed or non-positive numeric flag makes either
 #      binary exit 2 at once, never abort or hang.
 # Fails on any mismatch or unexpected exit code.
@@ -118,7 +118,7 @@ echo "transport_smoke: TCP round OK"
 "${AGENTLOCD}" --listen "unix:${SOCK}" --partitions 8 --workers 4 --quiet &
 server_pid=$!
 wait_for_uds "${SOCK}.w3" || exit 1
-run_loadgen --connect "unix:${SOCK}" --cluster true
+run_loadgen --connect "unix:${SOCK}"
 stop_server
 echo "transport_smoke: multi-worker round OK"
 
@@ -127,7 +127,7 @@ echo "transport_smoke: multi-worker round OK"
   --workers 2 --quiet &
 server_pid=$!
 wait_for_tcp || exit 1
-run_loadgen --connect "tcp:127.0.0.1:${TCP_CLUSTER_PORT}" --cluster true
+run_loadgen --connect "tcp:127.0.0.1:${TCP_CLUSTER_PORT}"
 stop_server
 echo "transport_smoke: multi-worker TCP round OK"
 

@@ -82,7 +82,6 @@ void IAgent::handle_register(const platform::Message& message,
   ++stats_.registers;
   window_.record(request.entry.agent);
   if (retiring_ || !responsible_for(request.entry.agent)) {
-    ++stats_.not_responsible_replies;
     system().reply(message, id(), UpdateAck{false, hash_version_},
                    UpdateAck::kWireBytes);
     return;
@@ -99,7 +98,6 @@ void IAgent::handle_update(const platform::Message& message,
   if (retiring_ || !responsible_for(request.entry.agent)) {
     // Updates are one-way; the error path gets a best-effort notice so the
     // sender refreshes its hash copy and resends (paper §4.3 trigger (i)).
-    ++stats_.not_responsible_replies;
     system().send(id(),
                   platform::AgentAddress{message.from_node, message.from},
                   NotResponsibleNotice{request.entry.agent, hash_version_},
@@ -124,7 +122,6 @@ void IAgent::handle_batched_update(const platform::Message& message,
   for (const LocationEntry& entry : batch.entries) {
     window_.record(entry.agent);
     if (retiring_ || !responsible_for(entry.agent)) {
-      ++stats_.not_responsible_replies;
       nack.entries.push_back(entry);
       continue;
     }
@@ -145,7 +142,6 @@ void IAgent::handle_watch(const platform::Message& message,
   LocateReply ack;
   ack.version_hint = hash_version_;
   if (retiring_ || !responsible_for(request.target)) {
-    ++stats_.not_responsible_replies;
     ack.status = LocateStatus::kNotResponsible;
   } else {
     auto& list = watchers_[request.target];
@@ -187,14 +183,12 @@ void IAgent::handle_locate(const platform::Message& message,
   LocateReply reply;
   reply.version_hint = hash_version_;
   if (retiring_ || !responsible_for(request.target)) {
-    ++stats_.not_responsible_replies;
     reply.status = LocateStatus::kNotResponsible;
   } else if (const auto entry = table_.find(request.target)) {
     reply.status = LocateStatus::kFound;
     reply.node = entry->node;
     reply.seq = entry->seq;
   } else if (system().now() < transient_until_) {
-    ++stats_.transient_replies;
     reply.status = LocateStatus::kTransient;
   } else {
     ++stats_.unknown_replies;
@@ -229,7 +223,6 @@ void IAgent::handle_responsibility(const ResponsibilityUpdate& update) {
 
 void IAgent::handle_handoff(const platform::Message& message,
                             const HandoffTransfer& transfer) {
-  ++stats_.handoff_batches_in;
   table_.reserve(table_.size() + transfer.entries.size());
   for (const LocationEntry& entry : transfer.entries) {
     if (table_.apply(entry)) ++stats_.handoff_entries_in;
@@ -296,7 +289,6 @@ void IAgent::push_batch(platform::AgentAddress target,
                         std::vector<LocationEntry> entries,
                         bool final_batch, int attempts_left,
                         std::function<void()> done) {
-  ++stats_.handoff_batches_out;
   stats_.handoff_entries_out += entries.size();
   HandoffTransfer transfer;
   transfer.entries = entries;

@@ -19,12 +19,8 @@ struct IAgentStats {
   std::uint64_t updates = 0;          ///< update entries applied or refused
   std::uint64_t batched_updates = 0;  ///< BatchedUpdate messages received
   std::uint64_t locates = 0;
-  std::uint64_t not_responsible_replies = 0;
-  std::uint64_t transient_replies = 0;
   std::uint64_t unknown_replies = 0;
-  std::uint64_t handoff_batches_out = 0;
   std::uint64_t handoff_entries_out = 0;
-  std::uint64_t handoff_batches_in = 0;
   std::uint64_t handoff_entries_in = 0;
   std::uint64_t split_requests = 0;
   std::uint64_t merge_requests = 0;

@@ -30,7 +30,6 @@ void LHAgent::note_pull_failure() {
   consecutive_failures_ = 0;
   coordinator_index_ = (coordinator_index_ + 1) % coordinators_.size();
   hagent_ = coordinators_[coordinator_index_];
-  ++stats_.failovers;
   AGENTLOC_LOG(kWarn, "lhagent")
       << "coordinator unreachable; failing over to agent " << hagent_.agent;
   system().send(id(), hagent_, PromoteRequest{}, PromoteRequest::kWireBytes);
@@ -40,7 +39,6 @@ void LHAgent::on_message(const platform::Message& message) {
   if (const auto* probe = message.body_as<LocationProbeRequest>()) {
     // Optimistic-locate verification (DESIGN.md §12): answer from this
     // node's resident table — node-local information, no communication.
-    ++stats_.probes_served;
     system().reply(message, id(),
                    LocationProbeReply{system().hosts(node(), probe->target)},
                    LocationProbeReply::kWireBytes);
@@ -64,7 +62,6 @@ void LHAgent::on_delivery_failure(const platform::DeliveryFailure& failure) {
   // A batch chased an IAgent that migrated or retired. Refresh the copy;
   // the lost entries self-heal on each mover's next report, exactly like a
   // lost one-way UpdateRequest.
-  ++stats_.batch_bounces;
   refresh([] {});
 }
 
@@ -152,7 +149,6 @@ void LHAgent::pull(bool force_full) {
           if (reply->is_delta) {
             // A delta that no longer lines up with our copy (e.g. a lost
             // earlier refresh): fall back to a full snapshot once.
-            ++stats_.delta_fallbacks;
             pull(/*force_full=*/true);
             return;
           }

@@ -21,11 +21,7 @@ struct LHAgentStats {
   std::uint64_t refreshes_coalesced = 0;
   std::uint64_t refresh_failures = 0;
   std::uint64_t delta_refreshes = 0;
-  std::uint64_t delta_fallbacks = 0;  ///< delta failed; re-pulled full
-  std::uint64_t failovers = 0;        ///< switched to another coordinator
   std::uint64_t update_nacks = 0;     ///< BatchedUpdateNacks received
-  std::uint64_t batch_bounces = 0;    ///< BatchedUpdates that bounced
-  std::uint64_t probes_served = 0;    ///< LocationProbeRequests answered
 };
 
 /// Local Hash Agent (paper §2.2): the stationary per-node agent holding a

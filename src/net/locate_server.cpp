@@ -20,9 +20,10 @@ struct LocateServer::Worker {
   SocketTransport transport;
   LocateService service;
 
-  Worker(SocketTransport::Config transport_config, std::size_t partitions,
-         const PartitionMap* map)
-      : transport(transport_config), service(transport, partitions, map) {}
+  Worker(SocketTransport::Config transport_config, const PartitionMap& map,
+         std::uint32_t self)
+      : transport(transport_config),
+        service(transport, map.partitions, &map, self) {}
 };
 
 bool LocateServer::worker_address(const SocketAddress& base, std::size_t k,
@@ -108,8 +109,8 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
   workers_.clear();
   workers_.reserve(config_.workers);
   for (std::size_t k = 0; k < config_.workers; ++k) {
-    workers_.push_back(std::make_unique<Worker>(transport_config,
-                                                config_.partitions, &map_));
+    workers_.push_back(std::make_unique<Worker>(
+        transport_config, map_, static_cast<std::uint32_t>(k)));
     workers_.back()->address = addresses[k];
   }
   map_.tree_version = workers_.front()->service.directory().tree_version();

@@ -14,27 +14,26 @@ namespace agentloc::net {
 
 /// Sharded `agentlocd`: N worker threads, each owning one complete serving
 /// stack — its own `SocketTransport` (epoll loop, buffer pool, listen
-/// socket) plus a `LocateService` with a full `LocateDirectory`. Nothing
-/// mutable is shared between workers: the only cross-thread state is the
-/// immutable `PartitionMap` built before the threads spawn and the stop
-/// flag (DESIGN.md §17).
+/// socket) plus a `LocateService` that serves the leaves the map gives it.
+/// Nothing mutable is shared between workers: the only cross-thread state
+/// is the immutable `PartitionMap` built before the threads spawn and the
+/// stop flag (DESIGN.md §17).
 ///
 /// Sharding contract:
 ///  - worker k listens on `worker_address(base, k)` — worker 0 on the base
-///    address itself (so legacy single-connection clients keep working),
-///    worker k>0 on `path + ".w<k>"` (unix) / `port + k` (tcp). TCP
-///    listeners set SO_REUSEPORT so restarts and side-by-side shards bind
-///    cleanly. A base whose derived addresses cannot be bound (a port past
-///    65535, a path past `sun_path`) fails `start` before anything binds.
+///    address itself, worker k>0 on `path + ".w<k>"` (unix) / `port + k`
+///    (tcp). TCP listeners set SO_REUSEPORT so restarts and side-by-side
+///    shards bind cleanly. A base whose derived addresses cannot be bound
+///    (a port past 65535, a path past `sun_path`) fails `start` before
+///    anything binds.
 ///  - the advertised map assigns leaf → worker round-robin
 ///    (`leaf % workers`), and every worker answers kPartitionMap with the
-///    same map, so a client can bootstrap from any shard.
-///  - each worker's directory covers *all* partitions: a client that ignores
-///    the map and funnels everything down one connection stays fully
-///    consistent (it is its own single writer). Routing exists to keep each
-///    leaf single-writer across a *population* of routing clients — they all
-///    derive the same owner for an agent, so a leaf's bindings are only ever
-///    written through one worker's thread.
+///    same map.
+///  - each leaf has one owner: a worker applies and answers ops only for
+///    the leaves it owns, and refuses the rest with kNotResponsible. So a
+///    leaf's bindings are only ever written through its owner's thread,
+///    and held in its owner's directory alone, whichever connection a
+///    client uses.
 class LocateServer {
  public:
   struct Config {
@@ -74,8 +73,6 @@ class LocateServer {
   void stop();
 
   std::size_t worker_count() const noexcept { return config_.workers; }
-  const Config& config() const noexcept { return config_; }
-  const PartitionMap& partition_map() const noexcept { return map_; }
 
   /// Per-worker detail; meaningful after stop() (workers write their
   /// snapshot as they exit).

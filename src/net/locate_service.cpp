@@ -112,8 +112,17 @@ std::size_t LocateDirectory::size() const noexcept {
 }
 
 LocateService::LocateService(SocketTransport& transport,
-                             std::size_t partitions, const PartitionMap* map)
-    : transport_(transport), directory_(partitions), map_(map) {
+                             std::size_t partitions, const PartitionMap* map,
+                             std::uint32_t self)
+    : transport_(transport), directory_(partitions), map_(map), self_(self) {
+  if (map_ == nullptr) {
+    // Empty address = "the connection you already hold".
+    own_map_.partitions = directory_.partition_count();
+    own_map_.tree_version = directory_.tree_version();
+    own_map_.addresses.assign(1, std::string());
+    own_map_.owner.assign(directory_.partition_count(), 0);
+    map_ = &own_map_;
+  }
   transport_.on_frame([this](SocketTransport::PeerId peer,
                              const FrameView& frame) {
     handle_frame(peer, frame);
@@ -129,15 +138,43 @@ void LocateService::send_error(SocketTransport::PeerId peer,
   transport_.flush(peer);
 }
 
+void LocateService::send_locate_reply(SocketTransport::PeerId peer,
+                                      std::uint64_t correlation,
+                                      const core::LocateReply& reply) {
+  transport_.send(peer, FrameType::kLocateReply, correlation,
+                  [&](util::ByteWriter& w) {
+                    w.write_u8(static_cast<std::uint8_t>(reply.status));
+                    w.write_varint(reply.node);
+                    w.write_varint(reply.seq);
+                    w.write_varint(reply.version_hint);
+                  });
+}
+
+bool LocateService::refuse_if_foreign(SocketTransport::PeerId peer,
+                                      std::uint64_t correlation,
+                                      platform::AgentId agent, bool reply) {
+  if (map_->owner[directory_.partition_of(agent)] == self_) return false;
+  // Paper §4.3 trigger (ii): the requester's routing is stale. Nothing is
+  // applied; the client holds the map, so the reply names no owner.
+  ++counters_.not_responsible;
+  if (reply) {
+    core::LocateReply refusal;
+    refusal.status = core::LocateStatus::kNotResponsible;
+    refusal.version_hint = directory_.tree_version();
+    send_locate_reply(peer, correlation, refusal);
+  }
+  return true;
+}
+
 void LocateService::handle_frame(SocketTransport::PeerId peer,
                                  const FrameView& frame) {
   util::ByteReader reader = frame.payload_reader();
+  const bool wants_ack = (frame.flags & kFlagWantAck) != 0;
   // Payload decode errors (truncated/garbled fields) answer kError instead
   // of killing the server; the transport already rejected malformed frames.
   try {
     switch (frame.type) {
       case FrameType::kHello: {
-        ++counters_.hellos;
         const std::uint64_t version = reader.read_varint();
         if (version != kLocateProtocolVersion) {
           send_error(peer, frame.correlation, "protocol version mismatch");
@@ -157,9 +194,12 @@ void LocateService::handle_frame(SocketTransport::PeerId peer,
         const platform::AgentId agent = reader.read_varint();
         const NodeId node = static_cast<NodeId>(reader.read_varint());
         const std::uint64_t seq = reader.read_varint();
+        if (refuse_if_foreign(peer, frame.correlation, agent, wants_ack)) {
+          return;
+        }
         const bool applied = directory_.apply_update(agent, node, seq);
         if (applied) ++counters_.updates_applied;
-        if ((frame.flags & kFlagWantAck) != 0) {
+        if (wants_ack) {
           transport_.send(peer, FrameType::kUpdateAck, frame.correlation,
                           [&](util::ByteWriter& w) {
                             w.write_bool(applied);
@@ -171,25 +211,27 @@ void LocateService::handle_frame(SocketTransport::PeerId peer,
       case FrameType::kLocate: {
         ++counters_.locates;
         const platform::AgentId agent = reader.read_varint();
+        // Refused ops are never applied, so only an owned leaf's table holds
+        // bindings: a found one needs no owner check, and only a miss walks
+        // the tree a second time.
         const core::LocateReply reply = directory_.locate(agent);
         if (reply.status == core::LocateStatus::kFound) {
           ++counters_.locates_found;
+        } else if (refuse_if_foreign(peer, frame.correlation, agent, true)) {
+          return;
         }
-        transport_.send(peer, FrameType::kLocateReply, frame.correlation,
-                        [&](util::ByteWriter& w) {
-                          w.write_u8(static_cast<std::uint8_t>(reply.status));
-                          w.write_varint(reply.node);
-                          w.write_varint(reply.seq);
-                          w.write_varint(reply.version_hint);
-                        });
+        send_locate_reply(peer, frame.correlation, reply);
         return;
       }
       case FrameType::kDeregister: {
         ++counters_.deregisters;
         const platform::AgentId agent = reader.read_varint();
         const std::uint64_t seq = reader.read_varint();
+        if (refuse_if_foreign(peer, frame.correlation, agent, wants_ack)) {
+          return;
+        }
         const bool applied = directory_.deregister_agent(agent, seq);
-        if ((frame.flags & kFlagWantAck) != 0) {
+        if (wants_ack) {
           transport_.send(peer, FrameType::kUpdateAck, frame.correlation,
                           [&](util::ByteWriter& w) {
                             w.write_bool(applied);
@@ -199,29 +241,13 @@ void LocateService::handle_frame(SocketTransport::PeerId peer,
         return;
       }
       case FrameType::kPing: {
-        ++counters_.pings;
         transport_.send(peer, FrameType::kPong, frame.correlation, nullptr);
         transport_.flush(peer);
         return;
       }
       case FrameType::kPartitionMap: {
-        ++counters_.partition_map_requests;
         transport_.send(peer, FrameType::kPartitionMap, frame.correlation,
-                        [&](util::ByteWriter& w) {
-                          if (map_ != nullptr) {
-                            map_->encode(w);
-                            return;
-                          }
-                          // Standalone: degenerate single-worker map, empty
-                          // address = "the connection you already hold".
-                          PartitionMap self;
-                          self.workers = 1;
-                          self.partitions = directory_.partition_count();
-                          self.tree_version = directory_.tree_version();
-                          self.addresses.assign(1, std::string());
-                          self.owner.assign(directory_.partition_count(), 0);
-                          self.encode(w);
-                        });
+                        [&](util::ByteWriter& w) { map_->encode(w); });
         transport_.flush(peer);
         return;
       }
@@ -244,8 +270,7 @@ LocateClient::LocateClient() : transport_(SocketTransport::Config{}) {
     // Losing any worker connection poisons the client: pipelined frames may
     // be half-delivered, so further ops must fail fast, not silently route
     // around the dead shard.
-    if (peer == server_ ||
-        std::find(workers_.begin(), workers_.end(), peer) != workers_.end()) {
+    if (std::find(workers_.begin(), workers_.end(), peer) != workers_.end()) {
       disconnected_ = true;
       if (last_error_.empty()) last_error_ = "server disconnected";
     }
@@ -253,22 +278,18 @@ LocateClient::LocateClient() : transport_(SocketTransport::Config{}) {
 }
 
 bool LocateClient::connected() const noexcept {
-  if (disconnected_) return false;
-  if (!transport_.peer_open(server_)) return false;
-  for (const SocketTransport::PeerId peer : workers_) {
-    if (!transport_.peer_open(peer)) return false;
-  }
-  return true;
+  return !disconnected_ && !workers_.empty() &&
+         std::all_of(workers_.begin(), workers_.end(),
+                     [this](SocketTransport::PeerId peer) {
+                       return transport_.peer_open(peer);
+                     });
 }
 
 SocketTransport::PeerId LocateClient::peer_for(platform::AgentId agent) {
-  if (!route_tree_) {
-    if (!per_worker_ops_.empty()) ++per_worker_ops_[0];
-    return server_;
-  }
-  const hashtree::HashTree::Target target = route_tree_->lookup_id(agent);
-  const std::size_t leaf = static_cast<std::size_t>(target.iagent - 1);
-  const std::uint32_t worker = leaf < map_.owner.size() ? map_.owner[leaf] : 0;
+  if (workers_.empty()) return SocketTransport::kInvalidPeer;
+  // One worker owns every leaf and needs no tree.
+  const std::size_t worker =
+      route_tree_ ? map_.owner[route_tree_->lookup_id(agent).iagent - 1] : 0;
   ++per_worker_ops_[worker];
   return workers_[worker];
 }
@@ -319,7 +340,6 @@ void LocateClient::handle_frame(SocketTransport::PeerId,
         break;
       case FrameType::kPartitionMap:
         map_ = PartitionMap::decode(reader);
-        has_map_ = true;
         break;
       default:  // kError or unexpected
         sync_waiter_.type = FrameType::kError;
@@ -345,98 +365,78 @@ bool LocateClient::wait_for(std::uint64_t correlation, int timeout_ms) {
   return sync_waiter_.done;
 }
 
-bool LocateClient::handshake(SocketTransport::PeerId peer, std::string* error,
-                             int timeout_ms) {
+bool LocateClient::handshake(SocketTransport::PeerId peer, int timeout_ms) {
   const std::uint64_t correlation = next_correlation_++;
   transport_.send(peer, FrameType::kHello, correlation,
                   [](util::ByteWriter& w) {
                     w.write_varint(kLocateProtocolVersion);
                   });
-  if (!wait_for(correlation, timeout_ms) ||
-      sync_waiter_.type != FrameType::kHelloAck ||
-      !sync_waiter_.ack_applied) {
-    if (error) *error = "handshake failed";
-    return false;
-  }
-  return true;
+  return wait_for(correlation, timeout_ms) &&
+         sync_waiter_.type == FrameType::kHelloAck &&
+         sync_waiter_.ack_applied;
 }
 
 bool LocateClient::connect(const SocketAddress& address, std::string* error,
                            int timeout_ms) {
-  disconnected_ = false;
-  last_error_.clear();
-  has_map_ = false;
-  route_tree_.reset();
-  workers_.clear();
-  per_worker_ops_.assign(1, 0);
-  server_ = transport_.connect(address, error);
-  if (server_ == SocketTransport::kInvalidPeer) {
-    last_error_ = error != nullptr && !error->empty() ? *error
-                                                      : "connect failed";
-    return false;
-  }
-  if (!handshake(server_, error, timeout_ms)) {
-    last_error_ = error != nullptr ? *error : "handshake failed";
-    transport_.close_peer(server_);
-    server_ = SocketTransport::kInvalidPeer;
-    disconnected_ = false;  // deliberate close, not a peer failure
-    return false;
-  }
-  workers_.push_back(server_);
-  return true;
-}
-
-bool LocateClient::connect_cluster(const SocketAddress& address,
-                                   std::string* error, int timeout_ms) {
-  if (!connect(address, error, timeout_ms)) return false;
-  const auto fail = [&](const std::string& message) {
-    if (error != nullptr) *error = message;
-    last_error_ = message;
+  // Close every connection held or dialed so far: a deliberate close, not
+  // a peer failure, so it fires no disconnect.
+  const auto close_workers = [this] {
     for (const SocketTransport::PeerId peer : workers_) {
       transport_.close_peer(peer);
     }
     workers_.clear();
-    server_ = SocketTransport::kInvalidPeer;
-    disconnected_ = false;  // deliberate close, not a peer failure
     route_tree_.reset();
-    has_map_ = false;
+    disconnected_ = false;
+  };
+  const auto fail = [&](const std::string& message) {
+    close_workers();
+    last_error_ = message;
+    if (error != nullptr) *error = message;
     return false;
   };
+  close_workers();
+  last_error_.clear();
+  map_ = PartitionMap{};
+
+  std::string dial_error;
+  const SocketTransport::PeerId first =
+      transport_.connect(address, &dial_error);
+  if (first == SocketTransport::kInvalidPeer) {
+    return fail(dial_error.empty() ? "connect failed" : dial_error);
+  }
+  workers_.push_back(first);
+  if (!handshake(first, timeout_ms)) return fail("handshake failed");
   const std::uint64_t correlation = next_correlation_++;
-  transport_.send(server_, FrameType::kPartitionMap, correlation, nullptr);
+  transport_.send(first, FrameType::kPartitionMap, correlation, nullptr);
   if (!wait_for(correlation, timeout_ms) ||
-      sync_waiter_.type != FrameType::kPartitionMap || !has_map_) {
+      sync_waiter_.type != FrameType::kPartitionMap) {
     return fail("partition map fetch failed");
   }
-  if (map_.workers <= 1) return true;  // degenerate: single connection
-  if (map_.addresses.size() != map_.workers ||
-      map_.owner.size() != map_.partitions) {
+  if (map_.partitions != partitions_) {
     return fail("partition map inconsistent");
   }
-  per_worker_ops_.assign(static_cast<std::size_t>(map_.workers), 0);
   for (std::size_t k = 1; k < map_.workers; ++k) {
     SocketAddress worker_address;
-    std::string worker_error;
     if (!SocketAddress::parse(map_.addresses[k], worker_address,
-                              &worker_error)) {
-      return fail("bad worker address: " + worker_error);
+                              &dial_error)) {
+      return fail("bad worker address: " + dial_error);
     }
     const SocketTransport::PeerId peer =
-        transport_.connect(worker_address, &worker_error);
+        transport_.connect(worker_address, &dial_error);
     if (peer == SocketTransport::kInvalidPeer) {
-      return fail("worker dial failed: " + worker_error);
-    }
-    if (!handshake(peer, &worker_error, timeout_ms)) {
-      transport_.close_peer(peer);
-      return fail("worker handshake failed");
+      return fail("worker dial failed: " + dial_error);
     }
     workers_.push_back(peer);
+    if (!handshake(peer, timeout_ms)) return fail("worker handshake failed");
   }
+  per_worker_ops_.assign(workers_.size(), 0);
   // Rebuild the server's deterministic pre-split tree: the id → leaf map is
   // a pure function of the partition count, so routing needs no tree bytes
-  // on the wire.
-  route_tree_.emplace(LocateDirectory::make_tree(
-      static_cast<std::size_t>(map_.partitions)));
+  // on the wire. One worker owns every leaf and needs no tree.
+  if (map_.workers > 1) {
+    route_tree_.emplace(LocateDirectory::make_tree(
+        static_cast<std::size_t>(map_.partitions)));
+  }
   return true;
 }
 

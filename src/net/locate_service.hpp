@@ -14,9 +14,9 @@ namespace agentloc::net {
 
 /// Worker-shard advertisement (the kPartitionMap frame, DESIGN.md §17):
 /// how many workers serve a directory, which address each one listens on,
-/// and which worker owns each hash-tree leaf. Single-worker servers answer
-/// a degenerate map (workers=1, empty address = "the connection you
-/// already hold"), so clients can probe unconditionally.
+/// and which worker owns each hash-tree leaf. A standalone service is one
+/// worker that owns every leaf (empty address = "the connection you
+/// already hold").
 struct PartitionMap {
   /// Largest counts `decode` accepts. A server must not advertise more:
   /// every client would reject the map.
@@ -88,7 +88,10 @@ class LocateDirectory {
 inline constexpr std::uint8_t kFlagWantAck = 0x01;
 
 /// Server side of the locate protocol: plugs a `LocateDirectory` into a
-/// `SocketTransport`'s frame handler. One instance per `agentlocd` process.
+/// `SocketTransport`'s frame handler. One instance per `agentlocd` worker.
+/// It answers only for the leaves its partition map gives it: a kLocate,
+/// kUpdate or kDeregister for another worker's leaf is never applied, and
+/// gets kNotResponsible if it asks for a reply (paper §4.3).
 ///
 /// Payload encodings (all varint unless noted; framing per frame.hpp):
 ///   kHello       → protocol version
@@ -104,25 +107,26 @@ inline constexpr std::uint8_t kFlagWantAck = 0x01;
 class LocateService {
  public:
   struct Counters {
-    std::uint64_t hellos = 0;
-    std::uint64_t updates = 0;
+    std::uint64_t updates = 0;  ///< kUpdate frames received
     std::uint64_t updates_applied = 0;
-    std::uint64_t locates = 0;
+    std::uint64_t locates = 0;  ///< kLocate frames received
     std::uint64_t locates_found = 0;
-    std::uint64_t deregisters = 0;
-    std::uint64_t pings = 0;
-    std::uint64_t partition_map_requests = 0;
+    std::uint64_t deregisters = 0;  ///< kDeregister frames received
+    /// Ops refused because another worker owns the agent's leaf.
+    std::uint64_t not_responsible = 0;
     std::uint64_t protocol_errors = 0;
   };
 
   /// Installs itself as `transport`'s frame handler. The transport must
-  /// outlive the service. `map` (optional, non-owning) is the worker-shard
-  /// advertisement answered to kPartitionMap requests; without one the
-  /// service advertises itself as a single worker.
+  /// outlive the service. `map` (non-owning, must outlive the service) is
+  /// the sharded server's map, and `self` this worker's index in it;
+  /// without a map the service builds its own, as one worker that owns
+  /// every leaf.
   LocateService(SocketTransport& transport, std::size_t partitions,
-                const PartitionMap* map = nullptr);
+                const PartitionMap* map = nullptr, std::uint32_t self = 0);
+  LocateService(const LocateService&) = delete;
+  LocateService& operator=(const LocateService&) = delete;
 
-  LocateDirectory& directory() noexcept { return directory_; }
   const LocateDirectory& directory() const noexcept { return directory_; }
   const Counters& counters() const noexcept { return counters_; }
 
@@ -131,10 +135,20 @@ class LocateService {
  private:
   void send_error(SocketTransport::PeerId peer, std::uint64_t correlation,
                   const std::string& message);
+  void send_locate_reply(SocketTransport::PeerId peer,
+                         std::uint64_t correlation,
+                         const core::LocateReply& reply);
+  /// When another worker owns `agent`'s leaf: count the refusal, answer
+  /// kNotResponsible if `reply` is set, and return true.
+  bool refuse_if_foreign(SocketTransport::PeerId peer,
+                         std::uint64_t correlation, platform::AgentId agent,
+                         bool reply);
 
   SocketTransport& transport_;
   LocateDirectory directory_;
-  const PartitionMap* map_ = nullptr;  ///< non-owning; nullptr = standalone
+  PartitionMap own_map_;  ///< a standalone service's map; unused otherwise
+  const PartitionMap* map_;  ///< never null: the server's map or own_map_
+  std::uint32_t self_;
   Counters counters_;
 };
 
@@ -142,50 +156,42 @@ class LocateService {
 /// synchronous round-trips (connect-and-verify paths) and a pipelined
 /// fire-many/collect-many mode (the loadgen's throughput path).
 ///
-/// Two connection modes:
-///  - `connect` — one connection, every op on it (the PR-9 behaviour, and
-///    still fully consistent against a sharded server: each worker's
-///    directory covers all leaves, so a single-connection client is its
-///    own single writer).
-///  - `connect_cluster` — fetch the server's kPartitionMap, dial every
-///    worker, and route each op to the worker owning the agent's hash-tree
-///    leaf (the client rebuilds the identical pre-split tree from the
-///    partition count). All connections share one transport/event loop, so
-///    pipelining stays per-connection and `drain` collects across workers.
+/// `connect` fetches the server's kPartitionMap, dials every worker, and
+/// routes each op to the worker owning the agent's hash-tree leaf (the
+/// client rebuilds the identical pre-split tree from the partition count).
+/// All connections share one transport/event loop, so pipelining stays
+/// per-connection and `drain` collects across workers.
 class LocateClient {
  public:
   LocateClient();
 
-  /// Connect + kHello/kHelloAck handshake. False + `error` on failure or
-  /// version mismatch.
+  /// Connect to the server's base address (worker 0), handshake, fetch the
+  /// partition map, then dial and handshake every other worker. False +
+  /// `error` on any failure, with every connection it dialed closed.
   bool connect(const SocketAddress& address, std::string* error,
                int timeout_ms = 5000);
-
-  /// `connect`, then fetch the partition map and dial every advertised
-  /// worker. Against a single-worker server this degrades to `connect`.
+  /// The same as `connect`, under the name perfbench's wire run calls.
   bool connect_cluster(const SocketAddress& address, std::string* error,
-                       int timeout_ms = 5000);
+                       int timeout_ms = 5000) {
+    return connect(address, error, timeout_ms);
+  }
 
   /// True while every dialed worker connection is open.
   bool connected() const noexcept;
   /// Partition count the server announced in its kHelloAck.
   std::uint64_t server_partitions() const noexcept { return partitions_; }
 
-  /// Worker connections held (1 unless connect_cluster found more).
-  std::size_t worker_count() const noexcept {
-    return workers_.empty() ? 1 : workers_.size();
-  }
-  /// The map fetched by connect_cluster (nullptr before/without one).
-  const PartitionMap* partition_map() const noexcept {
-    return has_map_ ? &map_ : nullptr;
-  }
+  /// Worker connections held: the map's worker count once connected.
+  std::size_t worker_count() const noexcept { return workers_.size(); }
+  /// The map `connect` fetched.
+  const PartitionMap& partition_map() const noexcept { return map_; }
   /// Ops routed per worker connection (updates + locates + deregisters);
   /// index-aligned with the partition map's worker list. The bench's
   /// balance evidence.
   const std::vector<std::uint64_t>& per_worker_ops() const noexcept {
     return per_worker_ops_;
   }
-  /// Sticky diagnostic: set on handshake failure or when any worker
+  /// Sticky diagnostic: set on a failed connect or when any worker
   /// connection drops; cleared by the next successful connect.
   const std::string& last_error() const noexcept { return last_error_; }
 
@@ -233,17 +239,14 @@ class LocateClient {
   /// Run the loop until the sync waiter for `correlation` completes.
   bool wait_for(std::uint64_t correlation, int timeout_ms);
   /// Handshake an already-connected peer (kHello round-trip).
-  bool handshake(SocketTransport::PeerId peer, std::string* error,
-                 int timeout_ms);
-  /// The worker connection owning `agent`'s leaf (server_ without a map);
-  /// bumps the per-worker op counter.
+  bool handshake(SocketTransport::PeerId peer, int timeout_ms);
+  /// The worker connection owning `agent`'s leaf; bumps the per-worker op
+  /// counter.
   SocketTransport::PeerId peer_for(platform::AgentId agent);
 
   SocketTransport transport_;
-  SocketTransport::PeerId server_ = SocketTransport::kInvalidPeer;
-  std::vector<SocketTransport::PeerId> workers_;  ///< [0] == server_
+  std::vector<SocketTransport::PeerId> workers_;  ///< index = map worker
   std::vector<std::uint64_t> per_worker_ops_;
-  bool has_map_ = false;
   PartitionMap map_;
   /// Client-side rebuild of the server's pre-split tree — the routing
   /// function. Engaged only when the map advertises >1 worker.

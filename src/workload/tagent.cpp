@@ -27,6 +27,7 @@ void TAgent::on_start() {
 }
 
 void TAgent::admit() {
+  admitted_ = true;
   scheme_.register_agent(*this, [this](bool ok) { registered_ = ok; });
   if (mobile_) schedule_move();
 }
@@ -42,6 +43,8 @@ void TAgent::on_dispose() {
 void TAgent::set_mobile(bool mobile) {
   if (mobile_ == mobile) return;
   mobile_ = mobile;
+  // A pending admission must stay armed: admit() starts roaming if mobile.
+  if (!admitted_) return;
   if (mobile) {
     schedule_move();
   } else {

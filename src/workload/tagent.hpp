@@ -16,8 +16,8 @@ namespace agentloc::workload {
 ///
 /// A million of them are live at sim-scale, so a TAgent holds only its own
 /// state (DESIGN.md §15): `Config` is read once at construction, and the
-/// pending admission or move is a simulator event the agent owns directly,
-/// cancelled by `set_mobile(false)` and `on_dispose`.
+/// pending admission or move is a simulator event the agent owns directly.
+/// `on_dispose` cancels either; `set_mobile(false)` cancels only a move.
 class TAgent : public platform::Agent {
  public:
   struct Config {
@@ -58,7 +58,8 @@ class TAgent : public platform::Agent {
   void on_dispose() override;
 
   /// Pause/resume roaming (the invariant tests freeze the population with
-  /// it before comparing the mechanism against ground truth).
+  /// it before comparing the mechanism against ground truth). Before
+  /// admission it only records the flag, which `admit` then follows.
   void set_mobile(bool mobile);
 
   /// Change the dwell time; takes effect from the next scheduled move
@@ -87,6 +88,7 @@ class TAgent : public platform::Agent {
   std::uint64_t moves_ = 0;
   bool exponential_residence_;
   bool mobile_;
+  bool admitted_ = false;  ///< admit() ran: the timer holds moves only
   bool registered_ = false;
 };
 

@@ -3,10 +3,10 @@
 // duplicated and 10% dropped — goes unchanged to every place that keeps
 // bindings: a bare core::LocationTable, net::LocateDirectory, a simulated
 // IAgent (alone, or handing its whole table to a second IAgent halfway
-// through by a split transfer or by retirement), and a forked LocateService
-// over a unix socket. Each must end where an independent reference ends:
-// per agent, the highest-seq delivered op wins, and a deregister wins a seq
-// tie.
+// through by a split transfer or by retirement), and a forked LocateServer
+// of one and of two workers over a unix socket. Each must end where an
+// independent reference ends: per agent, the highest-seq delivered op wins,
+// and a deregister wins a seq tie.
 
 #include <gtest/gtest.h>
 
@@ -301,36 +301,43 @@ TEST(BindingRule, RetirementCarriesTombstones) {
 class BindingRuleWire : public net::testing::ForkedLocateServer {};
 
 TEST_F(BindingRuleWire, LocateServiceMatchesReference) {
-  net::LocateClient client;
-  std::string error;
-  ASSERT_TRUE(connect_client(client, &error)) << error;
-  // One server for every seed: the seeds' agent ids are disjoint.
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    SCOPED_TRACE(seed);
-    const Stream stream = make_stream(seed);
-    for (const Op& op : stream.delivered) {
-      if (op.kind == OpKind::kDeregister) {
-        ASSERT_TRUE(client.send_deregister(op.agent, op.seq));
-      } else {
-        ASSERT_TRUE(client.send_update(op.agent, op.node, op.seq));
+  // On two workers the client routes each agent to its leaf's owner, and
+  // each worker holds only its own leaves' bindings.
+  for (const std::size_t workers : {1u, 2u}) {
+    SCOPED_TRACE(workers);
+    start_server(workers);
+    net::LocateClient client;
+    std::string error;
+    ASSERT_TRUE(connect_client(client, &error)) << error;
+    ASSERT_EQ(client.worker_count(), workers);
+    // One server for every seed: the seeds' agent ids are disjoint.
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE(seed);
+      const Stream stream = make_stream(seed);
+      for (const Op& op : stream.delivered) {
+        if (op.kind == OpKind::kDeregister) {
+          ASSERT_TRUE(client.send_deregister(op.agent, op.seq));
+        } else {
+          ASSERT_TRUE(client.send_update(op.agent, op.node, op.seq));
+        }
       }
-    }
-    ASSERT_TRUE(client.ping()) << "ping fence after the stream";
+      ASSERT_TRUE(client.ping()) << "ping fence after the stream";
 
-    for (std::size_t i = 0; i < stream.agents.size(); ++i) {
-      client.send_locate(stream.agents[i], /*correlation=*/i + 1);
+      for (std::size_t i = 0; i < stream.agents.size(); ++i) {
+        client.send_locate(stream.agents[i], /*correlation=*/i + 1);
+      }
+      std::map<platform::AgentId, LocateReply> replies;
+      for (const auto& entry :
+           client.drain(stream.agents.size(), /*timeout_ms=*/10000)) {
+        ASSERT_GE(entry.correlation, 1u);
+        ASSERT_LE(entry.correlation, stream.agents.size());
+        replies[stream.agents[entry.correlation - 1]] = entry.reply;
+      }
+      ASSERT_EQ(replies.size(), stream.agents.size()) << "locates unanswered";
+      expect_matches_reference(stream, [&](platform::AgentId agent) {
+        return replies.at(agent);
+      });
     }
-    std::map<platform::AgentId, LocateReply> replies;
-    for (const auto& entry :
-         client.drain(stream.agents.size(), /*timeout_ms=*/10000)) {
-      ASSERT_GE(entry.correlation, 1u);
-      ASSERT_LE(entry.correlation, stream.agents.size());
-      replies[stream.agents[entry.correlation - 1]] = entry.reply;
-    }
-    ASSERT_EQ(replies.size(), stream.agents.size()) << "locates unanswered";
-    expect_matches_reference(stream, [&](platform::AgentId agent) {
-      return replies.at(agent);
-    });
   }
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 
-// Test fixture: an `agentlocd`-shaped server (a LocateService with 8
+// Test fixture: `agentlocd`'s serving stack (a LocateServer with 8
 // partitions over a unix socket) in a forked child process, so client and
-// directory sit on two sides of a real kernel boundary. Skips cleanly where
-// the sandbox forbids sockets.
+// directory sit on two sides of a real kernel boundary. SetUp starts one
+// worker; `start_server` restarts it with more. Skips cleanly where the
+// sandbox forbids sockets.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 
 #include <string>
 
-#include "net/locate_service.hpp"
+#include "net/locate_server.hpp"
 #include "net/socket_transport.hpp"
 
 namespace agentloc::net::testing {
@@ -27,27 +28,42 @@ class ForkedLocateServer : public ::testing::Test {
     path_ = "/tmp/agentloc-proc-" + std::to_string(::getpid()) + ".sock";
     address_.kind = SocketAddress::Kind::kUnix;
     address_.path = path_;
+    start_server(1);
+  }
 
+  void TearDown() override { stop_server(); }
+
+  /// Fork a fresh `workers`-worker server on the fixture's address, after
+  /// stopping the one running.
+  void start_server(std::size_t workers) {
+    stop_server();
     child_ = ::fork();
     ASSERT_GE(child_, 0) << "fork failed";
     if (child_ == 0) {
-      // Server process: serve until killed. _exit (not exit) everywhere so
-      // gtest machinery inherited from the parent never runs twice.
-      SocketTransport transport;
+      // Server process: the workers serve on their own threads until the
+      // process is killed. _exit (not exit) everywhere so gtest machinery
+      // inherited from the parent never runs twice.
+      LocateServer::Config config;
+      config.workers = workers;
+      config.partitions = 8;
+      LocateServer server(config);
       std::string error;
-      if (!transport.listen(address_, &error)) _exit(1);
-      LocateService service(transport, /*partitions=*/8);
-      for (;;) transport.poll_once(200);
+      if (!server.start(address_, &error)) _exit(1);
+      for (;;) ::pause();
     }
   }
 
-  void TearDown() override {
+  void stop_server() {
     if (child_ > 0) {
       ::kill(child_, SIGKILL);
       int status = 0;
       ::waitpid(child_, &status, 0);
+      child_ = -1;
     }
-    if (!path_.empty()) ::unlink(path_.c_str());
+    if (!path_.empty()) {
+      ::unlink(path_.c_str());
+      ::unlink((path_ + ".w1").c_str());
+    }
   }
 
   /// Connect with retries: the child may not have bound the socket yet.

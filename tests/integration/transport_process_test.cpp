@@ -1,10 +1,10 @@
 // End-to-end transport check with REAL process isolation: fork an
-// `agentlocd`-shaped server (LocateService over a unix socket), drive it
-// from this process with a LocateClient, and verify locate answers against
-// ground truth. This is the tier-1 guarantee that the wire format, the
-// socket event loop, and the protocol survive an actual kernel boundary —
-// not just in-process socketpairs. Skips cleanly where the sandbox forbids
-// sockets.
+// `agentlocd` serving stack (a one-worker LocateServer over a unix socket),
+// drive it from this process with a LocateClient, and verify locate answers
+// against ground truth. This is the tier-1 guarantee that the wire format,
+// the socket event loop, and the protocol survive an actual kernel
+// boundary — not just in-process socketpairs. Skips cleanly where the
+// sandbox forbids sockets.
 
 #include <gtest/gtest.h>
 

@@ -9,7 +9,9 @@
 // by `writable`/`commit` — and, where the mutations decide it, the exact
 // frames and end the wire format prescribes. Through a LocateService loop
 // over a socketpair, every frame the server decodes must be answered or
-// rejected. Seeds are fixed; the suite is also run under ASan/UBSan.
+// rejected, by a service that owns every leaf and by one that refuses
+// another worker's leaves. Seeds are fixed; the suite is also run under
+// ASan/UBSan.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -84,7 +86,9 @@ FrameSpec random_frame(util::Rng& rng) {
   spec.flags = rng.chance(0.5) ? kFlagWantAck : 0;
   spec.correlation = rng.chance(0.2) ? rng.next() : rng.next_below(1000);
   util::ByteWriter writer;
-  const auto agent = rng.next_below(64);
+  // The hash tree routes on an id's leading bits, so the six random bits go
+  // there: ops reach every leaf, and id 0 still occurs.
+  const auto agent = rng.next_below(64) << 58;
   switch (type) {
     case FrameType::kHello:
       writer.write_varint(rng.chance(0.8) ? kLocateProtocolVersion
@@ -323,16 +327,13 @@ void read_available(int fd, std::vector<std::uint8_t>& out) {
   }
 }
 
-TEST(FrameMutator, LocateServiceAnswersOrRejectsEveryDecodedFrame) {
-  if (!SocketTransport::sockets_available()) {
-    GTEST_SKIP() << "sandbox cannot create sockets";
-  }
-  SocketTransport server;
-  LocateService service(server, /*partitions=*/4);
+/// Feed 1,000 mutated streams to `service` over socketpairs. Every frame
+/// it decodes must queue a reply (an answer, a kError or a kNotResponsible
+/// refusal) or be a one-way update or deregister that was counted.
+void expect_every_frame_answered(SocketTransport& server,
+                                 LocateService& service) {
   std::size_t handled = 0;
   std::size_t unaccounted = 0;
-  // Wrap the service's handler: each frame must queue a reply (an answer
-  // or a kError) or be a one-way update or deregister that was applied.
   server.on_frame([&](SocketTransport::PeerId peer, const FrameView& frame) {
     const std::uint64_t sent = server.stats().frames_sent;
     const LocateService::Counters before = service.counters();
@@ -393,6 +394,33 @@ TEST(FrameMutator, LocateServiceAnswersOrRejectsEveryDecodedFrame) {
   }
   EXPECT_EQ(unaccounted, 0u);
   EXPECT_GT(handled, 2'000u);
+}
+
+TEST(FrameMutator, LocateServiceAnswersOrRejectsEveryDecodedFrame) {
+  if (!SocketTransport::sockets_available()) {
+    GTEST_SKIP() << "sandbox cannot create sockets";
+  }
+  {
+    SCOPED_TRACE("a service that owns every leaf");
+    SocketTransport server;
+    LocateService service(server, /*partitions=*/4);
+    expect_every_frame_answered(server, service);
+    EXPECT_EQ(service.counters().not_responsible, 0u);
+  }
+  {
+    // Worker 0 of two refuses the ops on leaves 1 and 3.
+    SCOPED_TRACE("worker 0 of a 2-worker map");
+    PartitionMap map;
+    map.workers = 2;
+    map.partitions = 4;
+    map.tree_version = LocateDirectory::make_tree(4).version();
+    map.addresses = {"", "unix:/tmp/agentloc-mutator.sock.w1"};
+    map.owner = {0, 1, 0, 1};
+    SocketTransport server;
+    LocateService service(server, /*partitions=*/4, &map, /*self=*/0);
+    expect_every_frame_answered(server, service);
+    EXPECT_GT(service.counters().not_responsible, 0u);
+  }
 }
 
 }  // namespace

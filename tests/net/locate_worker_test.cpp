@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -232,11 +233,10 @@ TEST(WorkerCluster_, RoutedClientBalancesAcrossWorkers) {
 
   LocateClient client;
   std::string error;
-  ASSERT_TRUE(client.connect_cluster(cluster.base, &error)) << error;
+  ASSERT_TRUE(client.connect(cluster.base, &error)) << error;
   EXPECT_EQ(client.worker_count(), 4u);
-  ASSERT_NE(client.partition_map(), nullptr);
-  EXPECT_EQ(client.partition_map()->workers, 4u);
-  EXPECT_EQ(client.partition_map()->partitions, 8u);
+  EXPECT_EQ(client.partition_map().workers, 4u);
+  EXPECT_EQ(client.partition_map().partitions, 8u);
 
   EXPECT_TRUE(run_verified_load(client, 500, 4));
 
@@ -261,25 +261,144 @@ TEST(WorkerCluster_, RoutedClientBalancesAcrossWorkers) {
   EXPECT_EQ(workers_with_traffic, 4u);
 }
 
-TEST(WorkerCluster_, LegacySingleConnectionClientStaysConsistent) {
+/// What a raw connection read back for one correlation.
+struct RawReply {
+  FrameType type = FrameType::kError;
+  bool applied = false;  ///< kUpdateAck
+  core::LocateReply reply;  ///< kLocateReply
+};
+
+TEST(WorkerCluster_, OneOwnerPerLeafAcrossClients) {
   SKIP_WITHOUT_SOCKETS();
-  WorkerCluster cluster(4, 8);
-  ASSERT_TRUE(cluster.started);
+  constexpr std::size_t kLeaves = 8;
+  // One agent per leaf of the 8-leaf tree.
+  const hashtree::HashTree tree = LocateDirectory::make_tree(kLeaves);
+  std::vector<std::uint64_t> agents(kLeaves, 0);
+  for (std::uint64_t i = 1, found = 0; found < kLeaves; ++i) {
+    const std::uint64_t id = util::mix64(i);
+    std::uint64_t& slot = agents[tree.lookup_id(id).iagent - 1];
+    if (slot == 0) {
+      slot = id;
+      ++found;
+    }
+  }
 
-  // A plain connect() talks only to worker 0 and never learns the map —
-  // correctness must not depend on routing because each worker holds a
-  // full directory.
-  LocateClient client;
-  std::string error;
-  ASSERT_TRUE(client.connect(cluster.base, &error)) << error;
-  EXPECT_EQ(client.worker_count(), 1u);
-  EXPECT_EQ(client.partition_map(), nullptr);
+  for (const std::size_t workers : {2u, 4u}) {
+    SCOPED_TRACE(workers);
+    WorkerCluster cluster(workers, kLeaves);
+    ASSERT_TRUE(cluster.started);
+    LocateClient first;
+    LocateClient second;
+    std::string error;
+    ASSERT_TRUE(first.connect(cluster.base, &error)) << error;
+    ASSERT_TRUE(second.connect(cluster.base, &error)) << error;
+    const PartitionMap& map = first.partition_map();
+    ASSERT_EQ(map.owner.size(), kLeaves);
 
-  ASSERT_TRUE(client.update(42, 7, 1).value_or(false));
-  const auto reply = client.locate(42);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->status, core::LocateStatus::kFound);
-  EXPECT_EQ(reply->node, 7u);
+    // A raw connection to worker 0 that never asks for the map.
+    SocketTransport raw;
+    const SocketTransport::PeerId peer = raw.connect(cluster.base, &error);
+    ASSERT_NE(peer, SocketTransport::kInvalidPeer) << error;
+    std::map<std::uint64_t, RawReply> replies;
+    raw.on_frame([&](SocketTransport::PeerId, const FrameView& frame) {
+      RawReply& out = replies[frame.correlation];
+      out.type = frame.type;
+      util::ByteReader reader = frame.payload_reader();
+      if (frame.type == FrameType::kUpdateAck) out.applied = reader.read_bool();
+      if (frame.type == FrameType::kLocateReply) {
+        out.reply.status = static_cast<core::LocateStatus>(reader.read_u8());
+        out.reply.node = static_cast<NodeId>(reader.read_varint());
+        out.reply.seq = reader.read_varint();
+      }
+    });
+    const auto await_replies = [&](std::size_t count) {
+      raw.flush(peer);
+      for (int i = 0; i < 500 && replies.size() < count; ++i) {
+        raw.poll_once(10);
+      }
+      return replies.size() == count;
+    };
+
+    // The raw connection's acked update lands only on worker 0's leaves.
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      raw.send(
+          peer, FrameType::kUpdate, /*correlation=*/leaf + 1,
+          [&](util::ByteWriter& w) {
+            w.write_varint(agents[leaf]);
+            w.write_varint(3);
+            w.write_varint(1);
+          },
+          kFlagWantAck);
+    }
+    ASSERT_TRUE(await_replies(kLeaves));
+    std::uint64_t refusals = 0;
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      SCOPED_TRACE(leaf);
+      const RawReply& got = replies[leaf + 1];
+      if (map.owner[leaf] == 0) {
+        EXPECT_EQ(got.type, FrameType::kUpdateAck);
+        EXPECT_TRUE(got.applied);
+      } else {
+        ++refusals;
+        ASSERT_EQ(got.type, FrameType::kLocateReply);
+        EXPECT_EQ(got.reply.status, core::LocateStatus::kNotResponsible);
+        EXPECT_EQ(got.reply.node, kNoNode);
+        EXPECT_EQ(got.reply.seq, 0u);
+      }
+    }
+    EXPECT_EQ(refusals, kLeaves - kLeaves / workers);
+
+    // The two routed clients write alternate leaves, and each reads what
+    // the other wrote.
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      LocateClient& writer = leaf % 2 == 0 ? first : second;
+      const auto node = static_cast<NodeId>(10 + leaf);
+      EXPECT_TRUE(writer.update(agents[leaf], node, 2).value_or(false));
+    }
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      SCOPED_TRACE(leaf);
+      for (LocateClient* reader : {&first, &second}) {
+        const auto reply = reader->locate(agents[leaf]);
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(reply->status, core::LocateStatus::kFound);
+        EXPECT_EQ(reply->node, 10 + leaf);
+        EXPECT_EQ(reply->seq, 2u);
+      }
+    }
+
+    // The raw connection reads the same binding on worker 0's leaves and
+    // is refused on the rest.
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      raw.send(peer, FrameType::kLocate, /*correlation=*/100 + leaf,
+               [&](util::ByteWriter& w) { w.write_varint(agents[leaf]); });
+    }
+    ASSERT_TRUE(await_replies(2 * kLeaves));
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      SCOPED_TRACE(leaf);
+      const RawReply& got = replies[100 + leaf];
+      ASSERT_EQ(got.type, FrameType::kLocateReply);
+      if (map.owner[leaf] == 0) {
+        EXPECT_EQ(got.reply.status, core::LocateStatus::kFound);
+        EXPECT_EQ(got.reply.node, 10 + leaf);
+        EXPECT_EQ(got.reply.seq, 2u);
+      } else {
+        ++refusals;
+        EXPECT_EQ(got.reply.status, core::LocateStatus::kNotResponsible);
+      }
+    }
+
+    // One binding per distinct agent across all workers, and every refusal
+    // the raw connection saw was counted.
+    cluster.server.stop();
+    std::uint64_t bindings = 0;
+    std::uint64_t not_responsible = 0;
+    for (const LocateServer::WorkerStats& stats : cluster.server.stats()) {
+      bindings += stats.bindings;
+      not_responsible += stats.counters.not_responsible;
+    }
+    EXPECT_EQ(bindings, kLeaves);
+    EXPECT_EQ(not_responsible, refusals);
+  }
 }
 
 TEST(WorkerCluster_, SingleWorkerClusterDegradesToOneConnection) {
@@ -289,10 +408,9 @@ TEST(WorkerCluster_, SingleWorkerClusterDegradesToOneConnection) {
 
   LocateClient client;
   std::string error;
-  ASSERT_TRUE(client.connect_cluster(cluster.base, &error)) << error;
+  ASSERT_TRUE(client.connect(cluster.base, &error)) << error;
   EXPECT_EQ(client.worker_count(), 1u);
-  ASSERT_NE(client.partition_map(), nullptr);
-  EXPECT_EQ(client.partition_map()->workers, 1u);
+  EXPECT_EQ(client.partition_map().workers, 1u);
   EXPECT_TRUE(run_verified_load(client, 200, 2));
 }
 
@@ -303,7 +421,7 @@ TEST(WorkerCluster_, TcpClusterRoundTrips) {
 
   LocateClient client;
   std::string error;
-  ASSERT_TRUE(client.connect_cluster(cluster.base, &error)) << error;
+  ASSERT_TRUE(client.connect(cluster.base, &error)) << error;
   EXPECT_EQ(client.worker_count(), 2u);
   EXPECT_TRUE(run_verified_load(client, 300, 2));
 }
@@ -315,7 +433,7 @@ TEST(WorkerCluster_, DisconnectMidBatchFailsFastAndReturnsBuffers) {
 
   LocateClient client;
   std::string error;
-  ASSERT_TRUE(client.connect_cluster(cluster->base, &error)) << error;
+  ASSERT_TRUE(client.connect(cluster->base, &error)) << error;
   const std::size_t connections = client.worker_count();
   ASSERT_TRUE(run_verified_load(client, 100, 1));
 

@@ -101,6 +101,41 @@ TEST_F(TAgentTest, SetMobileTogglesRoaming) {
   EXPECT_EQ(agent.moves_completed(), moved);
 }
 
+// set_mobile during the admission delay changes only what admit() does: it
+// must not cancel the pending admission, or the agent roams unregistered.
+TEST_F(TAgentTest, FreezeDuringAdmissionStillRegisters) {
+  TAgent::Config config;
+  config.residence = sim::SimTime::millis(100);
+  config.exponential_residence = false;
+  config.start_stagger = sim::SimTime::seconds(1);
+  TAgent& agent = spawn(config);
+  simulator_.run_until(sim::SimTime::zero());  // on_start: admission pending
+  agent.set_mobile(false);
+  simulator_.run_until(sim::SimTime::seconds(3));
+  EXPECT_EQ(agent.moves_completed(), 0u);
+  agent.set_mobile(true);
+  simulator_.run_until(sim::SimTime::seconds(5));
+  EXPECT_GT(agent.moves_completed(), 0u);
+  EXPECT_EQ(scheme_.stats().updates, agent.moves_completed());
+  EXPECT_TRUE(agent.registered());
+  EXPECT_EQ(scheme_.stats().registers, 1u);
+}
+
+TEST_F(TAgentTest, ThawDuringAdmissionRegistersThenRoams) {
+  TAgent::Config config;
+  config.mobile = false;
+  config.residence = sim::SimTime::millis(100);
+  config.exponential_residence = false;
+  config.start_stagger = sim::SimTime::seconds(1);
+  TAgent& agent = spawn(config);
+  simulator_.run_until(sim::SimTime::zero());  // on_start: admission pending
+  agent.set_mobile(true);
+  simulator_.run_until(sim::SimTime::seconds(3));
+  EXPECT_GT(agent.moves_completed(), 0u);
+  EXPECT_TRUE(agent.registered());
+  EXPECT_EQ(scheme_.stats().registers, 1u);
+}
+
 TEST_F(TAgentTest, SetResidenceChangesPace) {
   TAgent::Config config;
   config.residence = sim::SimTime::seconds(5);
