@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 smoke for the socket transport (DESIGN.md §17), five rounds:
+# Tier-1 smoke for the socket transport (DESIGN.md §17), six rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
 #   3. multi-worker — agentlocd --workers 4, the loadgen routing each op to
@@ -7,7 +7,9 @@
 #   4. multi-worker TCP — agentlocd --workers 2 on tcp:127.0.0.1, so worker
 #      1 listens on port+1 (SO_REUSEPORT), the same routing loadgen;
 #   5. bad flags — a malformed or non-positive numeric flag makes either
-#      binary exit 2 at once, never abort or hang.
+#      binary exit 2 at once, never abort or hang;
+#   6. connect through any worker — agentlocd --workers 2, the routing
+#      loadgen dialed at worker 1's address; it must still reach worker 0.
 # Fails on any mismatch or unexpected exit code.
 #
 # Exit codes:
@@ -145,6 +147,14 @@ expect_flag_error() {
 expect_flag_error "${AGENTLOCD}" --listen "unix:${SOCK}" --partitions abc
 expect_flag_error "${LOADGEN}" --connect "unix:${SOCK}" --window 0
 echo "transport_smoke: bad-flag round OK"
+
+# --- round 6: a routing client dialed through worker 1 -----------------------
+"${AGENTLOCD}" --listen "unix:${SOCK}" --partitions 8 --workers 2 --quiet &
+server_pid=$!
+wait_for_uds "${SOCK}.w1" || exit 1
+run_loadgen --connect "unix:${SOCK}.w1"
+stop_server
+echo "transport_smoke: connect-through-worker round OK"
 
 echo "transport_smoke: OK"
 exit 0

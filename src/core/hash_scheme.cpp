@@ -1,5 +1,6 @@
 #include "core/hash_scheme.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "core/iagent.hpp"
@@ -19,7 +20,7 @@ constexpr std::size_t kBatchMaxEntries = 32;
 /// Create `node`'s LHAgent with the optional extensions `config` turns on.
 LHAgent& create_lhagent(platform::AgentSystem& system, net::NodeId node,
                         const std::vector<platform::AgentAddress>& coordinators,
-                        const hashtree::HashTree& tree,
+                        const LHAgent::Snapshot& tree,
                         const MechanismConfig& config) {
   LHAgent& lhagent =
       system.create<LHAgent>(node, coordinators, tree, kFailoverThreshold);
@@ -62,10 +63,14 @@ HashLocationScheme::HashLocationScheme(platform::AgentSystem& system,
     backup_->bootstrap_follower(hagent_address, hagent_->tree());
   }
 
+  // Every secondary copy starts at the bootstrap version, so all of them
+  // share one immutable snapshot until their own refreshes swap it.
+  const auto snapshot =
+      std::make_shared<const hashtree::HashTree>(hagent_->tree());
   lhagents_.reserve(system_.node_count());
   for (net::NodeId node = 0; node < system_.node_count(); ++node) {
-    lhagents_.push_back(&create_lhagent(system_, node, coordinators,
-                                        hagent_->tree(), config_));
+    lhagents_.push_back(
+        &create_lhagent(system_, node, coordinators, snapshot, config_));
   }
 }
 

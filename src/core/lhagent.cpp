@@ -10,12 +10,12 @@
 
 namespace agentloc::core {
 
-LHAgent::LHAgent(platform::AgentAddress hagent, hashtree::HashTree initial)
+LHAgent::LHAgent(platform::AgentAddress hagent, Snapshot initial)
     : LHAgent(std::vector<platform::AgentAddress>{hagent}, std::move(initial),
               2) {}
 
 LHAgent::LHAgent(std::vector<platform::AgentAddress> coordinators,
-                 hashtree::HashTree initial, int failover_threshold)
+                 Snapshot initial, int failover_threshold)
     : coordinators_(std::move(coordinators)),
       hagent_(coordinators_.at(0)),
       failover_threshold_(failover_threshold),
@@ -99,7 +99,7 @@ void LHAgent::enqueue_update(const LocationEntry& entry) {
 
 platform::AgentAddress LHAgent::resolve(platform::AgentId agent) {
   ++stats_.resolves;
-  const auto target = tree_.lookup_id(agent);
+  const auto target = tree_->lookup_id(agent);
   return platform::AgentAddress{target.location, target.iagent};
 }
 
@@ -116,7 +116,7 @@ void LHAgent::refresh(std::function<void()> done) {
 
 void LHAgent::pull(bool force_full) {
   system().request(
-      id(), hagent_, HashPullRequest{tree_.version(), force_full},
+      id(), hagent_, HashPullRequest{tree_->version(), force_full},
       HashPullRequest::kWireBytes, [this](platform::RpcResult result) {
         if (!result.ok()) {
           note_pull_failure();
@@ -132,15 +132,20 @@ void LHAgent::pull(bool force_full) {
         consecutive_failures_ = 0;
         try {
           util::ByteReader reader(reply->payload);
+          // Build the new snapshot aside and swap it in whole: a replay
+          // that throws leaves the shared snapshot as it was.
           if (reply->is_delta) {
             const auto delta = hashtree::TreeDelta::deserialize(reader);
-            delta.apply_to(tree_);
+            hashtree::HashTree next = *tree_;
+            delta.apply_to(next);
+            tree_ = std::make_shared<const hashtree::HashTree>(std::move(next));
             ++stats_.delta_refreshes;
           } else {
             hashtree::HashTree fresh =
                 hashtree::HashTree::deserialize(reader);
-            if (fresh.version() >= tree_.version()) {
-              tree_ = std::move(fresh);
+            if (fresh.version() >= tree_->version()) {
+              tree_ =
+                  std::make_shared<const hashtree::HashTree>(std::move(fresh));
             }
           }
           ++stats_.refreshes_completed;

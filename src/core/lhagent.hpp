@@ -34,17 +34,23 @@ struct LHAgentStats {
 /// "not responsible" (or cannot reach an IAgent at its recorded node), it
 /// calls `refresh`, which pulls the primary copy from the HAgent. Concurrent
 /// refresh requests coalesce into one pull.
+///
+/// The copy is an immutable snapshot, shared with other LHAgents until a
+/// refresh (DESIGN.md §9): bootstrap hands every node the same one, and a
+/// refresh swaps only this LHAgent's pointer to a snapshot of its own.
 class LHAgent : public platform::Agent {
  public:
+  using Snapshot = std::shared_ptr<const hashtree::HashTree>;
+
   /// `initial` is the bootstrap copy of the hash function (white-box setup
   /// shortcut; every later refresh goes through messages).
-  LHAgent(platform::AgentAddress hagent, hashtree::HashTree initial);
+  LHAgent(platform::AgentAddress hagent, Snapshot initial);
 
   /// With coordinator failover (§7 fault-tolerance extension): after
   /// `failover_threshold` consecutive pull failures, rotate to the next
   /// coordinator and ask it to promote itself.
-  LHAgent(std::vector<platform::AgentAddress> coordinators,
-          hashtree::HashTree initial, int failover_threshold);
+  LHAgent(std::vector<platform::AgentAddress> coordinators, Snapshot initial,
+          int failover_threshold);
 
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
@@ -53,16 +59,18 @@ class LHAgent : public platform::Agent {
   /// node. Pure local computation on the secondary copy.
   platform::AgentAddress resolve(platform::AgentId agent);
 
-  std::uint64_t version() const noexcept { return tree_.version(); }
-  std::size_t known_iagents() const noexcept { return tree_.leaf_count(); }
+  std::uint64_t version() const noexcept { return tree_->version(); }
+  std::size_t known_iagents() const noexcept { return tree_->leaf_count(); }
   const LHAgentStats& stats() const noexcept { return stats_; }
-  const hashtree::HashTree& tree() const noexcept { return tree_; }
+  const hashtree::HashTree& tree() const noexcept { return *tree_; }
 
   /// Allocated bytes of this node's mechanism state: the secondary hash
   /// copy (serialized size as proxy), the update batcher, and the location
-  /// cache. Feeds `HashLocationScheme::estimated_resident_bytes`.
+  /// cache. Feeds `HashLocationScheme::estimated_resident_bytes`. The copy
+  /// counts in full even while it is shared: it stands for the copy a
+  /// deployed node holds on its own (DESIGN.md §15).
   std::size_t resident_bytes() const noexcept {
-    std::size_t bytes = tree_.serialized_bytes();
+    std::size_t bytes = tree_->serialized_bytes();
     if (batcher_ != nullptr) bytes += batcher_->resident_bytes();
     if (cache_ != nullptr) bytes += cache_->resident_bytes();
     return bytes;
@@ -111,7 +119,7 @@ class LHAgent : public platform::Agent {
   platform::AgentAddress hagent_;  ///< current coordinator
   int failover_threshold_ = 2;
   int consecutive_failures_ = 0;
-  hashtree::HashTree tree_;
+  Snapshot tree_;
   bool pull_in_flight_ = false;
   std::vector<std::function<void()>> waiters_;
   std::unique_ptr<UpdateBatcher> batcher_;

@@ -73,11 +73,12 @@ struct MergeResult {
 /// Splits and merges splice slots in place; merges free slots that later
 /// splits reuse.
 ///
-/// The class is a value type: LHAgents hold copies of the HAgent's primary
-/// instance. Every mutation bumps `version()`, which is the staleness token
-/// the paper's update-propagation protocol compares. `const` methods mutate
-/// nothing, so any number of threads may call them concurrently on a shared
-/// tree.
+/// The class is a value type. The HAgent owns the primary instance; LHAgents
+/// share immutable snapshots of it, and a refresh swaps one LHAgent's
+/// pointer to a newer snapshot (DESIGN.md §9). Every mutation bumps
+/// `version()`, which is the staleness token the paper's update-propagation
+/// protocol compares. `const` methods mutate nothing, so any number of
+/// threads may call them concurrently on a shared tree.
 class HashTree {
  public:
   /// A tree with a single leaf: one IAgent responsible for every agent.

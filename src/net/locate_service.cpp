@@ -13,6 +13,18 @@ std::int64_t now_ms() {
       .count();
 }
 
+/// True when the map entry `advertised` names the worker a client reached by
+/// dialing `dialed`: the same address, or the same TCP port on the wildcard
+/// host, since a worker bound to 0.0.0.0 accepts on every local address.
+bool names_dialed(const std::string& advertised, const SocketAddress& dialed) {
+  if (advertised == dialed.to_string()) return true;
+  SocketAddress listed;
+  return dialed.kind == SocketAddress::Kind::kTcp &&
+         SocketAddress::parse(advertised, listed, nullptr) &&
+         listed.kind == SocketAddress::Kind::kTcp &&
+         listed.host == "0.0.0.0" && listed.port == dialed.port;
+}
+
 }  // namespace
 
 void PartitionMap::encode(util::ByteWriter& writer) const {
@@ -399,15 +411,15 @@ bool LocateClient::connect(const SocketAddress& address, std::string* error,
   map_ = PartitionMap{};
 
   std::string dial_error;
-  const SocketTransport::PeerId first =
+  const SocketTransport::PeerId dialed =
       transport_.connect(address, &dial_error);
-  if (first == SocketTransport::kInvalidPeer) {
+  if (dialed == SocketTransport::kInvalidPeer) {
     return fail(dial_error.empty() ? "connect failed" : dial_error);
   }
-  workers_.push_back(first);
-  if (!handshake(first, timeout_ms)) return fail("handshake failed");
+  workers_.push_back(dialed);
+  if (!handshake(dialed, timeout_ms)) return fail("handshake failed");
   const std::uint64_t correlation = next_correlation_++;
-  transport_.send(first, FrameType::kPartitionMap, correlation, nullptr);
+  transport_.send(dialed, FrameType::kPartitionMap, correlation, nullptr);
   if (!wait_for(correlation, timeout_ms) ||
       sync_waiter_.type != FrameType::kPartitionMap) {
     return fail("partition map fetch failed");
@@ -415,7 +427,23 @@ bool LocateClient::connect(const SocketAddress& address, std::string* error,
   if (map_.partitions != partitions_) {
     return fail("partition map inconsistent");
   }
-  for (std::size_t k = 1; k < map_.workers; ++k) {
+  // The dialed connection is the worker the map lists at its address. A
+  // one-worker map needs no match: whatever address reached the server (an
+  // alias, a standalone service's empty entry) reached its only worker.
+  std::size_t self = 0;
+  if (map_.workers > 1) {
+    const auto named =
+        std::find_if(map_.addresses.begin(), map_.addresses.end(),
+                     [&](const std::string& advertised) {
+                       return names_dialed(advertised, address);
+                     });
+    if (named == map_.addresses.end()) {
+      return fail("partition map does not name " + address.to_string());
+    }
+    self = static_cast<std::size_t>(named - map_.addresses.begin());
+  }
+  for (std::size_t k = 0; k < map_.workers; ++k) {
+    if (k == self) continue;
     SocketAddress worker_address;
     if (!SocketAddress::parse(map_.addresses[k], worker_address,
                               &dial_error)) {
@@ -429,6 +457,10 @@ bool LocateClient::connect(const SocketAddress& address, std::string* error,
     workers_.push_back(peer);
     if (!handshake(peer, timeout_ms)) return fail("worker handshake failed");
   }
+  // Dialed first, then every other worker by index: move the dialed
+  // connection to its own index.
+  std::rotate(workers_.begin(), workers_.begin() + 1,
+              workers_.begin() + static_cast<std::ptrdiff_t>(self) + 1);
   per_worker_ops_.assign(workers_.size(), 0);
   // Rebuild the server's deterministic pre-split tree: the id → leaf map is
   // a pure function of the partition count, so routing needs no tree bytes

@@ -165,9 +165,10 @@ class LocateClient {
  public:
   LocateClient();
 
-  /// Connect to the server's base address (worker 0), handshake, fetch the
-  /// partition map, then dial and handshake every other worker. False +
-  /// `error` on any failure, with every connection it dialed closed.
+  /// Connect to any worker's address, handshake, fetch the partition map,
+  /// then dial and handshake every other worker the map lists. False +
+  /// `error` on any failure (including a multi-worker map that does not
+  /// list `address`), with every connection it dialed closed.
   bool connect(const SocketAddress& address, std::string* error,
                int timeout_ms = 5000);
   /// The same as `connect`, under the name perfbench's wire run calls.

@@ -50,7 +50,9 @@ class Transport {
   virtual void note_delivered(NodeId to) noexcept = 0;
 
   /// Transmit `bytes` from `from` to `to`; on (each) delivery run `deliver`.
-  /// Returns false when the fault plan swallowed the message entirely.
+  /// Returns false when the fault plan swallowed the message entirely. The
+  /// platform never calls it: messages and migrations both plan their
+  /// transmissions and schedule their own deliveries.
   virtual bool send(NodeId from, NodeId to, std::size_t bytes,
                     std::function<void()> deliver) = 0;
 

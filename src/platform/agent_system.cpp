@@ -215,21 +215,17 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
 void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
                                  net::NodeId source, net::NodeId destination,
                                  std::size_t bytes) {
-  const bool sent = transport_->send(
-      source, destination, bytes,
-      [this, slot, generation, source, destination] {
-        Slot& record = slots_[slot];
-        if (record.generation != generation) return;
-        // A fault plan may duplicate the transfer; only the first copy
-        // installs the agent.
-        if (record.state != State::kInTransit) return;
-        record.state = State::kActive;
-        record.node = destination;
-        agents_[slot]->node_ = destination;
-        ++stats_.migrations_completed;
-        agents_[slot]->on_arrival(source);
-      });
-  if (!sent) {
+  static_assert(sizeof(ArrivalEvent) <= 24 &&
+                    std::is_trivially_copyable_v<ArrivalEvent>,
+                "arrival event must stay tiny and memcpy-relocatable");
+  const net::TransmitPlan plan =
+      transport_->plan_transmission(source, destination, bytes);
+  for (int copy = 0; copy < plan.copies; ++copy) {
+    simulator_.schedule_after(
+        plan.delay[copy],
+        ArrivalEvent{this, slot, generation, source, destination});
+  }
+  if (plan.copies == 0) {
     // Migration rides reliable transport: retry until the fault plan lets
     // it through (a partitioned destination delays, never loses, the agent).
     simulator_.schedule_after(
@@ -239,6 +235,21 @@ void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
           ship_migration(slot, generation, source, destination, bytes);
         });
   }
+}
+
+void AgentSystem::on_arrival(std::uint32_t slot, std::uint32_t generation,
+                             net::NodeId source, net::NodeId destination) {
+  transport_->note_delivered(destination);
+  Slot& record = slots_[slot];
+  if (record.generation != generation) return;
+  // A fault plan may duplicate the transfer; only the first copy installs
+  // the agent.
+  if (record.state != State::kInTransit) return;
+  record.state = State::kActive;
+  record.node = destination;
+  agents_[slot]->node_ = destination;
+  ++stats_.migrations_completed;
+  agents_[slot]->on_arrival(source);
 }
 
 void AgentSystem::send(AgentId from, const AgentAddress& to,

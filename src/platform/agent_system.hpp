@@ -347,6 +347,20 @@ class AgentSystem {
     void operator()() const { system->on_burst(head, node); }
   };
 
+  /// Scheduled arrival of one copy of a migrating agent: 24
+  /// trivially-copyable bytes, so a migration never touches the heap.
+  struct ArrivalEvent {
+    AgentSystem* system;
+    std::uint32_t slot;
+    std::uint32_t generation;
+    net::NodeId source;
+    net::NodeId destination;
+
+    void operator()() const {
+      system->on_arrival(slot, generation, source, destination);
+    }
+  };
+
   void install(std::unique_ptr<Agent> owned, net::NodeId node);
   AgentId allocate_id();
 
@@ -361,6 +375,8 @@ class AgentSystem {
   void ship_migration(std::uint32_t slot, std::uint32_t generation,
                       net::NodeId source, net::NodeId destination,
                       std::size_t bytes);
+  void on_arrival(std::uint32_t slot, std::uint32_t generation,
+                  net::NodeId source, net::NodeId destination);
   void transmit(Message message, net::NodeId to_node);
   void on_delivery(std::uint32_t slot, net::NodeId node);
   void on_burst(std::uint32_t head, net::NodeId node);

@@ -4,6 +4,7 @@
 
 #include "core/hagent.hpp"
 #include "core/iagent.hpp"
+#include "hashtree/delta.hpp"
 #include "test_cluster.hpp"
 
 namespace agentloc::core {
@@ -11,6 +12,56 @@ namespace {
 
 using testing::ScriptAgent;
 using testing::TestCluster;
+
+/// A coordinator whose journal has drifted: it answers a delta pull with a
+/// delta that does not apply to the requester's copy, and a forced pull with
+/// a full snapshot of `tree`. The bad delta either names the wrong base
+/// version, or fails halfway through its replay: its first op relocates
+/// `leaf`, and its second names a leaf the copy does not have.
+class DriftedCoordinator : public platform::Agent {
+ public:
+  DriftedCoordinator(hashtree::HashTree tree, hashtree::IAgentId leaf,
+                     bool fail_halfway)
+      : tree_(std::move(tree)), leaf_(leaf), fail_halfway_(fail_halfway) {}
+
+  void on_message(const platform::Message& message) override {
+    const auto* request = message.body_as<HashPullRequest>();
+    if (request == nullptr) return;
+    ++pulls;
+    util::ByteWriter writer;
+    HashPullReply reply;
+    if (request->force_full) {
+      tree_.serialize(writer);
+    } else {
+      hashtree::TreeDelta delta;
+      delta.base_version = request->have_version;
+      delta.target_version = tree_.version();
+      if (fail_halfway_) {
+        hashtree::TreeOp relocate;
+        relocate.kind = hashtree::TreeOp::Kind::kSetLocation;
+        relocate.victim = leaf_;
+        relocate.location = 3;
+        hashtree::TreeOp unknown = relocate;
+        unknown.victim = leaf_ + 1;
+        delta.ops = {relocate, unknown};
+      } else {
+        ++delta.base_version;
+      }
+      delta.serialize(writer);
+      reply.is_delta = true;
+    }
+    reply.payload = std::move(writer).take();
+    const std::size_t bytes = reply.wire_bytes();
+    system().reply(message, id(), std::move(reply), bytes);
+  }
+
+  int pulls = 0;
+
+ private:
+  hashtree::HashTree tree_;
+  hashtree::IAgentId leaf_;
+  bool fail_halfway_;
+};
 
 class LHAgentTest : public ::testing::Test {
  protected:
@@ -20,7 +71,8 @@ class LHAgentTest : public ::testing::Test {
     hagent_ = &cluster_.system.create<HAgent>(0, config_);
     first_iagent_ = hagent_->bootstrap(1);
     lhagent_ = &cluster_.system.create<LHAgent>(
-        2, platform::AgentAddress{0, hagent_->id()}, hagent_->tree());
+        2, platform::AgentAddress{0, hagent_->id()},
+        std::make_shared<const hashtree::HashTree>(hagent_->tree()));
     cluster_.run_for(sim::SimTime::millis(10));
   }
 
@@ -116,7 +168,7 @@ TEST_F(LHAgentTest, FullSnapshotWhenCopyPredatesJournal) {
   const platform::AgentId first = presplit.bootstrap(1);
   LHAgent& stale_lh = cluster_.system.create<LHAgent>(
       2, platform::AgentAddress{3, presplit.id()},
-      hashtree::HashTree(first, 1));
+      std::make_shared<const hashtree::HashTree>(first, 1));
   cluster_.run_for(sim::SimTime::millis(10));
   ASSERT_LT(stale_lh.version(), presplit.tree().version());
   stale_lh.refresh([] {});
@@ -126,6 +178,88 @@ TEST_F(LHAgentTest, FullSnapshotWhenCopyPredatesJournal) {
   EXPECT_EQ(presplit.stats().delta_pulls_served, 0u);
   EXPECT_EQ(stale_lh.known_iagents(), 4u);
   EXPECT_EQ(stale_lh.tree(), presplit.tree());
+}
+
+TEST_F(LHAgentTest, DeltaRefreshSwapsOnlyTheRefreshersSnapshot) {
+  const auto shared =
+      std::make_shared<const hashtree::HashTree>(hagent_->tree());
+  const platform::AgentAddress coordinator{0, hagent_->id()};
+  LHAgent& refreshed = cluster_.system.create<LHAgent>(2, coordinator, shared);
+  LHAgent& other = cluster_.system.create<LHAgent>(3, coordinator, shared);
+  cluster_.run_for(sim::SimTime::millis(10));
+  ASSERT_EQ(&refreshed.tree(), &other.tree());
+  const std::uint64_t old_version = shared->version();
+
+  advance_primary();
+  refreshed.refresh([] {});
+  cluster_.run_for(sim::SimTime::millis(50));
+  EXPECT_EQ(refreshed.stats().delta_refreshes, 1u);
+  EXPECT_EQ(refreshed.version(), hagent_->tree().version());
+  EXPECT_NE(&refreshed.tree(), shared.get());
+  EXPECT_EQ(other.version(), old_version);
+  EXPECT_EQ(&other.tree(), shared.get());
+  EXPECT_EQ(shared->version(), old_version);
+}
+
+TEST_F(LHAgentTest, FullRefreshSwapsOnlyTheRefreshersSnapshot) {
+  // The journal-gap setup of FullSnapshotWhenCopyPredatesJournal, with two
+  // LHAgents on one snapshot.
+  config_.initial_iagents = 4;
+  HAgent& presplit = cluster_.system.create<HAgent>(3, config_);
+  const platform::AgentId first = presplit.bootstrap(1);
+  const auto shared = std::make_shared<const hashtree::HashTree>(first, 1);
+  const platform::AgentAddress coordinator{3, presplit.id()};
+  LHAgent& refreshed = cluster_.system.create<LHAgent>(2, coordinator, shared);
+  LHAgent& other = cluster_.system.create<LHAgent>(1, coordinator, shared);
+  cluster_.run_for(sim::SimTime::millis(10));
+  const std::uint64_t old_version = shared->version();
+  ASSERT_LT(old_version, presplit.tree().version());
+
+  refreshed.refresh([] {});
+  cluster_.run_for(sim::SimTime::millis(50));
+  EXPECT_EQ(refreshed.stats().delta_refreshes, 0u);
+  EXPECT_EQ(refreshed.stats().refreshes_completed, 1u);
+  EXPECT_EQ(refreshed.version(), presplit.tree().version());
+  EXPECT_NE(&refreshed.tree(), shared.get());
+  EXPECT_EQ(other.version(), old_version);
+  EXPECT_EQ(&other.tree(), shared.get());
+  EXPECT_EQ(other.known_iagents(), 1u);
+}
+
+TEST_F(LHAgentTest, MismatchedDeltaLeavesSnapshotUntilFullPullLands) {
+  advance_primary();
+  for (const bool fail_halfway : {false, true}) {
+    SCOPED_TRACE(fail_halfway);
+    DriftedCoordinator& coordinator =
+        cluster_.system.create<DriftedCoordinator>(3, hagent_->tree(),
+                                                   first_iagent_, fail_halfway);
+    const platform::AgentAddress address{3, coordinator.id()};
+    const auto shared =
+        std::make_shared<const hashtree::HashTree>(first_iagent_, 1);
+    LHAgent& refreshed = cluster_.system.create<LHAgent>(2, address, shared);
+    LHAgent& other = cluster_.system.create<LHAgent>(1, address, shared);
+    cluster_.run_for(sim::SimTime::millis(10));
+    const std::uint64_t old_version = shared->version();
+
+    refreshed.refresh([] {});
+    // Step until the forced pull is on its way: the delta has been
+    // rejected, and the snapshot must be the one it was.
+    for (int step = 0; step < 100 && coordinator.pulls < 2; ++step) {
+      cluster_.run_for(sim::SimTime::micros(100));
+    }
+    ASSERT_EQ(coordinator.pulls, 2);
+    EXPECT_EQ(&refreshed.tree(), shared.get());
+    EXPECT_EQ(refreshed.version(), old_version);
+    EXPECT_EQ(refreshed.resolve(0).node, 1u);
+
+    cluster_.run_for(sim::SimTime::millis(50));
+    EXPECT_EQ(refreshed.stats().delta_refreshes, 0u);
+    EXPECT_EQ(refreshed.stats().refreshes_completed, 1u);
+    EXPECT_NE(&refreshed.tree(), shared.get());
+    EXPECT_EQ(refreshed.tree(), hagent_->tree());
+    EXPECT_EQ(&other.tree(), shared.get());
+    EXPECT_EQ(shared->version(), old_version);
+  }
 }
 
 TEST_F(LHAgentTest, RefreshNeverRegresses) {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -268,13 +269,11 @@ struct RawReply {
   core::LocateReply reply;  ///< kLocateReply
 };
 
-TEST(WorkerCluster_, OneOwnerPerLeafAcrossClients) {
-  SKIP_WITHOUT_SOCKETS();
-  constexpr std::size_t kLeaves = 8;
-  // One agent per leaf of the 8-leaf tree.
-  const hashtree::HashTree tree = LocateDirectory::make_tree(kLeaves);
-  std::vector<std::uint64_t> agents(kLeaves, 0);
-  for (std::uint64_t i = 1, found = 0; found < kLeaves; ++i) {
+/// One agent id per leaf of the `leaves`-leaf directory tree, by leaf.
+std::vector<std::uint64_t> one_agent_per_leaf(std::size_t leaves) {
+  const hashtree::HashTree tree = LocateDirectory::make_tree(leaves);
+  std::vector<std::uint64_t> agents(leaves, 0);
+  for (std::uint64_t i = 1, found = 0; found < leaves; ++i) {
     const std::uint64_t id = util::mix64(i);
     std::uint64_t& slot = agents[tree.lookup_id(id).iagent - 1];
     if (slot == 0) {
@@ -282,6 +281,13 @@ TEST(WorkerCluster_, OneOwnerPerLeafAcrossClients) {
       ++found;
     }
   }
+  return agents;
+}
+
+TEST(WorkerCluster_, OneOwnerPerLeafAcrossClients) {
+  SKIP_WITHOUT_SOCKETS();
+  constexpr std::size_t kLeaves = 8;
+  const std::vector<std::uint64_t> agents = one_agent_per_leaf(kLeaves);
 
   for (const std::size_t workers : {2u, 4u}) {
     SCOPED_TRACE(workers);
@@ -398,6 +404,114 @@ TEST(WorkerCluster_, OneOwnerPerLeafAcrossClients) {
     }
     EXPECT_EQ(bindings, kLeaves);
     EXPECT_EQ(not_responsible, refusals);
+  }
+}
+
+TEST(WorkerCluster_, ConnectThroughAnyWorkerAddress) {
+  SKIP_WITHOUT_SOCKETS();
+  constexpr std::size_t kLeaves = 8;
+  const std::vector<std::uint64_t> agents = one_agent_per_leaf(kLeaves);
+
+  for (const std::size_t workers : {2u, 4u}) {
+    SCOPED_TRACE(workers);
+    WorkerCluster cluster(workers, kLeaves);
+    ASSERT_TRUE(cluster.started);
+    SocketAddress last;
+    std::string error;
+    ASSERT_TRUE(
+        LocateServer::worker_address(cluster.base, workers - 1, last, &error))
+        << error;
+    LocateClient through_base;
+    LocateClient through_last;
+    ASSERT_TRUE(through_base.connect(cluster.base, &error)) << error;
+    ASSERT_TRUE(through_last.connect(last, &error)) << error;
+    EXPECT_EQ(through_last.worker_count(), workers);
+
+    // The client dialed through the last worker writes every leaf, and
+    // both clients read back the same binding.
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      const auto node = static_cast<NodeId>(20 + leaf);
+      EXPECT_TRUE(through_last.update(agents[leaf], node, 1).value_or(false));
+    }
+    for (std::size_t leaf = 0; leaf < kLeaves; ++leaf) {
+      SCOPED_TRACE(leaf);
+      for (LocateClient* reader : {&through_base, &through_last}) {
+        const auto reply = reader->locate(agents[leaf]);
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(reply->status, core::LocateStatus::kFound);
+        EXPECT_EQ(reply->node, 20 + leaf);
+        EXPECT_EQ(reply->seq, 1u);
+      }
+    }
+
+    // Each client holds one connection per worker, and no op reached a
+    // worker that does not own its leaf.
+    cluster.server.stop();
+    for (const LocateServer::WorkerStats& stats : cluster.server.stats()) {
+      SCOPED_TRACE(stats.address);
+      EXPECT_EQ(stats.transport.accepts, 2u);
+      EXPECT_EQ(stats.counters.not_responsible, 0u);
+    }
+  }
+}
+
+TEST(WorkerCluster_, ConnectThroughUnlistedAddress) {
+  SKIP_WITHOUT_SOCKETS();
+  // A symlink reaches a worker through an address its map does not list.
+  for (const std::size_t workers : {1u, 2u}) {
+    SCOPED_TRACE(workers);
+    WorkerCluster cluster(workers, 8);
+    ASSERT_TRUE(cluster.started);
+    const std::string alias = unique_socket_path("alias");
+    std::error_code link_error;
+    std::filesystem::create_symlink(cluster.base.path, alias, link_error);
+    ASSERT_FALSE(link_error) << link_error.message();
+
+    LocateClient client;
+    std::string error;
+    const bool connected = client.connect(unix_address(alias), &error);
+    std::filesystem::remove(alias);
+    if (workers == 1) {
+      // One worker is the only one the connection can have reached.
+      ASSERT_TRUE(connected) << error;
+      EXPECT_EQ(client.worker_count(), 1u);
+      EXPECT_TRUE(run_verified_load(client, 100, 1));
+    } else {
+      // Which of two workers it reached is unknown: refuse, naming it.
+      EXPECT_FALSE(connected);
+      EXPECT_NE(error.find("does not name unix:" + alias), std::string::npos)
+          << error;
+      EXPECT_EQ(client.worker_count(), 0u);
+    }
+  }
+}
+
+TEST(WorkerCluster_, WildcardTcpWorkerIsFoundByPort) {
+  SKIP_WITHOUT_SOCKETS();
+  // Workers bound to 0.0.0.0 advertise that host; a client that dials
+  // worker 1 on loopback still finds it by its port.
+  LocateServer::Config config;
+  config.workers = 2;
+  config.partitions = 8;
+  LocateServer server(config);
+  const std::uint16_t port = next_tcp_port();
+  SocketAddress base;
+  std::string error;
+  ASSERT_TRUE(SocketAddress::parse("tcp:0.0.0.0:" + std::to_string(port),
+                                   base, &error))
+      << error;
+  if (!server.start(base, &error)) GTEST_SKIP() << "tcp bind: " << error;
+
+  SocketAddress worker1;
+  ASSERT_TRUE(SocketAddress::parse(
+      "tcp:127.0.0.1:" + std::to_string(port + 1), worker1, &error));
+  LocateClient client;
+  ASSERT_TRUE(client.connect(worker1, &error)) << error;
+  EXPECT_EQ(client.worker_count(), 2u);
+  EXPECT_TRUE(run_verified_load(client, 200, 1));
+  server.stop();
+  for (const LocateServer::WorkerStats& stats : server.stats()) {
+    EXPECT_EQ(stats.counters.not_responsible, 0u);
   }
 }
 

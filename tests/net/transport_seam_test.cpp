@@ -155,11 +155,12 @@ TEST(TransportSeam, ForwardingDecoratorIsBitIdentical) {
   EXPECT_EQ(direct.net.bytes_sent, decorated.net.bytes_sent);
 
   // The faults actually fired (this was a lossy run), and the decorated run
-  // really went through the decorator.
+  // really went through the decorator. The platform plans every
+  // transmission, messages and migrations alike, so it never calls `send`.
   EXPECT_GT(direct.net.messages_dropped, 0u);
   EXPECT_GT(direct.net.messages_duplicated, 0u);
   EXPECT_EQ(direct.decorator_sends, 0u);
-  EXPECT_GT(decorated.decorator_sends, 0u);
+  EXPECT_EQ(decorated.decorator_sends, 0u);
   EXPECT_GT(decorated.decorator_plans, 0u);
 }
 

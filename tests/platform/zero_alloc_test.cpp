@@ -2,6 +2,7 @@
 // event pool and the message slot pool (which also holds every queued inbox
 // message) are warm, sending and dispatching fixed-size payloads may not
 // touch the heap, even for a recipient that has never been sent anything.
+// Neither may migrating an agent.
 // This binary replaces the global allocation functions with counting
 // versions and asserts a zero delta across each measured exchange.
 
@@ -132,6 +133,35 @@ TEST(ZeroAlloc, FirstMessageToFreshAgentDoesNotAllocate) {
       g_allocations.load(std::memory_order_relaxed) - allocations_before;
 
   EXPECT_EQ(fresh.consumed, 7u);
+  EXPECT_EQ(allocation_delta, 0u);
+}
+
+// A migration plans its transmission like a message and schedules a 24-byte
+// arrival event, so moving an agent allocates nothing once the event pool is
+// warm.
+TEST(ZeroAlloc, MigrationDoesNotAllocate) {
+  sim::Simulator sim;
+  net::Network network(
+      sim, 2, std::make_unique<net::FixedLatencyModel>(sim::SimTime::millis(1)),
+      util::Rng(5));
+  AgentSystem system(sim, network);
+
+  Sink& mover = system.create<Sink>(0);
+  sim.run();
+  system.migrate(mover.id(), 1);  // warm the event pool
+  sim.run();
+
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
+  system.migrate(mover.id(), 0);
+  sim.run();
+  system.migrate(mover.id(), 1);
+  sim.run();
+  const std::uint64_t allocation_delta =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+
+  EXPECT_EQ(system.stats().migrations_completed, 3u);
+  EXPECT_EQ(mover.node(), 1u);
   EXPECT_EQ(allocation_delta, 0u);
 }
 

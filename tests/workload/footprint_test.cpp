@@ -2,8 +2,8 @@
 // heap sets the footprint (DESIGN.md §15). This binary replaces the global
 // allocation functions with counting versions and pins that cost: one
 // allocation of at most 120 bytes per agent at creation, none when it
-// starts, none per move beyond the platform's own migration, and no
-// private copy of the target list per querier.
+// starts, none per move, no private copy of the target list per querier,
+// and no private hash-tree copy per LHAgent.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/hash_scheme.hpp"
 #include "core/scheme.hpp"
 #include "net/network.hpp"
 #include "platform/agent_system.hpp"
@@ -133,27 +134,24 @@ class FootprintTest : public ::testing::Test {
     system_.reserve(kAgents + 1);
   }
 
-  /// Allocations of one platform migration: the transport's delivery
-  /// closure, whatever agent moves.
-  std::uint64_t allocations_per_migration() {
+  /// A bare platform migration, whatever agent moves, allocates nothing:
+  /// its arrival is an inline simulator event.
+  void expect_migrations_allocate_nothing() {
     Porter& porter = system_.create<Porter>(0);
     simulator_.run();
-    constexpr std::uint64_t kHops = 8;
     const AllocationWindow window;
-    for (std::uint64_t hop = 0; hop < kHops; ++hop) {
+    for (std::uint64_t hop = 0; hop < 8; ++hop) {
       system_.migrate(porter.id(), static_cast<net::NodeId>((hop + 1) % 2));
       simulator_.run();
     }
-    EXPECT_EQ(window.allocations() % kHops, 0u);
-    return window.allocations() / kHops;
+    EXPECT_EQ(window.allocations(), 0u);
   }
 
   /// Create the population, start it, then let it register and roam,
-  /// expecting `allocations_per_agent` at creation and nothing after it but
-  /// the platform's own migrations.
+  /// expecting `allocations_per_agent` at creation and nothing after it.
   void expect_footprint(TAgent::Config config,
                         std::uint64_t allocations_per_agent) {
-    const std::uint64_t per_migration = allocations_per_migration();
+    expect_migrations_allocate_nothing();
     std::vector<TAgent*> agents;
     agents.reserve(kAgents);
 
@@ -182,7 +180,7 @@ class FootprintTest : public ::testing::Test {
                             }),
               static_cast<std::ptrdiff_t>(kAgents));
     EXPECT_GT(moved, 2 * kAgents);
-    EXPECT_EQ(window.allocations(), per_migration * moved);
+    EXPECT_EQ(window.allocations(), 0u);
   }
 
   sim::Simulator simulator_;
@@ -223,6 +221,29 @@ TEST_F(FootprintTest, QueriersShareOneTargetList) {
   }
   EXPECT_LT(window.bytes(), kTargets * sizeof(platform::AgentId));
   EXPECT_EQ(targets.use_count(), 9);
+}
+
+TEST_F(FootprintTest, LHAgentsShareOneTreeSnapshot) {
+  // sim-scale's shape: 1,024 nodes and a tree pre-split to 256 leaves.
+  // Private copies would cost 1,024 trees of ~40 KiB each.
+  constexpr std::size_t kSchemeNodes = 1024;
+  sim::Simulator simulator;
+  net::Network network(simulator, kSchemeNodes,
+                       std::make_unique<net::FixedLatencyModel>(
+                           sim::SimTime::millis(1)),
+                       util::Rng(5));
+  platform::AgentSystem system(simulator, network);
+  core::MechanismConfig config;
+  config.initial_iagents = 245;
+
+  const AllocationWindow window;
+  core::HashLocationScheme scheme(system, config);
+  EXPECT_LT(window.bytes(), std::size_t{4} << 20);
+
+  ASSERT_EQ(scheme.lhagent(0).known_iagents(), 256u);
+  for (net::NodeId node = 1; node < kSchemeNodes; ++node) {
+    EXPECT_EQ(&scheme.lhagent(node).tree(), &scheme.lhagent(0).tree());
+  }
 }
 
 }  // namespace
