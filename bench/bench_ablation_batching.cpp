@@ -12,6 +12,7 @@
 //        --residence-ms=1000 --seed=1 --json-out=BENCH_ablation_batching.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,15 +100,27 @@ Outcome run(bool batching, double flush_ms, std::size_t nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto flush_list = flags.get_int_list("flush-ms", {10, 50, 100, 200});
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 8));
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 640));
-  const double residence_ms = flags.get_double("residence-ms", 1000.0);
-  const double total_s = flags.get_double("total-s", 120.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_batching.json");
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> flush_list;
+  std::size_t nodes = 0;
+  std::size_t tagents = 0;
+  double residence_ms = 0.0;
+  double total_s = 0.0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    flush_list = flags.get_int_list("flush-ms", {10, 50, 100, 200});
+    nodes = static_cast<std::size_t>(flags.get_int("nodes", 8));
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 640));
+    residence_ms = flags.get_double("residence-ms", 1000.0);
+    total_s = flags.get_double("total-s", 120.0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_batching.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_batching: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A6: update batching — wire messages saved vs locate "

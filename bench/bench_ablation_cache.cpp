@@ -14,11 +14,11 @@
 //
 // Flags: --skew=0,0.5,0.9,0.95 --capacity=0,16,64,1024 --tagents=128
 //        --nodes=16 --queriers=16 --quota=400 --think-ms=1 --residence-ms=4000
-//        --ttl-ms=2000 --service-us=4000 --singleflight=0 --seed=1
-//        --json-out=BENCH_ablation_cache.json
+//        --service-us=4000 --seed=1 --json-out=BENCH_ablation_cache.json
+// Bindings expire after core::kLocationCacheTtl (2 s).
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -41,9 +41,7 @@ struct Params {
   std::size_t quota = 400;
   double think_ms = 1.0;
   double residence_ms = 4000.0;
-  double ttl_ms = 2000.0;
   double service_us = 4000.0;
-  bool singleflight = false;
   std::uint64_t seed = 1;
 };
 
@@ -70,9 +68,6 @@ Outcome run(double skew, std::size_t capacity, const Params& params) {
 
   core::MechanismConfig mechanism;
   mechanism.location_cache.capacity = capacity;
-  mechanism.location_cache.ttl =
-      sim::SimTime::micros(static_cast<std::uint64_t>(params.ttl_ms * 1000));
-  mechanism.locate_singleflight = params.singleflight;
   core::HashLocationScheme scheme(system, mechanism);
 
   std::vector<platform::AgentId> targets;
@@ -127,22 +122,6 @@ Outcome run(double skew, std::size_t capacity, const Params& params) {
   return outcome;
 }
 
-std::vector<double> parse_double_list(const std::string& text,
-                                      std::vector<double> fallback) {
-  if (text.empty()) return fallback;
-  std::vector<double> values;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) values.push_back(std::strtod(item.c_str(), nullptr));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values.empty() ? fallback : values;
-}
-
 std::string fmt_skew(double skew) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%g", skew);
@@ -152,30 +131,36 @@ std::string fmt_skew(double skew) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto skews =
-      parse_double_list(flags.get_string("skew", ""), {0.0, 0.5, 0.9, 0.95});
-  const auto capacities = flags.get_int_list("capacity", {0, 16, 64, 1024});
+  const util::Flags flags(argc, argv);
+  std::vector<double> skews;
+  std::vector<std::int64_t> capacities;
   Params params;
-  params.nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
-  params.tagents = static_cast<std::size_t>(flags.get_int("tagents", 128));
-  params.queriers = static_cast<std::size_t>(flags.get_int("queriers", 16));
-  params.quota = static_cast<std::size_t>(flags.get_int("quota", 400));
-  params.think_ms = flags.get_double("think-ms", 1.0);
-  params.residence_ms = flags.get_double("residence-ms", 4000.0);
-  params.ttl_ms = flags.get_double("ttl-ms", 2000.0);
-  params.service_us = flags.get_double("service-us", 4000.0);
-  params.singleflight = flags.get_bool("singleflight", false);
-  params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_cache.json");
+  std::string json_out;
+  try {
+    skews = flags.get_double_list("skew", {0.0, 0.5, 0.9, 0.95});
+    capacities = flags.get_int_list("capacity", {0, 16, 64, 1024});
+    params.nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
+    params.tagents = static_cast<std::size_t>(flags.get_int("tagents", 128));
+    params.queriers = static_cast<std::size_t>(flags.get_int("queriers", 16));
+    params.quota = static_cast<std::size_t>(flags.get_int("quota", 400));
+    params.think_ms = flags.get_double("think-ms", 1.0);
+    params.residence_ms = flags.get_double("residence-ms", 4000.0);
+    params.service_us = flags.get_double("service-us", 4000.0);
+    params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_cache.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_cache: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A11: location cache & optimistic locate (capacity 0 = off)\n"
       "(%zu TAgents on %zu nodes, %zu queriers x %zu locates, %.0f ms dwell, "
       "%.0f ms TTL, %.0f us service; same seeds per cell)\n\n",
       params.tagents, params.nodes, params.queriers, params.quota,
-      params.residence_ms, params.ttl_ms, params.service_us);
+      params.residence_ms, core::kLocationCacheTtl.as_millis(),
+      params.service_us);
 
   workload::Table table({"skew", "capacity", "locate RPCs", "rpc drop %",
                          "optimistic", "hit %", "stale", "evicted",
@@ -232,7 +217,6 @@ int main(int argc, char** argv) {
           .set("locate_rpcs", outcome.scheme.locate_rpcs)
           .set("locate_rpc_drop_pct", rpc_drop_pct)
           .set("optimistic_locates", outcome.scheme.optimistic_locates)
-          .set("locates_coalesced", outcome.scheme.locates_coalesced)
           .set("cache_hits", outcome.scheme.cache_hits)
           .set("cache_misses", outcome.scheme.cache_misses)
           .set("cache_hit_pct", hit_pct)
@@ -266,9 +250,8 @@ int main(int argc, char** argv) {
       .set("quota", static_cast<std::uint64_t>(params.quota))
       .set("think_ms", params.think_ms)
       .set("residence_ms", params.residence_ms)
-      .set("ttl_ms", params.ttl_ms)
+      .set("ttl_ms", core::kLocationCacheTtl.as_millis())
       .set("service_us", params.service_us)
-      .set("singleflight", static_cast<std::uint64_t>(params.singleflight))
       .set("seed", params.seed);
   const std::string written = report.write(json_out);
   if (written.empty()) {

@@ -16,6 +16,7 @@
 //        --json-out=BENCH_ablation_ids.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "core/hash_scheme.hpp"
@@ -29,13 +30,21 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 100));
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 1500));
-  const auto split_bits = flags.get_int_list("max-split-bits", {4, 16});
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_ids.json");
+  const util::Flags flags(argc, argv);
+  std::size_t tagents = 0;
+  std::size_t queries = 0;
+  std::vector<std::int64_t> split_bits;
+  std::string json_out;
+  try {
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 100));
+    queries = static_cast<std::size_t>(flags.get_int("queries", 1500));
+    split_bits = flags.get_int_list("max-split-bits", {4, 16});
+    json_out = flags.get_string("json-out", "BENCH_ablation_ids.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_ids: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A7: id-distribution sensitivity (%zu TAgents, residence "

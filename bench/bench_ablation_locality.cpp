@@ -11,6 +11,7 @@
 //        --json-out=BENCH_ablation_locality.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,15 +105,25 @@ Outcome run(bool locality, std::size_t tagents, std::size_t cluster_size,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 60));
-  const auto cluster = static_cast<std::size_t>(flags.get_int("cluster", 4));
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 1200));
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_locality.json");
+  const util::Flags flags(argc, argv);
+  std::size_t tagents = 0;
+  std::size_t cluster = 0;
+  std::size_t queries = 0;
+  std::size_t nodes = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 60));
+    cluster = static_cast<std::size_t>(flags.get_int("cluster", 4));
+    queries = static_cast<std::size_t>(flags.get_int("queries", 1200));
+    nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_locality.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_locality: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A6: locality placement of IAgents (paper §7 extension)\n"

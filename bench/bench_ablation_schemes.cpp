@@ -12,6 +12,7 @@
 //        --json-out=BENCH_ablation_schemes.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,15 +69,23 @@ void run_sweep(const char* title, const char* axis,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto agents = flags.get_int_list("agents", {20, 50, 100});
-  const auto residences =
-      flags.get_int_list("residences-ms", {100, 500, 2000});
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 1200));
-  const auto repeats = static_cast<std::size_t>(flags.get_int("repeats", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_schemes.json");
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> agents;
+  std::vector<std::int64_t> residences;
+  std::size_t queries = 0;
+  std::size_t repeats = 0;
+  std::string json_out;
+  try {
+    agents = flags.get_int_list("agents", {20, 50, 100});
+    residences = flags.get_int_list("residences-ms", {100, 500, 2000});
+    queries = static_cast<std::size_t>(flags.get_int("queries", 1200));
+    repeats = static_cast<std::size_t>(flags.get_int("repeats", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_schemes.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_schemes: %s\n", error.what());
+    return 2;
+  }
 
   util::BenchReport report("ablation_schemes");
 

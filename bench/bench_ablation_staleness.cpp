@@ -12,6 +12,7 @@
 //        --json-out=BENCH_ablation_staleness.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,13 +105,23 @@ Outcome run(double cycle_s, std::size_t tagents, double total_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto cycles = flags.get_int_list("cycles-s", {15, 30, 60, 120});
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 60));
-  const double total_s = flags.get_double("total-s", 240.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_staleness.json");
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> cycles;
+  std::size_t tagents = 0;
+  double total_s = 0.0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    cycles = flags.get_int_list("cycles-s", {15, 30, 60, 120});
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 60));
+    total_s = flags.get_double("total-s", 240.0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_staleness.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_staleness: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A3: staleness cost of lazy hash-copy refresh under churn\n"

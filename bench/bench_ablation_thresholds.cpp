@@ -10,6 +10,7 @@
 //        --json-out=BENCH_ablation_thresholds.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "util/bench_report.hpp"
@@ -22,14 +23,23 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tmax_values = flags.get_int_list("tmax", {10, 25, 50, 100, 400});
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 100));
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 1500));
-  const auto repeats = static_cast<std::size_t>(flags.get_int("repeats", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_ablation_thresholds.json");
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> tmax_values;
+  std::size_t tagents = 0;
+  std::size_t queries = 0;
+  std::size_t repeats = 0;
+  std::string json_out;
+  try {
+    tmax_values = flags.get_int_list("tmax", {10, 25, 50, 100, 400});
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 100));
+    queries = static_cast<std::size_t>(flags.get_int("queries", 1500));
+    repeats = static_cast<std::size_t>(flags.get_int("repeats", 1));
+    json_out = flags.get_string("json-out", "BENCH_ablation_thresholds.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_ablation_thresholds: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A1: Tmax/Tmin sensitivity (tagents=%zu, residence=500ms, "

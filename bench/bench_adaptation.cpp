@@ -12,6 +12,7 @@
 //        --json-out=BENCH_adaptation.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,23 @@
 using namespace agentloc;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 40));
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
-  const double phase_s = flags.get_double("phase-s", 60.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_adaptation.json");
+  const util::Flags flags(argc, argv);
+  std::size_t tagents = 0;
+  std::size_t nodes = 0;
+  double phase_s = 0.0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 40));
+    nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
+    phase_s = flags.get_double("phase-s", 60.0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_adaptation.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_adaptation: %s\n", error.what());
+    return 2;
+  }
 
   util::Rng master(seed);
   sim::Simulator simulator;

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -34,29 +35,32 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto agent_counts =
-      flags.get_int_list("agents", {10, 20, 30, 50, 100});
-  const auto queries = static_cast<std::size_t>(flags.get_int("queries", 2000));
-  const auto repeats = static_cast<std::size_t>(flags.get_int("repeats", 2));
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
-  const double residence_ms = flags.get_double("residence-ms", 500.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  if (threads == 0) threads = util::default_threads();
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_experiment1.json");
-  const std::string schemes_flag =
-      flags.get_string("schemes", "centralized,hash");
-
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> agent_counts;
+  std::size_t queries = 0;
+  std::size_t repeats = 0;
+  std::size_t nodes = 0;
+  double residence_ms = 0.0;
+  std::uint64_t seed = 0;
+  std::size_t threads = 0;
+  std::string json_out;
   std::vector<std::string> schemes;
-  for (std::size_t pos = 0; pos <= schemes_flag.size();) {
-    const auto comma = schemes_flag.find(',', pos);
-    const auto end = comma == std::string::npos ? schemes_flag.size() : comma;
-    if (end > pos) schemes.push_back(schemes_flag.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  try {
+    agent_counts = flags.get_int_list("agents", {10, 20, 30, 50, 100});
+    queries = static_cast<std::size_t>(flags.get_int("queries", 2000));
+    repeats = static_cast<std::size_t>(flags.get_int("repeats", 2));
+    nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
+    residence_ms = flags.get_double("residence-ms", 500.0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+    json_out = flags.get_string("json-out", "BENCH_experiment1.json");
+    schemes = workload::get_scheme_list(flags, {"centralized", "hash"});
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_experiment1: %s\n", error.what());
+    return 2;
   }
+  if (threads == 0) threads = util::default_threads();
 
   std::printf(
       "Experiment I (Figure 7): location time vs. number of TAgents\n"

@@ -19,6 +19,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,29 +34,33 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto residences =
-      flags.get_int_list("residences-ms", {100, 200, 500, 1000, 2000});
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 20));
-  const auto queries = static_cast<std::size_t>(flags.get_int("queries", 2000));
-  const auto repeats = static_cast<std::size_t>(flags.get_int("repeats", 2));
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
-  if (threads == 0) threads = util::default_threads();
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_experiment2.json");
-  const std::string schemes_flag =
-      flags.get_string("schemes", "centralized,hash");
-
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> residences;
+  std::size_t tagents = 0;
+  std::size_t queries = 0;
+  std::size_t repeats = 0;
+  std::size_t nodes = 0;
+  std::uint64_t seed = 0;
+  std::size_t threads = 0;
+  std::string json_out;
   std::vector<std::string> schemes;
-  for (std::size_t pos = 0; pos <= schemes_flag.size();) {
-    const auto comma = schemes_flag.find(',', pos);
-    const auto end = comma == std::string::npos ? schemes_flag.size() : comma;
-    if (end > pos) schemes.push_back(schemes_flag.substr(pos, end - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  try {
+    residences =
+        flags.get_int_list("residences-ms", {100, 200, 500, 1000, 2000});
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 20));
+    queries = static_cast<std::size_t>(flags.get_int("queries", 2000));
+    repeats = static_cast<std::size_t>(flags.get_int("repeats", 2));
+    nodes = static_cast<std::size_t>(flags.get_int("nodes", 16));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    threads = static_cast<std::size_t>(flags.get_int("threads", 0));
+    json_out = flags.get_string("json-out", "BENCH_experiment2.json");
+    schemes = workload::get_scheme_list(flags, {"centralized", "hash"});
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_experiment2: %s\n", error.what());
+    return 2;
   }
+  if (threads == 0) threads = util::default_threads();
 
   std::printf(
       "Experiment II (Figure 8): location time vs. mobility rate\n"

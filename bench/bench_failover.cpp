@@ -12,6 +12,7 @@
 //        --json-out=BENCH_failover.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,12 +27,21 @@
 using namespace agentloc;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 40));
-  const double kill_s = flags.get_double("kill-s", 40.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_failover.json");
+  const util::Flags flags(argc, argv);
+  std::size_t tagents = 0;
+  double kill_s = 0.0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 40));
+    kill_s = flags.get_double("kill-s", 40.0);
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_failover.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_failover: %s\n", error.what());
+    return 2;
+  }
 
   util::Rng master(seed);
   sim::Simulator simulator;

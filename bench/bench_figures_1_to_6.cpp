@@ -5,6 +5,7 @@
 // Flags: --json-out=BENCH_figures_1_to_6.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "hashtree/paper_figures.hpp"
@@ -39,9 +40,15 @@ util::BenchReport::Row& add_figure_row(util::BenchReport& report,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_figures_1_to_6.json");
+  const util::Flags flags(argc, argv);
+  std::string json_out;
+  try {
+    json_out = flags.get_string("json-out", "BENCH_figures_1_to_6.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_figures_1_to_6: %s\n", error.what());
+    return 2;
+  }
   util::BenchReport report("figures_1_to_6");
 
   std::printf("=== Figure 1: the hash tree of the running example ===\n\n");

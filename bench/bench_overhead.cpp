@@ -10,6 +10,7 @@
 //        --json-out=BENCH_overhead.json
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,13 +24,21 @@ using workload::ExperimentConfig;
 using workload::ExperimentResult;
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 50));
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 1500));
-  const double residence_ms = flags.get_double("residence-ms", 300.0);
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_overhead.json");
+  const util::Flags flags(argc, argv);
+  std::size_t tagents = 0;
+  std::size_t queries = 0;
+  double residence_ms = 0.0;
+  std::string json_out;
+  try {
+    tagents = static_cast<std::size_t>(flags.get_int("tagents", 50));
+    queries = static_cast<std::size_t>(flags.get_int("queries", 1500));
+    residence_ms = flags.get_double("residence-ms", 300.0);
+    json_out = flags.get_string("json-out", "BENCH_overhead.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_overhead: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A8: network overhead per scheme "

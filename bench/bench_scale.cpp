@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,21 +70,31 @@ ExperimentConfig cell_config(std::size_t tagents, std::size_t nodes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const bool smoke = flags.get_bool("smoke", false);
-  const auto default_tagents =
-      smoke ? std::vector<std::int64_t>{10'000, 50'000}
-            : std::vector<std::int64_t>{10'000, 100'000, 1'000'000};
-  const auto default_nodes = smoke ? std::vector<std::int64_t>{64, 256}
-                                   : std::vector<std::int64_t>{64, 256, 1024};
-  const auto tagents_list = flags.get_int_list("tagents-list", default_tagents);
-  const auto nodes_list = flags.get_int_list("nodes-list", default_nodes);
-  const auto queries =
-      static_cast<std::size_t>(flags.get_int("queries", 2000));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", smoke ? "BENCH_scale_smoke.json"
-                                         : "BENCH_scale.json");
+  const util::Flags flags(argc, argv);
+  bool smoke = false;
+  std::vector<std::int64_t> tagents_list;
+  std::vector<std::int64_t> nodes_list;
+  std::size_t queries = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    smoke = flags.get_bool("smoke", false);
+    tagents_list = flags.get_int_list(
+        "tagents-list", smoke ? std::vector<std::int64_t>{10'000, 50'000}
+                              : std::vector<std::int64_t>{10'000, 100'000,
+                                                          1'000'000});
+    nodes_list = flags.get_int_list(
+        "nodes-list", smoke ? std::vector<std::int64_t>{64, 256}
+                            : std::vector<std::int64_t>{64, 256, 1024});
+    queries = static_cast<std::size_t>(flags.get_int("queries", 2000));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string(
+        "json-out", smoke ? "BENCH_scale_smoke.json" : "BENCH_scale.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_scale: %s\n", error.what());
+    return 2;
+  }
 
   std::printf("Capacity sweep%s: queries=%zu seed=%llu\n\n",
               smoke ? " (smoke)" : "", queries,

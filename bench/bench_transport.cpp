@@ -6,16 +6,16 @@
 //   2. coalesced/uncoalesced socketpair bursts — syscalls per frame with
 //      writev gather vs. one write per frame (floor: ≥ 4× reduction at
 //      burst depth 8);
-//   3. uds_locate_roundtrip — end-to-end locate RPCs between two real
-//      processes (fork + Unix-domain socket): agentlocd's LocateService
-//      answering a pipelined LocateClient;
-//   4. uds_locate_workers/w{W}_c{C} — the sharded-server sweep: a forked
-//      LocateServer with W worker threads serving C routing clients
-//      (LocateClient::connect) at once. Rows record throughput, p95 window
-//      latency, and the per-worker op spread (balance evidence for the
-//      round-robin leaf ownership). On a 1-hardware-thread box the sweep
-//      is a determinism/balance contract, not a speedup claim — meta
-//      records hardware_threads so readers can judge.
+//   3. uds_locate_workers/w{W}_c{C} — end-to-end locate RPCs between two
+//      real processes (fork + Unix-domain socket): a forked LocateServer
+//      (agentlocd's stack) with W worker threads serving C routing clients
+//      (LocateClient::connect) at once, each pipelining verified locates.
+//      w1_c1 is the one-server, one-client round trip. Rows record
+//      throughput, p95 window latency, and the per-worker op spread
+//      (balance evidence for the round-robin leaf ownership). On a
+//      1-hardware-thread box the sweep is a determinism/balance contract,
+//      not a speedup claim — meta records hardware_threads so readers can
+//      judge.
 //
 // Sandboxes without socket support still emit the codec rows; the socket
 // rows are skipped and `meta.sockets_available` records 0 (the regression
@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,107 +157,6 @@ bool bench_socketpair_burst(bool coalesce, std::uint64_t bursts,
   out.syscalls_per_frame =
       static_cast<double>(sender.stats().flush_syscalls) /
       static_cast<double>(total);
-  return true;
-}
-
-struct RoundTripResult {
-  double ops_per_sec = 0;
-  std::uint64_t mismatches = 0;
-};
-
-/// Fork an agentlocd-equivalent server process and run pipelined locates
-/// against it over a Unix-domain socket: two real processes, real RPCs.
-bool bench_uds_roundtrip(std::uint64_t agents, std::uint64_t ops,
-                         std::size_t window, std::uint64_t seed,
-                         RoundTripResult& out) {
-  const std::string path =
-      "/tmp/agentloc-bench-" + std::to_string(::getpid()) + ".sock";
-  net::SocketAddress address;
-  address.kind = net::SocketAddress::Kind::kUnix;
-  address.path = path;
-
-  const pid_t child = ::fork();
-  if (child < 0) return false;
-  if (child == 0) {
-    // Server process: serve until the benchmark kills us.
-    net::SocketTransport transport;
-    net::LocateService service(transport, 8);
-    std::string error;
-    if (!transport.listen(address, &error)) _exit(1);
-    for (;;) transport.poll_once(200);
-  }
-
-  net::LocateClient client;
-  std::string error;
-  bool connected = false;
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    if (client.connect(address, &error)) {
-      connected = true;
-      break;
-    }
-    ::usleep(20 * 1000);
-  }
-  if (!connected) {
-    ::kill(child, SIGKILL);
-    ::waitpid(child, nullptr, 0);
-    std::fprintf(stderr, "uds roundtrip: connect failed: %s\n",
-                 error.c_str());
-    return false;
-  }
-
-  std::vector<std::uint64_t> ids;
-  std::vector<std::uint32_t> nodes;
-  ids.reserve(agents);
-  nodes.reserve(agents);
-  for (std::uint64_t i = 1; i <= agents; ++i) {
-    const std::uint64_t id = util::mix64(i);
-    const auto node = static_cast<std::uint32_t>(i % 97 + 1);
-    client.send_update(id, node, 1);
-    ids.push_back(id);
-    nodes.push_back(node);
-  }
-  client.flush();
-  if (!client.ping()) return false;  // fences the one-way updates
-
-  util::Rng rng(seed);
-  std::vector<std::uint32_t> expect_node(ops + window + 1, 0);
-  std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t mismatches = 0;
-
-  const auto start = std::chrono::steady_clock::now();
-  while (completed < ops) {
-    const std::uint64_t batch = std::min<std::uint64_t>(window, ops - issued);
-    for (std::uint64_t b = 0; b < batch; ++b) {
-      const std::uint64_t pick = rng.next_below(ids.size());
-      ++issued;
-      expect_node[issued] = nodes[pick];
-      client.send_locate(ids[pick], issued);
-    }
-    const auto replies = client.drain(issued - completed, 10000);
-    if (replies.empty() && issued > completed) break;  // timeout/disconnect
-    for (const auto& item : replies) {
-      ++completed;
-      if (item.reply.status != core::LocateStatus::kFound ||
-          item.reply.node != expect_node[item.correlation]) {
-        ++mismatches;
-      }
-    }
-  }
-  const double elapsed = seconds_since(start);
-
-  ::kill(child, SIGKILL);
-  ::waitpid(child, nullptr, 0);
-  ::unlink(path.c_str());
-
-  if (completed != ops) {
-    std::fprintf(stderr, "uds roundtrip: only %llu of %llu ops completed\n",
-                 static_cast<unsigned long long>(completed),
-                 static_cast<unsigned long long>(ops));
-    return false;
-  }
-  out.ops_per_sec = static_cast<double>(completed) / elapsed;
-  out.mismatches = mismatches;
   return true;
 }
 
@@ -439,19 +339,29 @@ bool bench_worker_sweep(std::size_t workers, std::size_t clients,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto frames =
-      static_cast<std::uint64_t>(flags.get_int("frames", 2000000));
-  const auto burst = static_cast<std::uint64_t>(flags.get_int("burst", 8));
-  const auto bursts =
-      static_cast<std::uint64_t>(flags.get_int("bursts", 50000));
-  const auto agents =
-      static_cast<std::uint64_t>(flags.get_int("agents", 1000));
-  const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 200000));
-  const auto window = static_cast<std::size_t>(flags.get_int("window", 64));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out =
-      flags.get_string("json-out", "BENCH_transport.json");
+  const util::Flags flags(argc, argv);
+  std::uint64_t frames = 0;
+  std::uint64_t burst = 0;
+  std::uint64_t bursts = 0;
+  std::uint64_t agents = 0;
+  std::uint64_t ops = 0;
+  std::size_t window = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    frames = static_cast<std::uint64_t>(flags.get_int("frames", 2000000));
+    burst = static_cast<std::uint64_t>(flags.get_int("burst", 8));
+    bursts = static_cast<std::uint64_t>(flags.get_int("bursts", 50000));
+    agents = static_cast<std::uint64_t>(flags.get_int("agents", 1000));
+    ops = static_cast<std::uint64_t>(flags.get_int("ops", 200000));
+    window = static_cast<std::size_t>(flags.get_int("window", 64));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_transport.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_transport: %s\n", error.what());
+    return 2;
+  }
 
   const bool sockets = net::SocketTransport::sockets_available();
 
@@ -516,24 +426,6 @@ int main(int argc, char** argv) {
       report.meta().set("syscall_reduction", reduction);
     } else {
       std::fprintf(stderr, "socketpair burst bench failed\n");
-    }
-
-    RoundTripResult roundtrip;
-    if (bench_uds_roundtrip(agents, ops, window, seed, roundtrip)) {
-      std::printf("uds_locate_roundtrip: %.2fM ops/s (%llu mismatches)\n",
-                  roundtrip.ops_per_sec / 1e6,
-                  static_cast<unsigned long long>(roundtrip.mismatches));
-      report.add_row()
-          .set("name", "uds_locate_roundtrip")
-          .set("agents", agents)
-          .set("ops", ops)
-          .set("items_per_second", roundtrip.ops_per_sec)
-          .set("mismatches", roundtrip.mismatches)
-          .set("workers_effective", std::uint64_t{1});
-      if (roundtrip.mismatches != 0) return 1;
-    } else {
-      std::fprintf(stderr, "uds roundtrip bench failed\n");
-      return 1;
     }
 
     // --- sharded sweep: workers × clients ----------------------------------

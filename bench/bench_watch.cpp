@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -152,12 +153,22 @@ double run(double dwell_ms, bool use_watch, std::size_t conversations,
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  const auto dwells = flags.get_int_list("dwells-ms", {2, 3, 5, 10, 25});
-  const auto conversations =
-      static_cast<std::size_t>(flags.get_int("conversations", 300));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const std::string json_out = flags.get_string("json-out", "BENCH_watch.json");
+  const util::Flags flags(argc, argv);
+  std::vector<std::int64_t> dwells;
+  std::size_t conversations = 0;
+  std::uint64_t seed = 0;
+  std::string json_out;
+  try {
+    dwells = flags.get_int_list("dwells-ms", {2, 3, 5, 10, 25});
+    conversations =
+        static_cast<std::size_t>(flags.get_int("conversations", 300));
+    seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    json_out = flags.get_string("json-out", "BENCH_watch.json");
+    flags.fail_on_unknown();
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_watch: %s\n", error.what());
+    return 2;
+  }
 
   std::printf(
       "Ablation A10: contacting a fast mover — locate+contact vs. "

@@ -17,8 +17,9 @@
 //   agentlocd --listen tcp:127.0.0.1:7421 --workers 4
 //   agentlocd --probe            # exit 0: sockets work here; 77: they don't
 //
-// Pair it with agentloc_loadgen (examples/agentloc_loadgen.cpp); the two
-// form the end-to-end row of bench_transport and the CI transport smoke.
+// Pair it with agentloc_loadgen (examples/agentloc_loadgen.cpp) for the CI
+// transport smoke. Its stack, a forked LocateServer, serves bench_transport's
+// end-to-end rows; uds_locate_workers/w1_c1 is the one-client round trip.
 
 #include <chrono>
 #include <csignal>

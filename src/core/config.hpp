@@ -6,19 +6,28 @@
 
 namespace agentloc::core {
 
-/// Opt-in per-node location caching (DESIGN.md §12). Every knob only takes
-/// effect when `capacity` is nonzero; the default-off state leaves the
-/// locate path, the committed bench baselines, and the paper-faithful
-/// figures byte-identical to a build without the cache.
+/// Opt-in per-node location caching (DESIGN.md §12). The default-off state
+/// leaves the locate path, the committed bench baselines, and the
+/// paper-faithful figures byte-identical to a build without the cache.
 struct LocationCacheConfig {
   /// Cache capacity in bindings per node (rounded up to a power of two).
   /// Nonzero gives every LHAgent a `LocationCache` consulted on the locate
   /// path; 0 (the default) turns caching off.
   std::size_t capacity = 0;
-
-  /// Sim-time bound on a binding's age; expired entries count as misses.
-  sim::SimTime ttl = sim::SimTime::seconds(2);
 };
+
+/// Sim-time bound on a cached binding's age; expired entries count as misses.
+inline constexpr sim::SimTime kLocationCacheTtl = sim::SimTime::seconds(2);
+
+/// Length of an IAgent's request-rate measurement window (DESIGN.md §6).
+inline constexpr sim::SimTime kStatsWindow = sim::SimTime::seconds(2);
+
+/// After a responsibility change, compatible-but-unknown lookups answer
+/// kTransient (handoff in flight) for this long.
+inline constexpr sim::SimTime kTransientGrace = sim::SimTime::millis(300);
+
+/// Client-side deadline for a watch to fire before reporting failure.
+inline constexpr sim::SimTime kWatchTimeout = sim::SimTime::seconds(10);
 
 /// Client-side delay before retrying a kTransient locate.
 inline constexpr sim::SimTime kTransientRetryDelay = sim::SimTime::millis(5);
@@ -46,9 +55,6 @@ struct MechanismConfig {
   /// Merge an IAgent whose request rate falls below this (msg/s; §4.2).
   double t_min = 5.0;
 
-  /// Length of the request-rate measurement window.
-  sim::SimTime stats_window = sim::SimTime::seconds(2);
-
   /// Minimum time between rehash requests from the same IAgent, and the
   /// minimum age before a fresh IAgent may ask to merge — hysteresis on top
   /// of the Tmax/Tmin band.
@@ -57,18 +63,11 @@ struct MechanismConfig {
   /// Largest m tried by a simple split before settling for the best seen.
   std::size_t max_split_bits = 4;
 
-  /// After a responsibility change, compatible-but-unknown lookups answer
-  /// kTransient (handoff in flight) for this long.
-  sim::SimTime transient_grace = sim::SimTime::millis(300);
-
   /// Run a backup HAgent that replicates the primary copy op-by-op and can
   /// be promoted when the primary dies (the paper's §7 fault-tolerance
   /// extension: "the HAgent that keeps this copy [is] a vulnerability
   /// point").
   bool hagent_replication = false;
-
-  /// Client-side deadline for a watch to fire before reporting failure.
-  sim::SimTime watch_timeout = sim::SimTime::seconds(10);
 
   /// Opt-in update coalescing (DESIGN.md §10): movers hand their location
   /// reports to the co-located LHAgent, which flushes them to each
@@ -99,12 +98,6 @@ struct MechanismConfig {
   /// Per-node location caching with staleness-safe optimistic locates
   /// (DESIGN.md §12). Default off.
   LocationCacheConfig location_cache;
-
-  /// Collapse concurrent in-flight LocateRequests for the same target from
-  /// the same node into one IAgent RPC whose reply fans out to every waiter
-  /// (DESIGN.md §12). Default off: coalescing drops wire messages, which
-  /// perturbs fixed-seed trajectories the committed baselines pin down.
-  bool locate_singleflight = false;
 
   /// Paper §7 extension: IAgents periodically migrate toward the node
   /// hosting the plurality of the agents they serve (once that node holds

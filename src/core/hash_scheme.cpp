@@ -9,10 +9,6 @@
 namespace agentloc::core {
 namespace {
 
-/// Consecutive coordinator failures an LHAgent tolerates before failing over
-/// to the next coordinator and requesting its promotion.
-constexpr int kFailoverThreshold = 2;
-
 /// An LHAgent's update batch flushes early once this many distinct agents
 /// are pending.
 constexpr std::size_t kBatchMaxEntries = 32;
@@ -23,7 +19,7 @@ LHAgent& create_lhagent(platform::AgentSystem& system, net::NodeId node,
                         const LHAgent::Snapshot& tree,
                         const MechanismConfig& config) {
   LHAgent& lhagent =
-      system.create<LHAgent>(node, coordinators, tree, kFailoverThreshold);
+      system.create<LHAgent>(node, coordinators, tree);
   if (config.update_batching) {
     lhagent.enable_update_batching(config.batch_flush_interval,
                                    kBatchMaxEntries);
@@ -297,7 +293,7 @@ void HashLocationScheme::arm_watch(
   pending->target = target;
   pending->done = std::move(done);
   pending->timeout = std::make_unique<sim::Timeout>(system_.simulator());
-  pending->timeout->arm(config_.watch_timeout, [this, token = raw->token] {
+  pending->timeout->arm(kWatchTimeout, [this, token = raw->token] {
     for (std::size_t i = 0; i < pending_watches_.size(); ++i) {
       if (pending_watches_[i]->token == token) {
         auto expired = std::move(pending_watches_[i]);
@@ -397,44 +393,14 @@ void HashLocationScheme::locate_via_iagent(
     done(LocateOutcome{false, net::kNoNode, attempt - 1});
     return;
   }
-  const platform::AgentAddress address = lhagent->resolve(target);
-
-  if (!config_.locate_singleflight) {
-    ++stats_.locate_rpcs;
-    system_.request(
-        requester, address, LocateRequest{target}, LocateRequest::kWireBytes,
-        [this, requester, target, attempt,
-         done = std::move(done)](platform::RpcResult result) mutable {
-          handle_locate_reply(requester, target, attempt, std::move(done),
-                              result);
-        },
-        kRpcTimeout);
-    return;
-  }
-
-  // Singleflight: same-node locates for the same target while one is in
-  // flight share that RPC's reply instead of queueing their own at the
-  // (possibly hot) IAgent. Each waiter keeps its own attempt counter and
-  // continuation; only the wire request is shared.
-  const FlightKey key{lhagent->node(), target};
-  auto [it, inserted] = locate_flights_.try_emplace(key);
-  it->second.push_back([this, requester, target, attempt, done = std::move(
-                            done)](const platform::RpcResult& result) mutable {
-    handle_locate_reply(requester, target, attempt, std::move(done), result);
-  });
-  if (!inserted) {
-    ++stats_.locates_coalesced;
-    return;
-  }
   ++stats_.locate_rpcs;
   system_.request(
-      requester, address, LocateRequest{target}, LocateRequest::kWireBytes,
-      [this, key](platform::RpcResult result) {
-        // Detach the flight before running waiters: a waiter may retry and
-        // open a fresh flight for the same key.
-        auto flight = locate_flights_.extract(key);
-        if (flight.empty()) return;
-        for (auto& waiter : flight.mapped()) waiter(result);
+      requester, lhagent->resolve(target), LocateRequest{target},
+      LocateRequest::kWireBytes,
+      [this, requester, target, attempt,
+       done = std::move(done)](platform::RpcResult result) mutable {
+        handle_locate_reply(requester, target, attempt, std::move(done),
+                            result);
       },
       kRpcTimeout);
 }

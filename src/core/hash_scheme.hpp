@@ -1,8 +1,6 @@
 #pragma once
 
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/timer.hpp"
@@ -70,7 +68,7 @@ class HashLocationScheme : public LocationScheme {
   /// Guaranteed-discovery extension (paper §6 future work): subscribe to
   /// `target`'s *next* location report. `done` fires exactly once — with the
   /// fresh entry the moment the target lands somewhere, or with
-  /// `fired == false` after `MechanismConfig::watch_timeout`. Because the
+  /// `fired == false` after `kWatchTimeout`. Because the
   /// notification carries a location whose dwell time lies entirely ahead,
   /// a follow-up contact wins the race a plain locate can lose against an
   /// agent that moves faster than queries.
@@ -113,13 +111,12 @@ class HashLocationScheme : public LocationScheme {
                          net::NodeId cached_node, int attempt,
                          std::function<void(const LocateOutcome&)> done);
 
-  /// The authoritative leg: one LocateRequest RPC to the responsible IAgent
-  /// (or, with singleflight enabled, a seat on an already-in-flight one).
+  /// The authoritative leg: one LocateRequest RPC to the responsible IAgent.
   void locate_via_iagent(platform::AgentId requester, platform::AgentId target,
                          int attempt,
                          std::function<void(const LocateOutcome&)> done);
 
-  /// Shared continuation for every waiter of a locate RPC.
+  /// Continuation of a locate RPC.
   void handle_locate_reply(platform::AgentId requester,
                            platform::AgentId target, int attempt,
                            std::function<void(const LocateOutcome&)> done,
@@ -142,13 +139,6 @@ class HashLocationScheme : public LocationScheme {
     std::unique_ptr<sim::Timeout> timeout;
   };
 
-  /// Singleflight locate coalescing (opt-in; DESIGN.md §12): waiters of an
-  /// in-flight (node, target) LocateRequest, keyed exactly — coalescing on a
-  /// hash could merge distinct targets. `std::map` keeps the footprint
-  /// proportional to the handful of RPCs in flight at once.
-  using FlightKey = std::pair<net::NodeId, platform::AgentId>;
-  using FlightWaiter = std::function<void(const platform::RpcResult&)>;
-
   platform::AgentSystem& system_;
   MechanismConfig config_;
   HAgent* hagent_ = nullptr;
@@ -166,7 +156,6 @@ class HashLocationScheme : public LocationScheme {
   util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
   std::vector<std::unique_ptr<PendingWatch>> pending_watches_;
   std::uint64_t watch_tokens_ = 0;
-  std::map<FlightKey, std::vector<FlightWaiter>> locate_flights_;
 };
 
 }  // namespace agentloc::core

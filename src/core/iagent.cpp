@@ -16,7 +16,7 @@ IAgent::IAgent(const MechanismConfig& config,
     : config_(config),
       coordinators_(std::move(coordinators)),
       hagent_(coordinators_.at(0)),
-      window_(config.stats_window) {}
+      window_(kStatsWindow) {}
 
 void IAgent::on_delivery_failure(const platform::DeliveryFailure& failure) {
   // The only agent an IAgent sends to besides clients (whose bounces carry
@@ -38,7 +38,7 @@ void IAgent::on_start() {
   created_at_ = system().now();
   cooldown_until_ = created_at_ + config_.rehash_cooldown;
   window_timer_ = std::make_unique<sim::PeriodicTimer>(
-      system().simulator(), config_.stats_window, [this] { roll_window(); });
+      system().simulator(), kStatsWindow, [this] { roll_window(); });
   window_timer_->start();
 }
 
@@ -204,7 +204,7 @@ void IAgent::handle_responsibility(const ResponsibilityUpdate& update) {
   // Recompile at the receiving end: predicates travel by their wire form
   // (valid_bits); the compiled (mask, value) pair is a local cache.
   predicate_.compile();
-  transient_until_ = system().now() + config_.transient_grace;
+  transient_until_ = system().now() + kTransientGrace;
 
   if (!update.has_transfer) {
     system().send(id(), hagent_, RehashDone{hash_version_},

@@ -9,22 +9,28 @@
 #include "util/logging.hpp"
 
 namespace agentloc::core {
+namespace {
+
+/// Consecutive coordinator failures an LHAgent tolerates before failing over
+/// to the next coordinator and requesting its promotion.
+constexpr int kFailoverThreshold = 2;
+
+}  // namespace
 
 LHAgent::LHAgent(platform::AgentAddress hagent, Snapshot initial)
-    : LHAgent(std::vector<platform::AgentAddress>{hagent}, std::move(initial),
-              2) {}
+    : LHAgent(std::vector<platform::AgentAddress>{hagent},
+              std::move(initial)) {}
 
 LHAgent::LHAgent(std::vector<platform::AgentAddress> coordinators,
-                 Snapshot initial, int failover_threshold)
+                 Snapshot initial)
     : coordinators_(std::move(coordinators)),
       hagent_(coordinators_.at(0)),
-      failover_threshold_(failover_threshold),
       tree_(std::move(initial)) {}
 
 void LHAgent::note_pull_failure() {
   ++stats_.refresh_failures;
   if (coordinators_.size() < 2 ||
-      ++consecutive_failures_ < failover_threshold_) {
+      ++consecutive_failures_ < kFailoverThreshold) {
     return;
   }
   consecutive_failures_ = 0;
@@ -72,7 +78,7 @@ void LHAgent::enable_update_batching(sim::SimTime flush_interval,
 }
 
 void LHAgent::enable_location_cache(const LocationCacheConfig& config) {
-  cache_ = std::make_unique<LocationCache>(config.capacity, config.ttl);
+  cache_ = std::make_unique<LocationCache>(config.capacity);
 }
 
 void LHAgent::cache_store(const LocationEntry& entry) {
@@ -87,18 +93,10 @@ void LHAgent::enqueue_update(const LocationEntry& entry) {
   // A co-located mover just reported from this node: its binding is the
   // freshest information the node will ever see — deposit it for free.
   cache_store(entry);
-  if (batcher_ != nullptr) {
-    batcher_->enqueue(entry);
-    return;
-  }
-  // Batching not enabled: behave like the classic path, one message per
-  // report, so callers need not special-case the configuration.
-  system().send(id(), resolve(entry.agent), UpdateRequest{entry},
-                UpdateRequest::kWireBytes);
+  batcher_->enqueue(entry);
 }
 
-platform::AgentAddress LHAgent::resolve(platform::AgentId agent) {
-  ++stats_.resolves;
+platform::AgentAddress LHAgent::resolve(platform::AgentId agent) const {
   const auto target = tree_->lookup_id(agent);
   return platform::AgentAddress{target.location, target.iagent};
 }

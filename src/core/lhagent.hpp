@@ -15,7 +15,6 @@
 namespace agentloc::core {
 
 struct LHAgentStats {
-  std::uint64_t resolves = 0;
   std::uint64_t refreshes_requested = 0;
   std::uint64_t refreshes_completed = 0;
   std::uint64_t refreshes_coalesced = 0;
@@ -46,18 +45,17 @@ class LHAgent : public platform::Agent {
   /// shortcut; every later refresh goes through messages).
   LHAgent(platform::AgentAddress hagent, Snapshot initial);
 
-  /// With coordinator failover (§7 fault-tolerance extension): after
-  /// `failover_threshold` consecutive pull failures, rotate to the next
-  /// coordinator and ask it to promote itself.
-  LHAgent(std::vector<platform::AgentAddress> coordinators, Snapshot initial,
-          int failover_threshold);
+  /// With coordinator failover (§7 fault-tolerance extension): after two
+  /// consecutive pull failures, rotate to the next coordinator and ask it to
+  /// promote itself.
+  LHAgent(std::vector<platform::AgentAddress> coordinators, Snapshot initial);
 
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
 
   /// Map an agent id to (believed) responsible IAgent and its (believed)
   /// node. Pure local computation on the secondary copy.
-  platform::AgentAddress resolve(platform::AgentId agent);
+  platform::AgentAddress resolve(platform::AgentId agent) const;
 
   std::uint64_t version() const noexcept { return tree_->version(); }
   std::size_t known_iagents() const noexcept { return tree_->leaf_count(); }
@@ -87,8 +85,8 @@ class LHAgent : public platform::Agent {
   void enable_update_batching(sim::SimTime flush_interval,
                               std::size_t max_entries);
 
-  /// Hand one location report to the batcher (falls back to an immediate
-  /// single-entry batch when batching is not enabled).
+  /// Hand one location report to the batcher. Call only after
+  /// `enable_update_batching`.
   void enqueue_update(const LocationEntry& entry);
 
   UpdateBatcher* batcher() noexcept { return batcher_.get(); }
@@ -117,7 +115,6 @@ class LHAgent : public platform::Agent {
   std::vector<platform::AgentAddress> coordinators_;
   std::size_t coordinator_index_ = 0;
   platform::AgentAddress hagent_;  ///< current coordinator
-  int failover_threshold_ = 2;
   int consecutive_failures_ = 0;
   Snapshot tree_;
   bool pull_in_flight_ = false;

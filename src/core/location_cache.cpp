@@ -14,10 +14,8 @@ std::size_t round_up_pow2(std::size_t n) {
 
 }  // namespace
 
-LocationCache::LocationCache(std::size_t capacity, sim::SimTime ttl)
-    : slots_(round_up_pow2(capacity)),
-      hands_(slots_.size() / kWays, 0),
-      ttl_(ttl) {}
+LocationCache::LocationCache(std::size_t capacity)
+    : slots_(round_up_pow2(capacity)), hands_(slots_.size() / kWays, 0) {}
 
 std::size_t LocationCache::set_base(platform::AgentId agent) const noexcept {
   const std::size_t set_count = slots_.size() / kWays;
@@ -103,7 +101,7 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
     }
     slot->node = entry.node;
     slot->seq = entry.seq;
-    slot->expiry = now + ttl_;
+    slot->expiry = now + kLocationCacheTtl;
     slot->referenced = true;
     ++stats_.stores;
     return;
@@ -112,7 +110,7 @@ void LocationCache::store(const LocationEntry& entry, sim::SimTime now) {
   slot.agent = entry.agent;
   slot.node = entry.node;
   slot.seq = entry.seq;
-  slot.expiry = now + ttl_;
+  slot.expiry = now + kLocationCacheTtl;
   slot.referenced = true;
   ++size_;
   ++stats_.stores;

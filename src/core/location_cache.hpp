@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/protocol.hpp"
 #include "sim/time.hpp"
 
@@ -44,13 +45,12 @@ struct LocationCacheStats {
 /// binding older than the one cached, so reordered replies cannot roll a
 /// binding back. Unlike `LocationTable` the cache keeps no tombstones; it
 /// need not, because every hit is verified at its node before it answers a
-/// locate (DESIGN.md §12). Entries expire `ttl` after their last store;
-/// expiry counts as a miss and frees the slot.
+/// locate (DESIGN.md §12). Entries expire `kLocationCacheTtl` after their
+/// last store; expiry counts as a miss and frees the slot.
 class LocationCache {
  public:
-  /// `capacity` is rounded up to a power of two ≥ 8 slots; `ttl` bounds the
-  /// sim-time age of every binding.
-  LocationCache(std::size_t capacity, sim::SimTime ttl);
+  /// `capacity` is rounded up to a power of two ≥ 8 slots.
+  explicit LocationCache(std::size_t capacity);
 
   struct Hit {
     net::NodeId node = net::kNoNode;
@@ -75,7 +75,6 @@ class LocationCache {
 
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return slots_.size(); }
-  sim::SimTime ttl() const noexcept { return ttl_; }
   const LocationCacheStats& stats() const noexcept { return stats_; }
 
   /// Allocated bytes of the slot array and CLOCK hands.
@@ -106,7 +105,6 @@ class LocationCache {
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> hands_;  ///< per-set CLOCK hand, in [0, kWays)
   std::size_t size_ = 0;
-  sim::SimTime ttl_;
   LocationCacheStats stats_;
 };
 

@@ -19,9 +19,9 @@ struct LocateOutcome {
 /// cycles) in the tracker-based schemes.
 inline constexpr int kMaxLocateRetries = 5;
 
-/// Client-side counters, common to every scheme. The cache_* block and the
-/// coalescing counters are only ever non-zero for `HashLocationScheme` with
-/// the matching extension enabled (DESIGN.md §12).
+/// Client-side counters, common to every scheme. The optimistic and cache_*
+/// counters are only ever non-zero for `HashLocationScheme` with the
+/// location cache enabled (DESIGN.md §12).
 struct SchemeStats {
   std::uint64_t registers = 0;
   std::uint64_t updates = 0;
@@ -36,12 +36,12 @@ struct SchemeStats {
   std::uint64_t refreshes_triggered = 0;
 
   /// LocateRequest RPCs actually put on the wire toward an IAgent —
-  /// locates() minus what the cache and singleflight absorbed, plus retries.
+  /// locates() minus what the cache absorbed, plus retries.
   std::uint64_t locate_rpcs = 0;
   /// Locates answered by a verified optimistic jump (no IAgent involved).
   std::uint64_t optimistic_locates = 0;
-  /// Locates that joined another in-flight IAgent RPC instead of paying for
-  /// their own (singleflight coalescing).
+  /// Always 0: no scheme coalesces concurrent locates. Kept because
+  /// perfbench reports the field.
   std::uint64_t locates_coalesced = 0;
 
   /// Location-cache counters, aggregated across every node's cache.

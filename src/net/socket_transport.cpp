@@ -254,7 +254,6 @@ SocketTransport::PeerId SocketTransport::connect(const SocketAddress& address,
     if (error) *error = "event loop cannot watch the connected socket";
     return kInvalidPeer;
   }
-  ++stats_.connects;
   return id;
 }
 

@@ -83,7 +83,6 @@ class SocketTransport {
     std::uint64_t read_syscalls = 0;   ///< recv calls that returned >0
     std::uint64_t batches_sealed = 0;
     std::uint64_t accepts = 0;
-    std::uint64_t connects = 0;
     std::uint64_t disconnects = 0;
     std::uint64_t decode_errors = 0;
   };

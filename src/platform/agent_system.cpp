@@ -270,7 +270,7 @@ void AgentSystem::send(AgentId from, const AgentAddress& to,
 void AgentSystem::request(AgentId from, const AgentAddress& to,
                           util::PayloadBox body, std::size_t wire_bytes,
                           RpcCallback callback,
-                          std::optional<sim::SimTime> timeout) {
+                          sim::SimTime timeout) {
   const Slot* sender = find_record(from);
   if (sender == nullptr || sender->state != State::kActive) {
     throw std::logic_error("AgentSystem::request: sender not active");
@@ -294,7 +294,7 @@ void AgentSystem::request(AgentId from, const AgentAddress& to,
   pending.from = from;
   pending.callback = std::move(callback);
   pending.timeout_event = simulator_.schedule_after(
-      timeout.value_or(config_.default_rpc_timeout), [this, correlation] {
+      timeout, [this, correlation] {
         PendingRpc* rpc = pending_rpcs_.find(correlation);
         if (rpc == nullptr) return;
         RpcCallback cb = std::move(rpc->callback);
@@ -498,7 +498,6 @@ void AgentSystem::dispatch(Agent& agent, Message& message) {
 
 void AgentSystem::bounce(const Message& message) {
   ++stats_.messages_bounced;
-  if (!config_.bounce_undeliverable) return;
   // System messages (bounces themselves) are never bounced back: no loops.
   if (message.from == kNoAgent || message.body.holds<DeliveryFailure>()) {
     return;

@@ -35,6 +35,9 @@ struct RpcResult {
 /// path allocation-free where `std::function` spilled every capture.
 using RpcCallback = util::InlineFunction<void(RpcResult), 64>;
 
+/// RPC deadline of a `request` whose caller passes none.
+inline constexpr sim::SimTime kDefaultRpcTimeout = sim::SimTime::millis(250);
+
 /// Itemized estimate of the platform's resident heap bytes, by subsystem.
 /// Feeds `PlatformStats::bytes_per_agent` and the `bench_scale` memory
 /// curves; each component counts *capacity* (what is allocated), not
@@ -152,12 +155,6 @@ class AgentSystem {
     /// disable this to get small sequential ids.
     bool mixed_ids = true;
 
-    /// Bounce undeliverable messages back to their sender.
-    bool bounce_undeliverable = true;
-
-    /// Default RPC deadline when the caller does not pass one.
-    sim::SimTime default_rpc_timeout = sim::SimTime::millis(250);
-
     /// Pre-size the record slab and id index for this many agents (0 = grow
     /// on demand). Million-agent runs set this so the install storm never
     /// rehashes the index or reallocates the slab mid-run.
@@ -221,7 +218,7 @@ class AgentSystem {
   /// `on_message`.
   void request(AgentId from, const AgentAddress& to, util::PayloadBox body,
                std::size_t wire_bytes, RpcCallback callback,
-               std::optional<sim::SimTime> timeout = std::nullopt);
+               sim::SimTime timeout = kDefaultRpcTimeout);
 
   /// Respond to a request received in `on_message`.
   void reply(const Message& request, AgentId from, util::PayloadBox body,

@@ -25,6 +25,19 @@ T parse_number(std::string_view name, const char* expected,
   return value;
 }
 
+/// Call `item` on each non-empty comma-separated item of `text`.
+template <typename Item>
+void for_each_item(std::string_view text, Item item) {
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const auto comma = text.find(',', pos);
+    const auto end = comma == std::string_view::npos ? text.size() : comma;
+    if (end > pos) item(text.substr(pos, end - pos));
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
+  }
+}
+
 bool parse_bool(std::string_view name, std::string_view text) {
   if (text == "1" || text == "true" || text == "yes" || text == "on") {
     return true;
@@ -120,18 +133,32 @@ std::vector<std::int64_t> Flags::get_int_list(
   const auto text = get(name);
   if (!text) return fallback;
   std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos <= text->size()) {
-    const auto comma = text->find(',', pos);
-    const auto end = comma == std::string::npos ? text->size() : comma;
-    if (end > pos) {
-      out.push_back(parse_number<std::int64_t>(
-          name, "a comma-separated list of integers",
-          std::string_view(*text).substr(pos, end - pos)));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
+  for_each_item(*text, [&](std::string_view item) {
+    out.push_back(parse_number<std::int64_t>(
+        name, "a comma-separated list of integers", item));
+  });
+  return out;
+}
+
+std::vector<double> Flags::get_double_list(
+    std::string_view name, std::vector<double> fallback) const {
+  const auto text = get(name);
+  if (!text) return fallback;
+  std::vector<double> out;
+  for_each_item(*text, [&](std::string_view item) {
+    out.push_back(parse_number<double>(
+        name, "a comma-separated list of numbers", item));
+  });
+  return out;
+}
+
+std::vector<std::string> Flags::get_string_list(
+    std::string_view name, std::vector<std::string> fallback) const {
+  const auto text = get(name);
+  if (!text) return fallback;
+  std::vector<std::string> out;
+  for_each_item(*text,
+                [&](std::string_view item) { out.emplace_back(item); });
   return out;
 }
 

@@ -41,9 +41,14 @@ class Flags {
       std::string_view name, std::int64_t fallback, std::int64_t min,
       std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
-  /// Comma-separated list of integers, e.g. `--agents=100,200,300`.
+  /// Comma-separated lists, e.g. `--agents=100,200,300`. Empty items are
+  /// skipped; every other item must be whole, as in the scalar getters.
   std::vector<std::int64_t> get_int_list(
       std::string_view name, std::vector<std::int64_t> fallback) const;
+  std::vector<double> get_double_list(std::string_view name,
+                                      std::vector<double> fallback) const;
+  std::vector<std::string> get_string_list(
+      std::string_view name, std::vector<std::string> fallback) const;
 
   const std::vector<std::string>& positional() const noexcept {
     return positional_;

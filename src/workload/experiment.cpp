@@ -1,7 +1,9 @@
 #include "workload/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "core/forwarding_scheme.hpp"
@@ -10,12 +12,20 @@
 #include "platform/agent_system.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "util/flags.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rng.hpp"
 #include "workload/querier.hpp"
 #include "workload/tagent.hpp"
 
 namespace agentloc::workload {
+namespace {
+
+/// The names `make_scheme` builds.
+constexpr std::array<std::string_view, 4> kSchemeNames{
+    "hash", "centralized", "home", "forwarding"};
+
+}  // namespace
 
 std::unique_ptr<core::LocationScheme> make_scheme(
     const std::string& name, platform::AgentSystem& system,
@@ -35,6 +45,20 @@ std::unique_ptr<core::LocationScheme> make_scheme(
     return std::make_unique<core::ForwardingLocationScheme>(system);
   }
   throw std::invalid_argument("unknown location scheme: " + name);
+}
+
+std::vector<std::string> get_scheme_list(const util::Flags& flags,
+                                         std::vector<std::string> fallback) {
+  std::vector<std::string> names =
+      flags.get_string_list("schemes", std::move(fallback));
+  for (const std::string& name : names) {
+    if (std::find(kSchemeNames.begin(), kSchemeNames.end(), name) ==
+        kSchemeNames.end()) {
+      throw std::invalid_argument("--schemes: unknown location scheme '" +
+                                  name + "'");
+    }
+  }
+  return names;
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {

@@ -10,6 +10,10 @@
 #include "net/network.hpp"
 #include "util/summary.hpp"
 
+namespace agentloc::util {
+class Flags;
+}  // namespace agentloc::util
+
 namespace agentloc::workload {
 
 /// Everything that defines one experiment run. Defaults reproduce the
@@ -92,6 +96,12 @@ struct ExperimentResult {
 std::unique_ptr<core::LocationScheme> make_scheme(
     const std::string& name, platform::AgentSystem& system,
     const core::MechanismConfig& mechanism);
+
+/// The `--schemes` list of a bench command line (`fallback` when absent).
+/// Throws `std::invalid_argument` naming the flag on a name `make_scheme`
+/// does not know, so a bench refuses it before any run starts.
+std::vector<std::string> get_scheme_list(const util::Flags& flags,
+                                         std::vector<std::string> fallback);
 
 /// Run one experiment to completion and collect the result.
 ExperimentResult run_experiment(const ExperimentConfig& config);

@@ -11,8 +11,7 @@ TAgent::TAgent(core::LocationScheme& scheme, const Config& config)
                      ? nullptr
                      : std::make_unique<const std::vector<net::NodeId>>(
                            config.node_pool)),
-      exponential_residence_(config.exponential_residence),
-      mobile_(config.mobile) {}
+      exponential_residence_(config.exponential_residence) {}
 
 void TAgent::on_start() {
   if (start_stagger_ > sim::SimTime::zero()) {

@@ -32,9 +32,6 @@ class TAgent : public platform::Agent {
     /// Per-agent RNG stream seed.
     std::uint64_t seed = 1;
 
-    /// Whether the agent starts moving immediately.
-    bool mobile = true;
-
     /// Admission spread: register (and start roaming) after a uniform
     /// random delay in [0, start_stagger] instead of at creation time.
     /// Zero (the default) keeps the everything-at-t0 burst. At million-agent
@@ -57,9 +54,11 @@ class TAgent : public platform::Agent {
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
   void on_dispose() override;
 
-  /// Pause/resume roaming (the invariant tests freeze the population with
-  /// it before comparing the mechanism against ground truth). Before
-  /// admission it only records the flag, which `admit` then follows.
+  /// Pause/resume roaming; a TAgent starts mobile (the invariant tests
+  /// freeze the population with it before comparing the mechanism against
+  /// ground truth). Before admission it only records the flag, which `admit`
+  /// then follows, so `set_mobile(false)` right after `create` keeps the
+  /// agent from ever moving.
   void set_mobile(bool mobile);
 
   /// Change the dwell time; takes effect from the next scheduled move
@@ -87,7 +86,7 @@ class TAgent : public platform::Agent {
   std::unique_ptr<const std::vector<net::NodeId>> node_pool_;
   std::uint64_t moves_ = 0;
   bool exponential_residence_;
-  bool mobile_;
+  bool mobile_ = true;
   bool admitted_ = false;  ///< admit() ran: the timer holds moves only
   bool registered_ = false;
 };

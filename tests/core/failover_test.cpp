@@ -38,7 +38,6 @@ class FailoverTest : public ::testing::Test {
  protected:
   FailoverTest() : cluster_(8) {
     config_.hagent_replication = true;
-    config_.stats_window = sim::SimTime::millis(400);
     config_.rehash_cooldown = sim::SimTime::millis(800);
     config_.t_max = 30.0;
     config_.t_min = 0.0;

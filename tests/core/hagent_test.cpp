@@ -105,7 +105,6 @@ TEST_F(PlanSplitTest, UnevenComplexCandidateSkipped) {
 class HAgentTest : public ::testing::Test {
  protected:
   HAgentTest() : cluster_(6) {
-    config_.stats_window = sim::SimTime::seconds(30);  // quiet IAgents
     config_.rehash_cooldown = sim::SimTime::seconds(60);
     hagent_ = &cluster_.system.create<HAgent>(0, config_);
     first_iagent_ = hagent_->bootstrap(1);

@@ -16,11 +16,9 @@ using testing::TestCluster;
 class IAgentTest : public ::testing::Test {
  protected:
   IAgentTest() : cluster_(6) {
-    config_.stats_window = sim::SimTime::millis(200);
     config_.rehash_cooldown = sim::SimTime::millis(400);
     config_.t_max = 100.0;
     config_.t_min = 1.0;
-    config_.transient_grace = sim::SimTime::millis(50);
 
     hagent_stub_ = &cluster_.system.create<ScriptAgent>(0);
     client_ = &cluster_.system.create<ScriptAgent>(2);
@@ -158,7 +156,7 @@ TEST_F(IAgentTest, TransientGraceAfterResponsibilityChange) {
   grant(top_bit(true), 5);
   // Compatible but unknown, within the grace period: transient.
   EXPECT_EQ(locate(kHighId).status, LocateStatus::kTransient);
-  cluster_.run_for(sim::SimTime::millis(100));  // grace is 50 ms
+  cluster_.run_for(kTransientGrace);
   EXPECT_EQ(locate(kHighId).status, LocateStatus::kUnknown);
 }
 
@@ -399,8 +397,9 @@ TEST_F(IAgentTest, LateUpdateAfterDeregisterStaysGone) {
 
 TEST_F(IAgentTest, OverloadSendsSplitRequestWithLoads) {
   // Default cooldown in the fixture is 400 ms from creation; hammer locates
-  // past it. t_max = 100/s and the window is 200 ms => >20 requests/window.
-  for (int round = 0; round < 8; ++round) {
+  // past it and past the first window close (2 s). t_max = 100/s and the
+  // window is 2 s => >200 requests/window.
+  for (int round = 0; round < 24; ++round) {
     for (int i = 0; i < 30; ++i) {
       cluster_.system.send(client_->id(), iagent_address(),
                            LocateRequest{static_cast<platform::AgentId>(
@@ -417,18 +416,26 @@ TEST_F(IAgentTest, OverloadSendsSplitRequestWithLoads) {
 }
 
 TEST_F(IAgentTest, IdleSendsMergeRequestAfterCooldown) {
-  // t_min = 1/s; no traffic at all. After the creation cooldown (400 ms) the
-  // next window roll reports rate 0 < t_min.
-  cluster_.run_for(sim::SimTime::seconds(1));
+  // t_min = 1/s; no traffic at all. The first window roll (2 s) is past the
+  // creation cooldown (400 ms) and reports rate 0 < t_min.
+  cluster_.run_for(sim::SimTime::seconds(3));
   EXPECT_GE(hagent_stub_->count<MergeRequest>(), 1u);
   EXPECT_GE(iagent_->stats().merge_requests, 1u);
 }
 
 TEST_F(IAgentTest, CooldownLimitsRehashRequests) {
-  cluster_.run_for(sim::SimTime::seconds(1));
-  const auto early = hagent_stub_->count<MergeRequest>();
-  cluster_.run_for(sim::SimTime::millis(200));  // one more window, in cooldown
-  EXPECT_EQ(hagent_stub_->count<MergeRequest>(), early);
+  // The fixture's cooldown is shorter than a window, so every roll may ask;
+  // this IAgent's spans two windows, and answers to a coordinator of its own.
+  config_.rehash_cooldown = kStatsWindow * 2;
+  ScriptAgent& coordinator = cluster_.system.create<ScriptAgent>(0);
+  cluster_.run_for(sim::SimTime::millis(5));
+  cluster_.system.create<IAgent>(
+      1, config_, platform::AgentAddress{0, coordinator.id()});
+  cluster_.run_for(sim::SimTime::seconds(5));  // asks at the 4 s roll
+  const auto early = coordinator.count<MergeRequest>();
+  ASSERT_GE(early, 1u);
+  cluster_.run_for(kStatsWindow);  // one more window, in cooldown
+  EXPECT_EQ(coordinator.count<MergeRequest>(), early);
 }
 
 TEST_F(IAgentTest, MigrationCarriesTheLocationTable) {
@@ -466,7 +473,7 @@ TEST_F(IAgentTest, LocalityMigrationFollowsEntries) {
                              static_cast<platform::AgentId>(1000 + i), 3, 1}},
                          UpdateRequest::kWireBytes);
   }
-  cluster_.run_for(sim::SimTime::seconds(1));
+  cluster_.run_for(sim::SimTime::seconds(3));  // past the first window roll
   EXPECT_EQ(roamer.node(), 3u);
   EXPECT_GE(roamer.stats().locality_migrations, 1u);
   // The coordinator was told about the move.

@@ -1,8 +1,8 @@
 // End-to-end tests of the location cache wired through HashLocationScheme
 // (DESIGN.md §12): the optimistic jump, its stale-miss fallback, every
-// deposit/invalidation source, singleflight coalescing, and — the contract
-// the whole feature rests on — fixed-seed outcome equivalence between
-// cache-on and cache-off runs.
+// deposit/invalidation source, TTL expiry, and — the contract the whole
+// feature rests on — fixed-seed outcome equivalence between cache-on and
+// cache-off runs.
 
 #include <gtest/gtest.h>
 
@@ -49,14 +49,10 @@ class Trackee : public platform::Agent {
 class CacheSchemeTest : public ::testing::Test {
  protected:
   CacheSchemeTest() : cluster_(8) {
-    config_.stats_window = sim::SimTime::millis(500);
     config_.rehash_cooldown = sim::SimTime::seconds(1);
     config_.t_max = 40.0;
     config_.t_min = 0.0;
     config_.location_cache.capacity = 1024;
-    // The locate() helper advances sim time 15 s per call; keep bindings
-    // alive across calls unless a test explicitly shortens the TTL.
-    config_.location_cache.ttl = sim::SimTime::seconds(60);
   }
 
   void make_scheme() {
@@ -69,11 +65,14 @@ class CacheSchemeTest : public ::testing::Test {
     return agent;
   }
 
+  /// Returns as soon as the answer lands (at most 15 s), so the binding it
+  /// deposits is still inside `kLocationCacheTtl` for the next call.
   LocateOutcome locate(Trackee& requester, platform::AgentId target) {
     std::optional<LocateOutcome> outcome;
     scheme_->locate(requester, target,
                     [&](const LocateOutcome& o) { outcome = o; });
-    cluster_.run_for(sim::SimTime::seconds(15));
+    cluster_.run_until([&] { return outcome.has_value(); },
+                       sim::SimTime::seconds(15));
     EXPECT_TRUE(outcome.has_value());
     return outcome.value_or(LocateOutcome{});
   }
@@ -202,64 +201,18 @@ TEST_F(CacheSchemeTest, DeregisteredTargetNotFoundDespiteCachedBinding) {
 }
 
 TEST_F(CacheSchemeTest, TtlExpiryForcesAuthoritativeRefetch) {
-  config_.location_cache.ttl = sim::SimTime::millis(200);
   make_scheme();
   Trackee& target = spawn(3);
   Trackee& requester = spawn(5);
   ASSERT_TRUE(locate(requester, target.id()).found);
   const auto optimistic_before = scheme_->stats().optimistic_locates;
 
-  // locate() already ran the clock far past the TTL; the binding is gone.
+  // Run the clock past the TTL; the binding is gone.
+  cluster_.run_for(kLocationCacheTtl);
   const LocateOutcome outcome = locate(requester, target.id());
   EXPECT_TRUE(outcome.found);
   EXPECT_EQ(scheme_->stats().optimistic_locates, optimistic_before);
   EXPECT_GE(scheme_->stats().cache_misses, 1u);
-}
-
-TEST_F(CacheSchemeTest, SingleflightCoalescesConcurrentLocates) {
-  config_.location_cache.capacity = 0;
-  config_.locate_singleflight = true;
-  make_scheme();
-  Trackee& target = spawn(3);
-  Trackee& requester_a = spawn(5);
-  Trackee& requester_b = spawn(5);
-
-  std::vector<LocateOutcome> outcomes;
-  for (int i = 0; i < 2; ++i) {
-    scheme_->locate(requester_a, target.id(),
-                    [&](const LocateOutcome& o) { outcomes.push_back(o); });
-    scheme_->locate(requester_b, target.id(),
-                    [&](const LocateOutcome& o) { outcomes.push_back(o); });
-  }
-  cluster_.run_for(sim::SimTime::seconds(5));
-
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (const LocateOutcome& outcome : outcomes) {
-    EXPECT_TRUE(outcome.found);
-    EXPECT_EQ(outcome.node, 3u);
-  }
-  // One wire RPC served all four same-node waiters.
-  EXPECT_EQ(scheme_->stats().locate_rpcs, 1u);
-  EXPECT_EQ(scheme_->stats().locates_coalesced, 3u);
-}
-
-TEST_F(CacheSchemeTest, SingleflightKeysOnRequesterNode) {
-  config_.location_cache.capacity = 0;
-  config_.locate_singleflight = true;
-  make_scheme();
-  Trackee& target = spawn(3);
-  Trackee& requester_a = spawn(5);
-  Trackee& requester_b = spawn(6);  // different node: no coalescing
-
-  int completed = 0;
-  scheme_->locate(requester_a, target.id(),
-                  [&](const LocateOutcome&) { ++completed; });
-  scheme_->locate(requester_b, target.id(),
-                  [&](const LocateOutcome&) { ++completed; });
-  cluster_.run_for(sim::SimTime::seconds(5));
-  EXPECT_EQ(completed, 2);
-  EXPECT_EQ(scheme_->stats().locate_rpcs, 2u);
-  EXPECT_EQ(scheme_->stats().locates_coalesced, 0u);
 }
 
 // --- fixed-seed equivalence -------------------------------------------------
@@ -300,7 +253,9 @@ ScenarioResult run_scenario(MechanismConfig config) {
         std::optional<LocateOutcome> outcome;
         scheme.locate(*requester, target->id(),
                       [&](const LocateOutcome& o) { outcome = o; });
-        settle(sim::SimTime::seconds(10));
+        // Return once answered, so bindings outlive the gap to their reuse.
+        cluster.run_until([&] { return outcome.has_value(); },
+                          sim::SimTime::seconds(10));
         EXPECT_TRUE(outcome.has_value());
         const LocateOutcome o = outcome.value_or(LocateOutcome{});
         result.outcomes.emplace_back(target->id(), o.found, o.node);
@@ -323,14 +278,12 @@ ScenarioResult run_scenario(MechanismConfig config) {
 
 TEST(CacheEquivalenceTest, FixedSeedOutcomesMatchCacheOnAndOff) {
   MechanismConfig config;
-  config.stats_window = sim::SimTime::millis(500);
   config.rehash_cooldown = sim::SimTime::seconds(1);
   config.t_max = 40.0;
   config.t_min = 0.0;
 
   MechanismConfig cached = config;
   cached.location_cache.capacity = 1024;
-  cached.location_cache.ttl = sim::SimTime::seconds(600);  // outlives the run
 
   const ScenarioResult off = run_scenario(config);
   const ScenarioResult on = run_scenario(cached);

@@ -18,7 +18,7 @@ namespace {
 
 using sim::SimTime;
 
-constexpr SimTime kTtl = SimTime::seconds(2);
+constexpr SimTime kTtl = kLocationCacheTtl;  // 2 s
 
 LocationEntry entry(platform::AgentId agent, net::NodeId node,
                     std::uint64_t seq) {
@@ -26,7 +26,7 @@ LocationEntry entry(platform::AgentId agent, net::NodeId node,
 }
 
 TEST(LocationCacheTest, StoreThenLookupHits) {
-  LocationCache cache(16, kTtl);
+  LocationCache cache(16);
   cache.store(entry(42, 3, 1), SimTime::zero());
   const auto hit = cache.lookup(42, SimTime::millis(1));
   ASSERT_TRUE(hit.has_value());
@@ -37,35 +37,35 @@ TEST(LocationCacheTest, StoreThenLookupHits) {
 }
 
 TEST(LocationCacheTest, AbsentLookupMisses) {
-  LocationCache cache(16, kTtl);
+  LocationCache cache(16);
   EXPECT_FALSE(cache.lookup(42, SimTime::zero()).has_value());
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(LocationCacheTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(LocationCache(1, kTtl).capacity(), 8u);
-  EXPECT_EQ(LocationCache(100, kTtl).capacity(), 128u);
-  EXPECT_EQ(LocationCache(256, kTtl).capacity(), 256u);
+  EXPECT_EQ(LocationCache(1).capacity(), 8u);
+  EXPECT_EQ(LocationCache(100).capacity(), 128u);
+  EXPECT_EQ(LocationCache(256).capacity(), 256u);
 }
 
 TEST(LocationCacheTest, EntryExpiresAfterTtl) {
-  LocationCache cache(16, SimTime::millis(100));
+  LocationCache cache(16);
   cache.store(entry(42, 3, 1), SimTime::zero());
-  EXPECT_TRUE(cache.lookup(42, SimTime::millis(99)).has_value());
-  EXPECT_FALSE(cache.lookup(42, SimTime::millis(100)).has_value());
+  EXPECT_TRUE(cache.lookup(42, kTtl - SimTime::millis(1)).has_value());
+  EXPECT_FALSE(cache.lookup(42, kTtl).has_value());
   EXPECT_EQ(cache.stats().expirations, 1u);
   EXPECT_EQ(cache.size(), 0u);  // expiry freed the slot
 }
 
 TEST(LocationCacheTest, StoreRefreshesTtl) {
-  LocationCache cache(16, SimTime::millis(100));
+  LocationCache cache(16);
   cache.store(entry(42, 3, 1), SimTime::zero());
-  cache.store(entry(42, 3, 2), SimTime::millis(80));
-  EXPECT_TRUE(cache.lookup(42, SimTime::millis(150)).has_value());
+  cache.store(entry(42, 3, 2), SimTime::millis(1600));
+  EXPECT_TRUE(cache.lookup(42, SimTime::millis(3000)).has_value());
 }
 
 TEST(LocationCacheTest, NewestSeqWins) {
-  LocationCache cache(16, kTtl);
+  LocationCache cache(16);
   cache.store(entry(42, 3, 5), SimTime::zero());
   // A reordered older report must not roll the binding back.
   cache.store(entry(42, 7, 4), SimTime::zero());
@@ -86,17 +86,17 @@ TEST(LocationCacheTest, ExpiredBindingDoesNotVetoLowerSeq) {
   // Client seqs never restart, but an expired binding is void all the same:
   // lookups treat it as a miss, so once its TTL lapsed its (higher) seq must
   // not block a lower one.
-  LocationCache cache(16, SimTime::millis(100));
+  LocationCache cache(16);
   cache.store(entry(42, 3, 50), SimTime::zero());
-  cache.store(entry(42, 6, 1), SimTime::millis(200));
-  const auto hit = cache.lookup(42, SimTime::millis(201));
+  cache.store(entry(42, 6, 1), kTtl * 2);
+  const auto hit = cache.lookup(42, kTtl * 2 + SimTime::millis(1));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->node, 6u);
   EXPECT_EQ(hit->seq, 1u);
 }
 
 TEST(LocationCacheTest, InvalidateDropsBinding) {
-  LocationCache cache(16, kTtl);
+  LocationCache cache(16);
   cache.store(entry(42, 3, 1), SimTime::zero());
   EXPECT_TRUE(cache.invalidate(42));
   EXPECT_FALSE(cache.invalidate(42));  // already gone
@@ -105,7 +105,7 @@ TEST(LocationCacheTest, InvalidateDropsBinding) {
 }
 
 TEST(LocationCacheTest, NoteStaleCountsAndInvalidates) {
-  LocationCache cache(16, kTtl);
+  LocationCache cache(16);
   cache.store(entry(42, 3, 1), SimTime::zero());
   cache.note_stale(42);
   EXPECT_EQ(cache.stats().stale_hits, 1u);
@@ -113,7 +113,7 @@ TEST(LocationCacheTest, NoteStaleCountsAndInvalidates) {
 }
 
 TEST(LocationCacheTest, SizeNeverExceedsCapacityUnderPressure) {
-  LocationCache cache(32, kTtl);
+  LocationCache cache(32);
   for (std::uint64_t id = 1; id <= 1000; ++id) {
     cache.store(entry(id, static_cast<net::NodeId>(id % 8), 1),
                 SimTime::zero());
@@ -125,7 +125,7 @@ TEST(LocationCacheTest, SizeNeverExceedsCapacityUnderPressure) {
 TEST(LocationCacheTest, ClockGivesRecentlyHitBindingsASecondChance) {
   // Deterministic second-chance trace on one 4-way set of a capacity-8
   // cache. Set selection mirrors the implementation: mix64(agent) & 1.
-  LocationCache cache(8, kTtl);
+  LocationCache cache(8);
   std::vector<platform::AgentId> ids;
   for (std::uint64_t id = 1; ids.size() < 6; ++id) {
     if ((util::mix64(id) & 1) == 0) ids.push_back(id);
@@ -164,8 +164,7 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
   // TTL. The ledger records every deposit since the last invalidation; a hit
   // must match one, fresh enough.
   util::Rng rng(0xcafef00d);
-  const SimTime ttl = SimTime::millis(500);
-  LocationCache cache(64, ttl);
+  LocationCache cache(64);
   struct Deposit {
     net::NodeId node = net::kNoNode;
     SimTime last_store = SimTime::zero();
@@ -195,14 +194,14 @@ TEST(LocationCachePropertyTest, HitsNeverInventBindingsOrOutliveTheTtl) {
         ASSERT_NE(deposit, by_agent->second.end())
             << "hit served a seq never deposited";
         ASSERT_EQ(hit->node, deposit->second.node);
-        ASSERT_LT(now, deposit->second.last_store + ttl)
+        ASSERT_LT(now, deposit->second.last_store + kTtl)
             << "hit served a deposit past its TTL";
       }
     } else if (op < 85) {
       cache.invalidate(agent);
       ledger.erase(agent);
     } else {
-      now = now + SimTime::millis(rng.next_below(80));
+      now = now + SimTime::millis(rng.next_below(320));
     }
     ASSERT_LE(cache.size(), cache.capacity());
   }

@@ -48,7 +48,6 @@ class Trackee : public platform::Agent {
 class SchemeTest : public ::testing::Test {
  protected:
   SchemeTest() : cluster_(8) {
-    config_.stats_window = sim::SimTime::millis(500);
     config_.rehash_cooldown = sim::SimTime::seconds(1);
     config_.t_max = 40.0;
     config_.t_min = 0.0;  // no auto-merges unless a test wants them
@@ -395,9 +394,6 @@ TEST_F(HashSchemeTest, WatchFiresOnNextMove) {
 }
 
 TEST_F(HashSchemeTest, WatchTimesOutForSedentaryTarget) {
-  config_.watch_timeout = sim::SimTime::seconds(1);
-  scheme_ = nullptr;
-  make_hash_scheme();
   Trackee& target = spawn_trackee(3);
   Trackee& watcher = spawn_trackee(5);
   std::optional<HashLocationScheme::WatchOutcome> outcome;
@@ -405,7 +401,7 @@ TEST_F(HashSchemeTest, WatchTimesOutForSedentaryTarget) {
                       [&](const HashLocationScheme::WatchOutcome& o) {
                         outcome = o;
                       });
-  cluster_.run_for(sim::SimTime::seconds(2));
+  cluster_.run_for(kWatchTimeout + sim::SimTime::seconds(1));
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->fired);
 }

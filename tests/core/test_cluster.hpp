@@ -29,6 +29,15 @@ struct TestCluster {
 
   void run_for(sim::SimTime span) { simulator.run_until(simulator.now() + span); }
 
+  /// Run in 10 ms steps until `done()` holds, for at most `limit`.
+  template <typename Done>
+  void run_until(Done done, sim::SimTime limit) {
+    const sim::SimTime deadline = simulator.now() + limit;
+    while (!done() && simulator.now() < deadline) {
+      run_for(sim::SimTime::millis(10));
+    }
+  }
+
   sim::Simulator simulator;
   net::Network network;
   platform::AgentSystem system;

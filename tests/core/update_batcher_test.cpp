@@ -19,7 +19,6 @@ using testing::TestCluster;
 class UpdateBatcherTest : public ::testing::Test {
  protected:
   UpdateBatcherTest() : cluster_(4) {
-    config_.stats_window = sim::SimTime::seconds(30);
     config_.rehash_cooldown = sim::SimTime::seconds(60);
     hagent_ = &cluster_.system.create<HAgent>(0, config_);
     first_iagent_ = hagent_->bootstrap(1);

@@ -30,7 +30,6 @@ class ChurnTest : public ::testing::Test {
 
   static core::MechanismConfig mechanism_config() {
     core::MechanismConfig config;
-    config.stats_window = sim::SimTime::millis(500);
     config.rehash_cooldown = sim::SimTime::seconds(1);
     config.t_max = 30.0;
     config.t_min = 3.0;

@@ -98,9 +98,9 @@ TEST(FaultInjection, PartitionHealsThroughRefresh) {
 
   // A tracked agent at node 4, a querier at node 5.
   TAgent::Config tconfig;
-  tconfig.mobile = false;
   tconfig.seed = 11;
   auto& target = system.create<TAgent>(4, scheme, tconfig);
+  target.set_mobile(false);
   simulator.run_until(sim::SimTime::millis(100));
 
   // Partition the querier's node from the initial IAgent's node (node 1).

@@ -42,7 +42,6 @@ class InvariantsTest : public ::testing::Test {
 
   static core::MechanismConfig mechanism_config() {
     core::MechanismConfig config;
-    config.stats_window = sim::SimTime::millis(400);
     config.rehash_cooldown = sim::SimTime::millis(800);
     config.t_max = 25.0;
     config.t_min = 2.0;

@@ -38,17 +38,16 @@ class Recorder : public Agent {
 
 class InboxLifecycleTest : public ::testing::Test {
  protected:
-  explicit InboxLifecycleTest(bool bounce_undeliverable = true)
+  InboxLifecycleTest()
       : network_(sim_, 4,
                  std::make_unique<net::FixedLatencyModel>(
                      sim::SimTime::millis(1)),
                  util::Rng(11)),
-        system_(sim_, network_, make_config(bounce_undeliverable)) {}
+        system_(sim_, network_, make_config()) {}
 
-  static AgentSystem::Config make_config(bool bounce_undeliverable) {
+  static AgentSystem::Config make_config() {
     AgentSystem::Config config;
     config.service_time = sim::SimTime::micros(100);
-    config.bounce_undeliverable = bounce_undeliverable;
     return config;
   }
 
@@ -116,34 +115,6 @@ TEST_F(InboxLifecycleTest, RpcCompletesWithFailureWhenCalleeMigrates) {
   EXPECT_EQ(got.status, RpcResult::Status::kDeliveryFailure);
   EXPECT_EQ(system_.stats().rpc_delivery_failures, 1u);
   EXPECT_EQ(system_.stats().rpc_timeouts, 0u);
-}
-
-class SilentBounceTest : public InboxLifecycleTest {
- protected:
-  SilentBounceTest() : InboxLifecycleTest(/*bounce_undeliverable=*/false) {}
-};
-
-TEST_F(SilentBounceTest, RpcTimesOutWhenCalleeMigratesAndBouncesAreOff) {
-  // With bounce notices disabled the caller never learns the request died;
-  // the RPC must still complete — via its timeout.
-  Recorder& a = system_.create<Recorder>(0);
-  Recorder& b = system_.create<Recorder>(1);
-  sim_.run();
-  RpcResult got;
-  bool done = false;
-  system_.request(a.id(), AgentAddress{1, b.id()}, Note{1}, 64,
-                  [&](RpcResult result) {
-                    got = std::move(result);
-                    done = true;
-                  },
-                  sim::SimTime::millis(10));
-  system_.migrate(b.id(), 2);
-  sim_.run();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(got.status, RpcResult::Status::kTimeout);
-  EXPECT_EQ(system_.stats().rpc_timeouts, 1u);
-  EXPECT_EQ(system_.stats().rpc_delivery_failures, 0u);
-  EXPECT_EQ(a.bounces, 0);
 }
 
 }  // namespace

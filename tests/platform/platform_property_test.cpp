@@ -53,8 +53,9 @@ TEST_P(PlatformFuzz, RandomOpsKeepInvariants) {
   network.faults().duplicate_probability = 0.05;
   AgentSystem::Config config;
   config.service_time = sim::SimTime::micros(100);
-  config.default_rpc_timeout = sim::SimTime::millis(50);
   AgentSystem system(simulator, network, config);
+  // Lost requests time out while the ops still run (400 steps of 2 ms).
+  const sim::SimTime rpc_timeout = sim::SimTime::millis(50);
 
   std::vector<AgentId> live;
   std::set<AgentId> ever;
@@ -106,7 +107,8 @@ TEST_P(PlatformFuzz, RandomOpsKeepInvariants) {
         ++rpcs_started;
         system.request(from, AgentAddress{*to_node, to}, Ping{step},
                        Ping::kWireBytes,
-                       [&rpcs_completed](RpcResult) { ++rpcs_completed; });
+                       [&rpcs_completed](RpcResult) { ++rpcs_completed; },
+                       rpc_timeout);
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace agentloc::util {
 namespace {
@@ -89,6 +90,25 @@ TEST(Flags, TrailingGarbageIsAnErrorNamingTheFlag) {
   EXPECT_NE(flag_error([&] { Flags({"--b=maybe"}).get_bool("b", false); })
                 .find("--b"),
             std::string::npos);
+}
+
+TEST(Flags, DoubleListRefusesPartialNumbers) {
+  Flags flags({"--skew=0,0.5,0.95", "--bad=0.5x"});
+  EXPECT_EQ(flags.get_double_list("skew", {}),
+            (std::vector<double>{0.0, 0.5, 0.95}));
+  EXPECT_EQ(flags.get_double_list("other", {1.5}), std::vector<double>{1.5});
+  EXPECT_EQ(flag_error([&] { flags.get_double_list("bad", {}); }),
+            "--bad: expected a comma-separated list of numbers, got '0.5x'");
+}
+
+TEST(Flags, StringListSplitsOnCommas) {
+  Flags flags({"--schemes=hash,home", "--gaps=,hash,,"});
+  EXPECT_EQ(flags.get_string_list("schemes", {}),
+            (std::vector<std::string>{"hash", "home"}));
+  EXPECT_EQ(flags.get_string_list("gaps", {}),
+            std::vector<std::string>{"hash"});
+  EXPECT_EQ(flags.get_string_list("other", {"centralized"}),
+            std::vector<std::string>{"centralized"});
 }
 
 TEST(Flags, IntInRefusesValuesOutsideItsRange) {

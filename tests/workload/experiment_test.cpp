@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/hash_scheme.hpp"
+#include "util/flags.hpp"
 
 namespace agentloc::workload {
 namespace {
@@ -255,6 +256,24 @@ TEST(MakeScheme, ConstructsEachKind) {
   EXPECT_EQ(make_scheme("forwarding", system, mechanism)->name(),
             "forwarding");
   EXPECT_THROW(make_scheme("bogus", system, mechanism),
+               std::invalid_argument);
+}
+
+TEST(MakeScheme, SchemeListTakesEveryKindAndRefusesOthers) {
+  sim::Simulator simulator;
+  net::Network network(simulator, 4, net::make_default_lan_model(),
+                       util::Rng(1));
+  platform::AgentSystem system(simulator, network);
+  core::MechanismConfig mechanism;
+  const auto names = get_scheme_list(
+      util::Flags({"--schemes=hash,centralized,home,forwarding"}), {});
+  ASSERT_EQ(names.size(), 4u);
+  for (const std::string& name : names) {
+    EXPECT_EQ(make_scheme(name, system, mechanism)->name(), name);
+  }
+  EXPECT_EQ(get_scheme_list(util::Flags(std::vector<std::string>{}), {"hash"}),
+            std::vector<std::string>{"hash"});
+  EXPECT_THROW(get_scheme_list(util::Flags({"--schemes=hash,bogus"}), {}),
                std::invalid_argument);
 }
 

@@ -26,13 +26,12 @@ class QuerierTest : public ::testing::Test {
     std::vector<platform::AgentId> ids;
     for (int i = 0; i < count; ++i) {
       TAgent::Config config;
-      config.mobile = mobile;
       config.residence = sim::SimTime::millis(200);
       config.seed = 50 + static_cast<std::uint64_t>(i);
-      ids.push_back(system_
-                        .create<TAgent>(static_cast<net::NodeId>(i % 8),
-                                        scheme_, config)
-                        .id());
+      TAgent& agent = system_.create<TAgent>(static_cast<net::NodeId>(i % 8),
+                                             scheme_, config);
+      agent.set_mobile(mobile);
+      ids.push_back(agent.id());
     }
     simulator_.run_until(simulator_.now() + sim::SimTime::millis(50));
     return ids;

@@ -32,8 +32,8 @@ class TAgentTest : public ::testing::Test {
 
 TEST_F(TAgentTest, RegistersOnStart) {
   TAgent::Config config;
-  config.mobile = false;
   TAgent& agent = spawn(config);
+  agent.set_mobile(false);
   simulator_.run_until(sim::SimTime::millis(100));
   EXPECT_TRUE(agent.registered());
   EXPECT_EQ(scheme_.registry(0).entry_count(), 1u);
@@ -77,8 +77,8 @@ TEST_F(TAgentTest, EachMoveReportsLocation) {
 
 TEST_F(TAgentTest, ImmobileAgentStaysPut) {
   TAgent::Config config;
-  config.mobile = false;
   TAgent& agent = spawn(config, 5);
+  agent.set_mobile(false);
   simulator_.run_until(sim::SimTime::seconds(3));
   EXPECT_EQ(agent.node(), 5u);
   EXPECT_EQ(agent.moves_completed(), 0u);
@@ -86,10 +86,10 @@ TEST_F(TAgentTest, ImmobileAgentStaysPut) {
 
 TEST_F(TAgentTest, SetMobileTogglesRoaming) {
   TAgent::Config config;
-  config.mobile = false;
   config.residence = sim::SimTime::millis(100);
   config.exponential_residence = false;
   TAgent& agent = spawn(config);
+  agent.set_mobile(false);
   simulator_.run_until(sim::SimTime::seconds(1));
   EXPECT_EQ(agent.moves_completed(), 0u);
   agent.set_mobile(true);
@@ -123,11 +123,11 @@ TEST_F(TAgentTest, FreezeDuringAdmissionStillRegisters) {
 
 TEST_F(TAgentTest, ThawDuringAdmissionRegistersThenRoams) {
   TAgent::Config config;
-  config.mobile = false;
   config.residence = sim::SimTime::millis(100);
   config.exponential_residence = false;
   config.start_stagger = sim::SimTime::seconds(1);
   TAgent& agent = spawn(config);
+  agent.set_mobile(false);
   simulator_.run_until(sim::SimTime::zero());  // on_start: admission pending
   agent.set_mobile(true);
   simulator_.run_until(sim::SimTime::seconds(3));
@@ -166,8 +166,8 @@ TEST_F(TAgentTest, NodePoolRestrictsRoaming) {
 
 TEST_F(TAgentTest, DisposeDeregisters) {
   TAgent::Config config;
-  config.mobile = false;
   TAgent& agent = spawn(config);
+  agent.set_mobile(false);
   simulator_.run_until(sim::SimTime::millis(100));
   ASSERT_EQ(scheme_.registry(0).entry_count(), 1u);
   system_.dispose(agent.id());
