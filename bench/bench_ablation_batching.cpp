@@ -31,7 +31,7 @@ namespace {
 struct Outcome {
   std::uint64_t messages_sent = 0;
   std::uint64_t batch_flushes = 0;
-  std::uint64_t coalesced = 0;
+  std::uint64_t messages_coalesced = 0;
   double location_ms = 0;
   double attempts = 0;
   std::uint64_t queries = 0;
@@ -82,7 +82,7 @@ Outcome run(bool batching, double flush_ms, std::size_t nodes,
   Outcome outcome;
   outcome.messages_sent = system.stats().messages_sent;
   outcome.batch_flushes = system.stats().batch_flushes;
-  outcome.coalesced = system.stats().messages_coalesced;
+  outcome.messages_coalesced = system.stats().messages_coalesced;
   util::Summary latencies;
   util::Summary attempts;
   for (const auto* querier : queriers) {
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       .set("messages_sent", baseline.messages_sent)
       .set("message_drop_pct", 0.0)
       .set("batch_flushes", baseline.batch_flushes)
-      .set("messages_coalesced", baseline.coalesced)
+      .set("messages_coalesced", baseline.messages_coalesced)
       .set("location_ms_mean", baseline.location_ms)
       .set("mean_attempts", baseline.attempts)
       .set("attempts_delta_pct", 0.0)
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
                    workload::fmt_count(outcome.messages_sent),
                    workload::fmt(drop_pct),
                    workload::fmt_count(outcome.batch_flushes),
-                   workload::fmt_count(outcome.coalesced),
+                   workload::fmt_count(outcome.messages_coalesced),
                    workload::fmt(outcome.location_ms),
                    workload::fmt(outcome.attempts),
                    workload::fmt_count(outcome.wrong_location),
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
         .set("messages_sent", outcome.messages_sent)
         .set("message_drop_pct", drop_pct)
         .set("batch_flushes", outcome.batch_flushes)
-        .set("messages_coalesced", outcome.coalesced)
+        .set("messages_coalesced", outcome.messages_coalesced)
         .set("location_ms_mean", outcome.location_ms)
         .set("mean_attempts", outcome.attempts)
         .set("attempts_delta_pct", attempts_delta_pct)

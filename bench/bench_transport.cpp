@@ -3,8 +3,8 @@
 //
 //   1. frame_encode / frame_decode — codec throughput, single-threaded,
 //      pooled buffers (acceptance floor: ≥ 1M frames/s each);
-//   2. coalesced/uncoalesced socketpair bursts — syscalls per frame with
-//      writev gather vs. one write per frame (floor: ≥ 4× reduction at
+//   2. socketpair_coalesced — bursts of frames packed into pooled buffers
+//      and flushed with one writev per burst: syscalls per frame (1/8 at
 //      burst depth 8);
 //   3. uds_locate_workers/w{W}_c{C} — end-to-end locate RPCs between two
 //      real processes (fork + Unix-domain socket): a forked LocateServer
@@ -112,15 +112,13 @@ struct BurstResult {
 
 /// Push `bursts` bursts of `burst` frames through a socketpair, flushing
 /// once per burst, and drain them on the receiving transport.
-bool bench_socketpair_burst(bool coalesce, std::uint64_t bursts,
-                            std::uint64_t burst, BurstResult& out) {
+bool bench_socketpair_burst(std::uint64_t bursts, std::uint64_t burst,
+                            BurstResult& out) {
   int fds[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
 
-  net::SocketTransport::Config config;
-  config.coalesce = coalesce;
-  net::SocketTransport sender(config);
-  net::SocketTransport receiver(config);
+  net::SocketTransport sender;
+  net::SocketTransport receiver;
   const auto tx = sender.adopt(fds[0]);
   receiver.adopt(fds[1]);
 
@@ -396,34 +394,17 @@ int main(int argc, char** argv) {
   // --- socket rows ----------------------------------------------------------
   if (sockets) {
     BurstResult coalesced;
-    BurstResult uncoalesced;
-    if (bench_socketpair_burst(true, bursts, burst, coalesced) &&
-        bench_socketpair_burst(false, bursts, burst, uncoalesced)) {
-      const double reduction =
-          coalesced.syscalls_per_frame > 0
-              ? uncoalesced.syscalls_per_frame / coalesced.syscalls_per_frame
-              : 0.0;
+    if (bench_socketpair_burst(bursts, burst, coalesced)) {
       std::printf(
-          "socketpair burst %llu: coalesced %.3f syscalls/frame "
-          "(%.2fM frames/s), uncoalesced %.3f (%.2fM frames/s) — %.1fx "
-          "fewer syscalls\n",
+          "socketpair burst %llu: %.3f syscalls/frame (%.2fM frames/s)\n",
           static_cast<unsigned long long>(burst),
-          coalesced.syscalls_per_frame, coalesced.frames_per_sec / 1e6,
-          uncoalesced.syscalls_per_frame, uncoalesced.frames_per_sec / 1e6,
-          reduction);
+          coalesced.syscalls_per_frame, coalesced.frames_per_sec / 1e6);
       report.add_row()
           .set("name", "socketpair_coalesced")
           .set("burst", burst)
           .set("items_per_second", coalesced.frames_per_sec)
           .set("syscalls_per_frame", coalesced.syscalls_per_frame)
           .set("workers_effective", std::uint64_t{1});
-      report.add_row()
-          .set("name", "socketpair_uncoalesced")
-          .set("burst", burst)
-          .set("items_per_second", uncoalesced.frames_per_sec)
-          .set("syscalls_per_frame", uncoalesced.syscalls_per_frame)
-          .set("workers_effective", std::uint64_t{1});
-      report.meta().set("syscall_reduction", reduction);
     } else {
       std::fprintf(stderr, "socketpair burst bench failed\n");
     }

@@ -2,10 +2,9 @@
 //
 // Registers --agents mobile agents at synthetic nodes, then runs --ops
 // pipelined locate queries against the daemon and verifies every reply
-// against its own ground truth (--verify, on by default). Exits nonzero on
-// any mismatch, which is what the CI transport smoke keys off. Every op goes
-// to the worker that owns the agent's leaf, as the daemon's partition map
-// says.
+// against its own ground truth. Exits nonzero on any mismatch, which is
+// what the CI transport smoke keys off. Every op goes to the worker that
+// owns the agent's leaf, as the daemon's partition map says.
 //
 //   agentlocd --listen unix:/tmp/agentloc.sock &
 //   agentloc_loadgen --connect unix:/tmp/agentloc.sock --agents 1000 --ops 20000
@@ -35,7 +34,6 @@ int main(int argc, char** argv) {
   std::string connect_text;
   std::uint64_t agents = 0, ops = 0, moves = 0, seed = 0;
   std::size_t window = 0;
-  bool verify = true;
   try {
     help = flags.get_bool("help", false);
     connect_text = flags.get_string("connect", "");
@@ -45,7 +43,6 @@ int main(int argc, char** argv) {
         "moves", static_cast<std::int64_t>(agents / 4), 0));
     window = static_cast<std::size_t>(flags.get_int_in("window", 64, 1));
     seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    verify = flags.get_bool("verify", true);
     flags.fail_on_unknown();
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "agentloc_loadgen: %s\n", error.what());
@@ -60,8 +57,7 @@ int main(int argc, char** argv) {
         "  --ops N         locate queries to issue (default 20000)\n"
         "  --moves N       re-updates between query phases (default agents/4)\n"
         "  --window N      pipelined requests in flight (default 64)\n"
-        "  --seed S        query-stream RNG seed (default 1)\n"
-        "  --verify BOOL   check replies against ground truth (default true)\n");
+        "  --seed S        query-stream RNG seed (default 1)\n");
     return 0;
   }
 
@@ -156,7 +152,6 @@ int main(int argc, char** argv) {
     }
     for (const auto& item : replies) {
       ++completed;
-      if (!verify) continue;
       const std::uint64_t id = in_flight_agent[item.correlation];
       const auto& expect = truth[id];
       const bool ok =

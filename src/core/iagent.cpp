@@ -15,8 +15,7 @@ IAgent::IAgent(const MechanismConfig& config,
                std::vector<platform::AgentAddress> coordinators)
     : config_(config),
       coordinators_(std::move(coordinators)),
-      hagent_(coordinators_.at(0)),
-      window_(kStatsWindow) {}
+      hagent_(coordinators_.at(0)) {}
 
 void IAgent::on_delivery_failure(const platform::DeliveryFailure& failure) {
   // The only agent an IAgent sends to besides clients (whose bounces carry

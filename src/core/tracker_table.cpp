@@ -1,5 +1,7 @@
 #include "core/tracker_table.hpp"
 
+#include "core/config.hpp"
+
 namespace agentloc::core {
 
 Predicate predicate_of(const hashtree::HashTree& tree,
@@ -26,8 +28,7 @@ void LoadWindow::roll() {
 }
 
 double LoadWindow::rate() const noexcept {
-  const double seconds = window_.as_seconds();
-  return seconds > 0 ? static_cast<double>(closed_total_) / seconds : 0.0;
+  return static_cast<double>(closed_total_) / kStatsWindow.as_seconds();
 }
 
 std::vector<AgentLoad> LoadWindow::loads() const {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "sim/time.hpp"
 #include "util/flat_map.hpp"
 
 namespace agentloc::core {
@@ -150,21 +149,17 @@ class LocationTable {
 /// statistics of the requests received by each IAgent" and, per agent, "the
 /// accumulated rate of update and query requests").
 ///
-/// `record` counts a request in the open window; `roll` closes it. Threshold
-/// decisions and split planning read the *closed* window, so they always see
-/// a full interval.
+/// `record` counts a request in the open window; `roll` closes it, every
+/// `kStatsWindow` in the IAgent. Threshold decisions and split planning read
+/// the *closed* window, so they always see a full interval.
 class LoadWindow {
  public:
-  explicit LoadWindow(sim::SimTime window) : window_(window) {}
-
-  sim::SimTime window() const noexcept { return window_; }
-
   void record(platform::AgentId agent);
 
   /// Close the current window.
   void roll();
 
-  /// Requests/second over the last closed window.
+  /// Requests/second over the last closed window, `kStatsWindow` long.
   double rate() const noexcept;
 
   /// Total requests in the last closed window.
@@ -186,7 +181,6 @@ class LoadWindow {
   using Counts = util::FlatMap<platform::AgentId, std::uint32_t,
                                platform::kNoAgent>;
 
-  sim::SimTime window_;
   Counts open_counts_;
   std::uint64_t open_total_ = 0;
   Counts closed_counts_;

@@ -26,16 +26,12 @@ std::size_t end_frame(util::ByteWriter& writer, const OpenFrame& open) {
 }
 
 FrameDecoder::FrameDecoder(util::BufferPool& pool)
-    : FrameDecoder(pool, Config{}) {}
-
-FrameDecoder::FrameDecoder(util::BufferPool& pool, Config config)
-    : pool_(&pool), config_(config), buffer_(pool.acquire()) {}
+    : pool_(&pool), buffer_(pool.acquire()) {}
 
 FrameDecoder::~FrameDecoder() { release_buffer(); }
 
 FrameDecoder::FrameDecoder(FrameDecoder&& other) noexcept
     : pool_(other.pool_),
-      config_(other.config_),
       buffer_(std::move(other.buffer_)),
       len_(other.len_),
       pos_(other.pos_),
@@ -50,7 +46,6 @@ FrameDecoder& FrameDecoder::operator=(FrameDecoder&& other) noexcept {
   if (this != &other) {
     release_buffer();
     pool_ = other.pool_;
-    config_ = other.config_;
     buffer_ = std::move(other.buffer_);
     len_ = other.len_;
     pos_ = other.pos_;
@@ -150,7 +145,7 @@ FrameDecoder::Status FrameDecoder::next(FrameView& out) {
     if ((byte & 0x80) == 0) break;
     shift += 7;
   }
-  if (length > config_.max_payload) {
+  if (length > kMaxFramePayload) {
     return fail("frame: payload length exceeds the frame cap");
   }
 

@@ -54,9 +54,9 @@ inline constexpr std::uint8_t kFrameMagic = 0xA6;
 /// Header bytes before the payload, at the widest correlation varint.
 inline constexpr std::size_t kFrameHeaderMax = 3 + 10 + 4;
 
-/// Default per-frame payload cap. Anything larger is a protocol error — it
-/// bounds decoder buffering against corrupt or hostile length fields.
-inline constexpr std::size_t kDefaultMaxFramePayload = 1u << 20;
+/// Per-frame payload cap. Anything larger is a protocol error — it bounds
+/// decoder buffering against corrupt or hostile length fields.
+inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 
 /// A decoded frame. `payload` points into the decoder's buffer and stays
 /// valid until the next `FrameDecoder` call (`next`, `feed`, `writable`,
@@ -95,16 +95,12 @@ std::size_t end_frame(util::ByteWriter& writer, const OpenFrame& open);
 /// Bytes arrive either zero-copy — `recv` straight into `writable()` /
 /// `commit()` — or by copy via `feed()` (tests, codec benches). `next()`
 /// yields complete frames as views into the internal (pooled) buffer.
-/// Malformed input — wrong magic, malformed varints, a length above the
-/// cap — is a clean, sticky `kError` with a diagnostic; nothing throws and
-/// nothing is read out of bounds, so corrupt peers cost a connection, not
-/// the process.
+/// Malformed input — wrong magic, malformed varints, a length above
+/// `kMaxFramePayload` — is a clean, sticky `kError` with a diagnostic;
+/// nothing throws and nothing is read out of bounds, so corrupt peers cost
+/// a connection, not the process.
 class FrameDecoder {
  public:
-  struct Config {
-    std::size_t max_payload = kDefaultMaxFramePayload;
-  };
-
   enum class Status : std::uint8_t {
     kFrame,     ///< `out` holds the next frame
     kNeedMore,  ///< the buffered bytes end mid-frame; feed more
@@ -112,7 +108,6 @@ class FrameDecoder {
   };
 
   explicit FrameDecoder(util::BufferPool& pool);
-  FrameDecoder(util::BufferPool& pool, Config config);
   ~FrameDecoder();
   FrameDecoder(FrameDecoder&& other) noexcept;
   FrameDecoder& operator=(FrameDecoder&& other) noexcept;
@@ -141,7 +136,6 @@ class FrameDecoder {
   void release_buffer() noexcept;
 
   util::BufferPool* pool_;
-  Config config_;
   std::vector<std::uint8_t> buffer_;
   std::size_t len_ = 0;  ///< committed input bytes in `buffer_`
   std::size_t pos_ = 0;  ///< parse cursor: [pos_, len_) is unparsed

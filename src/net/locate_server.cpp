@@ -20,10 +20,8 @@ struct LocateServer::Worker {
   SocketTransport transport;
   LocateService service;
 
-  Worker(SocketTransport::Config transport_config, const PartitionMap& map,
-         std::uint32_t self)
-      : transport(transport_config),
-        service(transport, map.partitions, &map, self) {}
+  Worker(const PartitionMap& map, std::uint32_t self)
+      : service(transport, map, self) {}
 };
 
 bool LocateServer::worker_address(const SocketAddress& base, std::size_t k,
@@ -91,32 +89,24 @@ bool LocateServer::start(const SocketAddress& base, std::string* error) {
   }
   stop_.store(false, std::memory_order_release);
 
-  // The map every worker advertises: round-robin leaf ownership, worker 0
-  // on the base address. Built (and frozen) before any thread exists.
-  map_ = PartitionMap{};
-  map_.workers = config_.workers;
-  map_.partitions = config_.partitions;
+  // The map every worker advertises, worker 0 on the base address. Built
+  // (and frozen) before any thread exists.
+  std::vector<std::string> advertised;
   for (const SocketAddress& address : addresses) {
-    map_.addresses.push_back(address.to_string());
+    advertised.push_back(address.to_string());
   }
-  for (std::size_t leaf = 0; leaf < config_.partitions; ++leaf) {
-    map_.owner.push_back(static_cast<std::uint32_t>(leaf % config_.workers));
-  }
-
-  SocketTransport::Config transport_config;
-  transport_config.reuse_port = true;
+  map_ = PartitionMap::round_robin(std::move(advertised), config_.partitions);
 
   workers_.clear();
   workers_.reserve(config_.workers);
   for (std::size_t k = 0; k < config_.workers; ++k) {
-    workers_.push_back(std::make_unique<Worker>(
-        transport_config, map_, static_cast<std::uint32_t>(k)));
+    workers_.push_back(
+        std::make_unique<Worker>(map_, static_cast<std::uint32_t>(k)));
     workers_.back()->address = addresses[k];
   }
-  map_.tree_version = workers_.front()->service.directory().tree_version();
 
-  // Bind every listener before spawning anything: a conflict on worker 3
-  // must fail the whole start, with workers 0..2 cleanly unwound.
+  // Bind every listener before spawning anything: a taken address fails
+  // the whole start, with the workers bound so far cleanly unwound.
   for (std::size_t k = 0; k < config_.workers; ++k) {
     std::string bind_error;
     if (!workers_[k]->transport.listen(workers_[k]->address, &bind_error)) {

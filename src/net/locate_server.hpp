@@ -22,10 +22,11 @@ namespace agentloc::net {
 /// Sharding contract:
 ///  - worker k listens on `worker_address(base, k)` — worker 0 on the base
 ///    address itself, worker k>0 on `path + ".w<k>"` (unix) / `port + k`
-///    (tcp). TCP listeners set SO_REUSEPORT so restarts and side-by-side
-///    shards bind cleanly. A base whose derived addresses cannot be bound
-///    (a port past 65535, a path past `sun_path`) fails `start` before
-///    anything binds.
+///    (tcp), so no two workers share an address. A base whose derived
+///    addresses cannot be bound (a port past 65535, a path past
+///    `sun_path`) fails `start` before anything binds, and an address
+///    another listener holds fails it at bind: two servers never split one
+///    address's clients between two directories.
 ///  - the advertised map assigns leaf → worker round-robin
 ///    (`leaf % workers`), and every worker answers kPartitionMap with the
 ///    same map.

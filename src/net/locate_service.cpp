@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace agentloc::net {
 namespace {
@@ -26,6 +27,19 @@ bool names_dialed(const std::string& advertised, const SocketAddress& dialed) {
 }
 
 }  // namespace
+
+PartitionMap PartitionMap::round_robin(std::vector<std::string> addresses,
+                                       std::size_t partitions) {
+  PartitionMap map;
+  map.workers = addresses.size();
+  map.partitions = partitions;
+  map.tree_version = LocateDirectory::make_tree(partitions).version();
+  map.addresses = std::move(addresses);
+  for (std::size_t leaf = 0; leaf < partitions; ++leaf) {
+    map.owner.push_back(static_cast<std::uint32_t>(leaf % map.workers));
+  }
+  return map;
+}
 
 void PartitionMap::encode(util::ByteWriter& writer) const {
   writer.write_varint(workers);
@@ -124,17 +138,11 @@ std::size_t LocateDirectory::size() const noexcept {
 }
 
 LocateService::LocateService(SocketTransport& transport,
-                             std::size_t partitions, const PartitionMap* map,
-                             std::uint32_t self)
-    : transport_(transport), directory_(partitions), map_(map), self_(self) {
-  if (map_ == nullptr) {
-    // Empty address = "the connection you already hold".
-    own_map_.partitions = directory_.partition_count();
-    own_map_.tree_version = directory_.tree_version();
-    own_map_.addresses.assign(1, std::string());
-    own_map_.owner.assign(directory_.partition_count(), 0);
-    map_ = &own_map_;
-  }
+                             const PartitionMap& map, std::uint32_t self)
+    : transport_(transport),
+      map_(map),
+      directory_(static_cast<std::size_t>(map.partitions)),
+      self_(self) {
   transport_.on_frame([this](SocketTransport::PeerId peer,
                              const FrameView& frame) {
     handle_frame(peer, frame);
@@ -165,7 +173,7 @@ void LocateService::send_locate_reply(SocketTransport::PeerId peer,
 bool LocateService::refuse_if_foreign(SocketTransport::PeerId peer,
                                       std::uint64_t correlation,
                                       platform::AgentId agent, bool reply) {
-  if (map_->owner[directory_.partition_of(agent)] == self_) return false;
+  if (map_.owner[directory_.partition_of(agent)] == self_) return false;
   // Paper §4.3 trigger (ii): the requester's routing is stale. Nothing is
   // applied; the client holds the map, so the reply names no owner.
   ++counters_.not_responsible;
@@ -259,7 +267,7 @@ void LocateService::handle_frame(SocketTransport::PeerId peer,
       }
       case FrameType::kPartitionMap: {
         transport_.send(peer, FrameType::kPartitionMap, frame.correlation,
-                        [&](util::ByteWriter& w) { map_->encode(w); });
+                        [&](util::ByteWriter& w) { map_.encode(w); });
         transport_.flush(peer);
         return;
       }
@@ -273,7 +281,7 @@ void LocateService::handle_frame(SocketTransport::PeerId peer,
   }
 }
 
-LocateClient::LocateClient() : transport_(SocketTransport::Config{}) {
+LocateClient::LocateClient() {
   transport_.on_frame([this](SocketTransport::PeerId peer,
                              const FrameView& frame) {
     handle_frame(peer, frame);
@@ -429,7 +437,7 @@ bool LocateClient::connect(const SocketAddress& address, std::string* error,
   }
   // The dialed connection is the worker the map lists at its address. A
   // one-worker map needs no match: whatever address reached the server (an
-  // alias, a standalone service's empty entry) reached its only worker.
+  // alias such as a symlink) reached its only worker.
   std::size_t self = 0;
   if (map_.workers > 1) {
     const auto named =

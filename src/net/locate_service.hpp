@@ -14,9 +14,7 @@ namespace agentloc::net {
 
 /// Worker-shard advertisement (the kPartitionMap frame, DESIGN.md §17):
 /// how many workers serve a directory, which address each one listens on,
-/// and which worker owns each hash-tree leaf. A standalone service is one
-/// worker that owns every leaf (empty address = "the connection you
-/// already hold").
+/// and which worker owns each hash-tree leaf.
 struct PartitionMap {
   /// Largest counts `decode` accepts. A server must not advertise more:
   /// every client would reject the map.
@@ -26,11 +24,16 @@ struct PartitionMap {
   std::uint64_t workers = 1;
   std::uint64_t partitions = 1;
   std::uint64_t tree_version = 0;
-  /// One address string per worker ("unix:…"/"tcp:…"). addresses[0] may be
-  /// empty: the advertising connection itself is worker 0.
+  /// One address string per worker ("unix:…"/"tcp:…").
   std::vector<std::string> addresses;
   /// Leaf index (iagent-1 in the pre-split tree) → owning worker.
   std::vector<std::uint32_t> owner;
+
+  /// The map a server advertises: one worker per address, `partitions`
+  /// leaves of `LocateDirectory::make_tree(partitions)` and its version,
+  /// and leaf ownership round-robin (`leaf % workers`).
+  static PartitionMap round_robin(std::vector<std::string> addresses,
+                                  std::size_t partitions);
 
   void encode(util::ByteWriter& writer) const;
   /// Throws std::runtime_error on malformed payloads (like the ByteReader
@@ -119,11 +122,10 @@ class LocateService {
 
   /// Installs itself as `transport`'s frame handler. The transport must
   /// outlive the service. `map` (non-owning, must outlive the service) is
-  /// the sharded server's map, and `self` this worker's index in it;
-  /// without a map the service builds its own, as one worker that owns
-  /// every leaf.
-  LocateService(SocketTransport& transport, std::size_t partitions,
-                const PartitionMap* map = nullptr, std::uint32_t self = 0);
+  /// the server's map, and `self` this worker's index in it; the directory
+  /// spans the map's partitions.
+  LocateService(SocketTransport& transport, const PartitionMap& map,
+                std::uint32_t self);
   LocateService(const LocateService&) = delete;
   LocateService& operator=(const LocateService&) = delete;
 
@@ -145,9 +147,8 @@ class LocateService {
                          bool reply);
 
   SocketTransport& transport_;
+  const PartitionMap& map_;
   LocateDirectory directory_;
-  PartitionMap own_map_;  ///< a standalone service's map; unused otherwise
-  const PartitionMap* map_;  ///< never null: the server's map or own_map_
   std::uint32_t self_;
   Counters counters_;
 };

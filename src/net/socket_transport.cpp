@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -14,7 +15,7 @@
 namespace agentloc::net {
 namespace {
 
-/// Sealed buffers gathered into one writev in coalesced mode.
+/// Sealed buffers gathered into one writev.
 constexpr std::size_t kMaxBatchIov = 16;
 /// An open coalescing batch is sealed once it holds this many bytes.
 constexpr std::size_t kSendBufferCap = 16u << 10;
@@ -25,6 +26,44 @@ constexpr int kListenBacklog = 16;
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+sockaddr_un unix_sockaddr(const std::string& path) {
+  sockaddr_un sun{};
+  sun.sun_family = AF_UNIX;
+  std::strncpy(sun.sun_path, path.c_str(), sizeof(sun.sun_path) - 1);
+  return sun;
+}
+
+/// Free `path` for a new unix listener without taking it from anyone: a
+/// stale socket (its listener gone, so connecting is refused) is unlinked;
+/// a live socket, or anything that is not a socket, is refused and left in
+/// place. A path lstat cannot read is left for bind to report.
+bool claim_unix_path(const std::string& path, std::string* error) {
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) != 0) return true;
+  if (!S_ISSOCK(st.st_mode)) {
+    if (error) *error = "bind(unix): " + path + " exists and is not a socket";
+    return false;
+  }
+  // Nonblocking, so a live listener with a full backlog answers EAGAIN
+  // instead of stalling the probe.
+  const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (probe < 0) {
+    if (error) *error = errno_text("socket(AF_UNIX)");
+    return false;
+  }
+  const sockaddr_un sun = unix_sockaddr(path);
+  const bool stale = ::connect(probe, reinterpret_cast<const sockaddr*>(&sun),
+                               sizeof(sun)) != 0 &&
+                     errno == ECONNREFUSED;
+  ::close(probe);
+  if (!stale) {
+    if (error) *error = "bind(unix): " + path + " is in use";
+    return false;
+  }
+  ::unlink(path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -85,10 +124,6 @@ std::string SocketAddress::to_string() const {
   if (kind == Kind::kUnix) return "unix:" + path;
   return "tcp:" + host + ":" + std::to_string(port);
 }
-
-SocketTransport::SocketTransport() : SocketTransport(Config{}) {}
-
-SocketTransport::SocketTransport(Config config) : config_(config) {}
 
 SocketTransport::~SocketTransport() { close_all(); }
 
@@ -167,17 +202,15 @@ bool SocketTransport::listen(const SocketAddress& address,
     return false;
   };
   if (address.kind == SocketAddress::Kind::kUnix) {
+    if (!claim_unix_path(address.path, error)) return false;
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
       if (error) *error = errno_text("socket(AF_UNIX)");
       return false;
     }
-    sockaddr_un sun{};
-    sun.sun_family = AF_UNIX;
-    std::strncpy(sun.sun_path, address.path.c_str(),
-                 sizeof(sun.sun_path) - 1);
-    ::unlink(address.path.c_str());  // stale socket from a previous run
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)) != 0) {
+    const sockaddr_un sun = unix_sockaddr(address.path);
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&sun), sizeof(sun)) !=
+        0) {
       return fail(errno_text("bind(unix)"));
     }
     listen_unix_path_ = address.path;
@@ -187,11 +220,10 @@ bool SocketTransport::listen(const SocketAddress& address,
       if (error) *error = errno_text("socket(AF_INET)");
       return false;
     }
+    // SO_REUSEADDR lets a restart bind past TIME_WAIT; a port another
+    // listener still holds fails the bind with EADDRINUSE.
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (config_.reuse_port) {
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-    }
     sockaddr_in sin{};
     sin.sin_family = AF_INET;
     sin.sin_port = htons(address.port);
@@ -221,11 +253,8 @@ SocketTransport::PeerId SocketTransport::connect(const SocketAddress& address,
       if (error) *error = errno_text("socket(AF_UNIX)");
       return kInvalidPeer;
     }
-    sockaddr_un sun{};
-    sun.sun_family = AF_UNIX;
-    std::strncpy(sun.sun_path, address.path.c_str(),
-                 sizeof(sun.sun_path) - 1);
-    rc = ::connect(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun));
+    const sockaddr_un sun = unix_sockaddr(address.path);
+    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&sun), sizeof(sun));
   } else {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) {
@@ -275,9 +304,7 @@ bool SocketTransport::send(
   if (encode_payload) encode_payload(p.batch);
   end_frame(p.batch, open);
   ++stats_.frames_sent;
-  if (!config_.coalesce || p.batch.size() >= kSendBufferCap) {
-    seal_batch(p);
-  }
+  if (p.batch.size() >= kSendBufferCap) seal_batch(p);
   return true;
 }
 
@@ -308,12 +335,9 @@ void SocketTransport::flush_all() {
 
 void SocketTransport::flush_pending(PeerId id) {
   Peer& peer = peers_[static_cast<std::size_t>(id)];
-  // Coalesced mode gathers up to kMaxBatchIov sealed buffers per writev;
-  // the uncoalesced baseline pushes exactly one buffer per syscall.
-  const std::size_t max_iov = config_.coalesce ? kMaxBatchIov : 1;
   while (!peer.sendq.empty()) {
     iovec iov[kMaxBatchIov];
-    const std::size_t count = std::min(peer.sendq.size(), max_iov);
+    const std::size_t count = std::min(peer.sendq.size(), kMaxBatchIov);
     for (std::size_t i = 0; i < count; ++i) {
       PendingBuffer& buf = peer.sendq[i];
       iov[i].iov_base = buf.bytes.data() + buf.offset;
@@ -414,7 +438,6 @@ int SocketTransport::poll_once(int timeout_ms) {
         const PeerId id = register_fd(fd);
         if (id == kInvalidPeer) continue;
         ++stats_.accepts;
-        if (on_accept_) on_accept_(id);
       }
       continue;
     }

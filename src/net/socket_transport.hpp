@@ -50,10 +50,8 @@ struct SocketAddress {
 ///    peer. Write interest is subscribed only while a peer has sealed bytes
 ///    queued, synced at the top of each `poll_once` turn.
 ///  - per-peer send queues: frames are encoded back-to-back into pooled
-///    buffers (`coalesce` mode) and flushed with a single `writev(2)`
-///    gathering up to 16 buffers — the syscalls-per-frame
-///    lever measured by bench_transport. With `coalesce=false` every frame
-///    gets its own buffer and its own `write` syscall (the baseline).
+///    buffers and flushed with a single `writev(2)` gathering up to 16
+///    buffers — the syscalls-per-frame lever measured by bench_transport.
 ///  - receives land directly in each peer's `FrameDecoder` pooled buffer
 ///    (`writable`/`commit`, no intermediate copy) and complete frames are
 ///    handed to the frame handler as views.
@@ -66,13 +64,6 @@ class SocketTransport {
  public:
   using PeerId = int;
   static constexpr PeerId kInvalidPeer = -1;
-
-  struct Config {
-    bool coalesce = true;  ///< pack frames per buffer + writev batches
-    /// Set SO_REUSEPORT on TCP listen sockets so sharded workers can bind
-    /// the same address family side by side (LocateServer sets this).
-    bool reuse_port = false;
-  };
 
   struct Stats {
     std::uint64_t frames_sent = 0;
@@ -92,10 +83,8 @@ class SocketTransport {
   using FrameHandler = std::function<void(PeerId, const FrameView&)>;
   /// Peer closed: EOF, error, or protocol violation (`decode_errors`).
   using DisconnectHandler = std::function<void(PeerId)>;
-  using AcceptHandler = std::function<void(PeerId)>;
 
-  SocketTransport();
-  explicit SocketTransport(Config config);
+  SocketTransport() = default;
   ~SocketTransport();
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
@@ -109,10 +98,12 @@ class SocketTransport {
   void on_disconnect(DisconnectHandler handler) {
     on_disconnect_ = std::move(handler);
   }
-  void on_accept(AcceptHandler handler) { on_accept_ = std::move(handler); }
 
-  /// Bind + listen. One listener per transport. False + `error` on failure,
-  /// including a listen socket the event loop refuses to watch.
+  /// Bind + listen. One listener per transport. False + `error` on failure:
+  /// an address another listener holds (a live TCP port or unix socket), a
+  /// unix path that holds anything but a socket (nothing there is removed),
+  /// or a listen socket the event loop refuses to watch. A stale unix
+  /// socket, one that no listener accepts on, is unlinked and reclaimed.
   bool listen(const SocketAddress& address, std::string* error);
 
   /// Connect to a listening transport. Returns the new peer id, or
@@ -156,7 +147,6 @@ class SocketTransport {
   std::size_t peer_count() const noexcept;  ///< open peers
   const Stats& stats() const noexcept { return stats_; }
   util::BufferPool& pool() noexcept { return pool_; }
-  const Config& config() const noexcept { return config_; }
 
  private:
   struct PendingBuffer {
@@ -183,7 +173,6 @@ class SocketTransport {
   void drop_peer(PeerId id, bool count_disconnect);
   static bool set_nonblocking(int fd);
 
-  Config config_;
   Stats stats_;
   util::BufferPool pool_;
   EventLoop loop_;
@@ -194,7 +183,6 @@ class SocketTransport {
   std::string listen_unix_path_;  ///< unlinked on close
   FrameHandler on_frame_;
   DisconnectHandler on_disconnect_;
-  AcceptHandler on_accept_;
 };
 
 }  // namespace agentloc::net

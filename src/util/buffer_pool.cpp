@@ -22,8 +22,8 @@ std::vector<std::uint8_t> BufferPool::acquire(std::size_t min_capacity) {
 void BufferPool::release(std::vector<std::uint8_t>&& buffer) {
   ++stats_.releases;
   buffer.clear();
-  if (buffer.capacity() == 0 || pool_.size() >= config_.max_buffers ||
-      retained_bytes_ + buffer.capacity() > config_.max_retained_bytes) {
+  if (buffer.capacity() == 0 || pool_.size() >= kMaxBuffers ||
+      retained_bytes_ + buffer.capacity() > kMaxRetainedBytes) {
     ++stats_.discards;
     return;  // let the vector free its storage
   }

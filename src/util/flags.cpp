@@ -73,7 +73,7 @@ void Flags::parse(const std::vector<std::string>& args) {
     } else if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
       values_[body] = args[++i];
     } else {
-      values_[body] = "true";
+      values_[body] = std::nullopt;
     }
   }
 }
@@ -87,6 +87,10 @@ std::optional<std::string> Flags::get(std::string_view name) const {
   declared_.emplace_back(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
+  if (!it->second) {
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": expects a value");
+  }
   return it->second;
 }
 
@@ -123,9 +127,9 @@ double Flags::get_double(std::string_view name, double fallback) const {
 }
 
 bool Flags::get_bool(std::string_view name, bool fallback) const {
-  const auto text = get(name);
-  if (!text) return fallback;
-  return parse_bool(name, *text);
+  if (!has(name)) return fallback;
+  const std::optional<std::string>& text = values_.find(name)->second;
+  return !text || parse_bool(name, *text);
 }
 
 std::vector<std::int64_t> Flags::get_int_list(

@@ -13,7 +13,9 @@ namespace agentloc::util {
 /// Tiny command-line flag parser shared by the bench and example binaries.
 ///
 /// Accepts `--name=value`, `--name value`, and bare boolean `--name`.
-/// Anything not starting with `--` is collected as a positional argument.
+/// A bare flag has no value: `get_bool` reads it as true, and every other
+/// getter refuses it. Anything not starting with `--` is collected as a
+/// positional argument.
 /// Unknown flags are tolerated and retrievable (so wrapper scripts can pass
 /// experiment-specific knobs through), but each binary can call
 /// `fail_on_unknown` after declaring its flags to get strict behaviour.
@@ -29,7 +31,8 @@ class Flags {
   std::optional<std::string> get(std::string_view name) const;
 
   /// The typed getters read the whole value: `--n=8x` is an error, not 8.
-  /// A malformed value throws `std::invalid_argument` naming the flag.
+  /// A malformed value, or none (a bare `--name`, except to `get_bool`),
+  /// throws `std::invalid_argument` naming the flag.
   std::string get_string(std::string_view name, std::string fallback) const;
   std::int64_t get_int(std::string_view name, std::int64_t fallback) const;
   double get_double(std::string_view name, double fallback) const;
@@ -64,7 +67,8 @@ class Flags {
  private:
   void parse(const std::vector<std::string>& args);
 
-  std::map<std::string, std::string, std::less<>> values_;
+  /// nullopt: a bare `--name`.
+  std::map<std::string, std::optional<std::string>, std::less<>> values_;
   std::vector<std::string> positional_;
   mutable std::vector<std::string> declared_;
 };

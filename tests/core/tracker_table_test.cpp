@@ -288,7 +288,7 @@ TEST(PredicateOf, RootLeafIsUnconstrained) {
 }
 
 TEST(LoadWindow, RatesComputedOverClosedWindow) {
-  LoadWindow window(sim::SimTime::seconds(2));
+  LoadWindow window;  // kStatsWindow: 2 s
   window.record(1);
   window.record(1);
   window.record(2);
@@ -304,7 +304,7 @@ TEST(LoadWindow, RatesComputedOverClosedWindow) {
 }
 
 TEST(LoadWindow, PerAgentCounts) {
-  LoadWindow window(sim::SimTime::seconds(1));
+  LoadWindow window;
   for (int i = 0; i < 5; ++i) window.record(7);
   window.record(8);
   window.roll();

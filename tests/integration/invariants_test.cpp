@@ -167,7 +167,7 @@ struct RunFingerprint {
   std::uint64_t sent = 0;
   std::uint64_t processed = 0;
   std::uint64_t flushes = 0;
-  std::uint64_t coalesced = 0;
+  std::uint64_t messages_coalesced = 0;
   std::uint64_t found = 0;
   std::uint64_t wrong = 0;
   std::uint64_t latency_mean_bits = 0;
@@ -208,7 +208,7 @@ RunFingerprint run_batched_once(std::uint64_t seed) {
   fingerprint.sent = system.stats().messages_sent;
   fingerprint.processed = system.stats().messages_processed;
   fingerprint.flushes = system.stats().batch_flushes;
-  fingerprint.coalesced = system.stats().messages_coalesced;
+  fingerprint.messages_coalesced = system.stats().messages_coalesced;
   fingerprint.found = querier.found();
   fingerprint.wrong = querier.wrong_location();
   const double mean = querier.latencies_ms().mean();
@@ -220,7 +220,7 @@ TEST(BatchedDeterminism, FixedSeedBatchedRunIsSelfReproducible) {
   const RunFingerprint first = run_batched_once(91);
   const RunFingerprint second = run_batched_once(91);
   EXPECT_GT(first.flushes, 0u);
-  EXPECT_GT(first.coalesced, 0u);
+  EXPECT_GT(first.messages_coalesced, 0u);
   EXPECT_GT(first.found, 0u);
   EXPECT_EQ(first, second);
 }

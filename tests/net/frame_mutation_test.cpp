@@ -402,22 +402,23 @@ TEST(FrameMutator, LocateServiceAnswersOrRejectsEveryDecodedFrame) {
   }
   {
     SCOPED_TRACE("a service that owns every leaf");
+    const PartitionMap map = PartitionMap::round_robin(
+        {"unix:/tmp/agentloc-mutator.sock"}, /*partitions=*/4);
     SocketTransport server;
-    LocateService service(server, /*partitions=*/4);
+    LocateService service(server, map, /*self=*/0);
     expect_every_frame_answered(server, service);
     EXPECT_EQ(service.counters().not_responsible, 0u);
   }
   {
     // Worker 0 of two refuses the ops on leaves 1 and 3.
     SCOPED_TRACE("worker 0 of a 2-worker map");
-    PartitionMap map;
-    map.workers = 2;
-    map.partitions = 4;
-    map.tree_version = LocateDirectory::make_tree(4).version();
-    map.addresses = {"", "unix:/tmp/agentloc-mutator.sock.w1"};
-    map.owner = {0, 1, 0, 1};
+    const PartitionMap map = PartitionMap::round_robin(
+        {"unix:/tmp/agentloc-mutator.sock",
+         "unix:/tmp/agentloc-mutator.sock.w1"},
+        /*partitions=*/4);
+    ASSERT_EQ(map.owner, (std::vector<std::uint32_t>{0, 1, 0, 1}));
     SocketTransport server;
-    LocateService service(server, /*partitions=*/4, &map, /*self=*/0);
+    LocateService service(server, map, /*self=*/0);
     expect_every_frame_answered(server, service);
     EXPECT_GT(service.counters().not_responsible, 0u);
   }

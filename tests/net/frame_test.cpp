@@ -188,30 +188,36 @@ TEST(Frame, BadMagicIsCleanError) {
 }
 
 TEST(Frame, OversizedLengthIsCleanError) {
-  util::ByteWriter writer;
-  writer.write_u8(kFrameMagic);
-  writer.write_u8(static_cast<std::uint8_t>(FrameType::kUpdate));
-  writer.write_u8(0);
-  writer.write_varint(1);            // correlation
-  writer.write_varint4(2u << 20);   // double the default cap
-  const auto bytes = std::move(writer).take();
+  // A header declaring exactly the cap waits for its payload and then
+  // decodes; one byte more, or double the cap, is refused before any
+  // payload arrives.
+  for (const std::size_t length :
+       {kMaxFramePayload, kMaxFramePayload + 1, 2 * kMaxFramePayload}) {
+    SCOPED_TRACE(length);
+    util::ByteWriter writer;
+    writer.write_u8(kFrameMagic);
+    writer.write_u8(static_cast<std::uint8_t>(FrameType::kUpdate));
+    writer.write_u8(0);
+    writer.write_varint(1);  // correlation
+    writer.write_varint4(static_cast<std::uint32_t>(length));
+    const auto bytes = std::move(writer).take();
 
-  util::BufferPool pool;
-  FrameDecoder decoder(pool);
-  decoder.feed(bytes.data(), bytes.size());
-  FrameView view;
-  EXPECT_EQ(decoder.next(view), FrameDecoder::Status::kError);
-  EXPECT_NE(decoder.error().find("cap"), std::string::npos);
-}
-
-TEST(Frame, CustomCapIsEnforced) {
-  const auto bytes =
-      encode_one(FrameType::kUpdate, 1, std::vector<std::uint8_t>(100, 1));
-  util::BufferPool pool;
-  FrameDecoder decoder(pool, FrameDecoder::Config{/*max_payload=*/64});
-  decoder.feed(bytes.data(), bytes.size());
-  FrameView view;
-  EXPECT_EQ(decoder.next(view), FrameDecoder::Status::kError);
+    util::BufferPool pool;
+    FrameDecoder decoder(pool);
+    decoder.feed(bytes.data(), bytes.size());
+    FrameView view;
+    if (length == kMaxFramePayload) {
+      EXPECT_EQ(decoder.next(view), FrameDecoder::Status::kNeedMore);
+      const std::vector<std::uint8_t> payload(length, 7);
+      decoder.feed(payload.data(), payload.size());
+      ASSERT_EQ(decoder.next(view), FrameDecoder::Status::kFrame);
+      EXPECT_EQ(view.payload_size, kMaxFramePayload);
+      EXPECT_FALSE(decoder.failed());
+      continue;
+    }
+    EXPECT_EQ(decoder.next(view), FrameDecoder::Status::kError);
+    EXPECT_NE(decoder.error().find("cap"), std::string::npos);
+  }
 }
 
 TEST(Frame, CorruptCorrelationVarintIsCleanError) {

@@ -4,14 +4,12 @@
 
 #include <unistd.h>
 
-#include <atomic>
-#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "net/locate_server.hpp"
 #include "util/rng.hpp"
 
 namespace agentloc::net {
@@ -105,54 +103,32 @@ TEST(LocateDirectory, BindingsLandInTheirHashPartition) {
   EXPECT_EQ(directory.size(), 500u);
 }
 
-/// Client/server over a real UDS in one process: the server transport turns
-/// on a pump thread (the client's sync waits only poll the client side).
-/// Server-side state is only inspected after the pump has been stopped.
+/// Client/server over a real UDS in one process, on the stack `agentlocd`
+/// runs by default: a one-worker `LocateServer`, serving on its own thread
+/// while the client's sync waits poll the client side. Server-side state is
+/// only inspected after `stop()`, from the worker's exit snapshot.
 class LocateServiceLoop : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!SocketTransport::sockets_available()) {
       GTEST_SKIP() << "sandbox cannot create sockets";
     }
-    path_ = "/tmp/agentloc-ls-" + std::to_string(::getpid()) + ".sock";
     address_.kind = SocketAddress::Kind::kUnix;
-    address_.path = path_;
+    address_.path = "/tmp/agentloc-ls-" + std::to_string(::getpid()) + ".sock";
     std::string error;
-    ASSERT_TRUE(server_transport_.listen(address_, &error)) << error;
-    service_ =
-        std::make_unique<LocateService>(server_transport_, /*partitions=*/4);
-    start_pump();
+    ASSERT_TRUE(server_.start(address_, &error)) << error;
     ASSERT_TRUE(client_.connect(address_, &error)) << error;
   }
 
-  void TearDown() override {
-    stop_pump();
-    if (!path_.empty()) ::unlink(path_.c_str());
+  /// Join the worker (it unlinks its socket) and return its snapshot.
+  const LocateServer::WorkerStats& stop() {
+    server_.stop();
+    return server_.stats()[0];
   }
 
-  void start_pump() {
-    stop_.store(false);
-    pump_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_relaxed)) {
-        server_transport_.poll_once(5);
-      }
-    });
-  }
-
-  void stop_pump() {
-    if (pump_.joinable()) {
-      stop_.store(true);
-      pump_.join();
-    }
-  }
-
-  std::string path_;
   SocketAddress address_;
-  SocketTransport server_transport_;
-  std::unique_ptr<LocateService> service_;
+  LocateServer server_{LocateServer::Config{/*workers=*/1, /*partitions=*/4}};
   LocateClient client_;
-  std::atomic<bool> stop_{false};
-  std::thread pump_;
 };
 
 TEST_F(LocateServiceLoop, HandshakeReportsPartitions) {
@@ -169,18 +145,18 @@ TEST_F(LocateServiceLoop, UpdateThenLocateRoundTrip) {
   EXPECT_EQ(reply->status, core::LocateStatus::kFound);
   EXPECT_EQ(reply->node, 7u);
   EXPECT_EQ(reply->seq, 1u);
-  stop_pump();
-  EXPECT_EQ(service_->counters().updates_applied, 1u);
-  EXPECT_EQ(service_->counters().locates_found, 1u);
+  const LocateServer::WorkerStats& stats = stop();
+  EXPECT_EQ(stats.counters.updates_applied, 1u);
+  EXPECT_EQ(stats.counters.locates_found, 1u);
 }
 
 TEST_F(LocateServiceLoop, LocateMissReportsUnknown) {
   const auto reply = client_.locate(999999);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, core::LocateStatus::kUnknown);
-  stop_pump();
-  EXPECT_EQ(service_->counters().locates, 1u);
-  EXPECT_EQ(service_->counters().locates_found, 0u);
+  const LocateServer::WorkerStats& stats = stop();
+  EXPECT_EQ(stats.counters.locates, 1u);
+  EXPECT_EQ(stats.counters.locates_found, 0u);
 }
 
 TEST_F(LocateServiceLoop, StaleUpdateIsAckedUnapplied) {
@@ -192,9 +168,9 @@ TEST_F(LocateServiceLoop, StaleUpdateIsAckedUnapplied) {
   const auto reply = client_.locate(55);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->node, 1u);
-  stop_pump();
-  EXPECT_EQ(service_->counters().updates, 2u);
-  EXPECT_EQ(service_->counters().updates_applied, 1u);
+  const LocateServer::WorkerStats& stats = stop();
+  EXPECT_EQ(stats.counters.updates, 2u);
+  EXPECT_EQ(stats.counters.updates_applied, 1u);
 }
 
 TEST_F(LocateServiceLoop, DeregisterThenLocateMisses) {
@@ -205,8 +181,7 @@ TEST_F(LocateServiceLoop, DeregisterThenLocateMisses) {
   const auto reply = client_.locate(88);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, core::LocateStatus::kUnknown);
-  stop_pump();
-  EXPECT_EQ(service_->counters().deregisters, 1u);
+  EXPECT_EQ(stop().counters.deregisters, 1u);
 }
 
 TEST_F(LocateServiceLoop, AgentIdZeroIsRefused) {
@@ -244,9 +219,9 @@ TEST_F(LocateServiceLoop, AgentIdZeroIsRefused) {
   const auto reply = client_.locate(0);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, core::LocateStatus::kUnknown);
-  stop_pump();
-  EXPECT_EQ(service_->counters().updates_applied, 0u);
-  EXPECT_EQ(service_->directory().size(), 0u);
+  const LocateServer::WorkerStats& stats = stop();
+  EXPECT_EQ(stats.counters.updates_applied, 0u);
+  EXPECT_EQ(stats.bindings, 0u);
 }
 
 TEST_F(LocateServiceLoop, OneWayUpdatesWithPingFence) {
@@ -264,9 +239,9 @@ TEST_F(LocateServiceLoop, OneWayUpdatesWithPingFence) {
     ASSERT_EQ(reply->status, core::LocateStatus::kFound) << id;
     EXPECT_EQ(reply->node, node);
   }
-  stop_pump();
-  EXPECT_EQ(service_->counters().updates_applied, 200u);
-  EXPECT_EQ(service_->directory().size(), 200u);
+  const LocateServer::WorkerStats& stats = stop();
+  EXPECT_EQ(stats.counters.updates_applied, 200u);
+  EXPECT_EQ(stats.bindings, 200u);
 }
 
 TEST_F(LocateServiceLoop, PipelinedLocatesMatchGroundTruth) {
@@ -310,8 +285,7 @@ TEST_F(LocateServiceLoop, MalformedPayloadGetsErrorNotCrash) {
   EXPECT_TRUE(got_error);
   // The original client still works.
   EXPECT_TRUE(client_.ping());
-  stop_pump();
-  EXPECT_EQ(service_->counters().protocol_errors, 1u);
+  EXPECT_EQ(stop().counters.protocol_errors, 1u);
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -127,6 +131,103 @@ TEST(WorkerConfig, StartRefusesWorkersPastMapBound) {
   EXPECT_NE(error.find("4096"), std::string::npos) << error;
 }
 
+/// Whether the server at `base` answers as one directory: a client's acked
+/// update of `agent` is read back by each of eight clients that dial anew.
+bool serves_one_directory(const SocketAddress& base, std::uint64_t agent) {
+  LocateClient writer;
+  std::string error;
+  if (!writer.connect(base, &error) ||
+      !writer.update(agent, /*node=*/5, /*seq=*/1).value_or(false)) {
+    return false;
+  }
+  for (int i = 0; i < 8; ++i) {
+    LocateClient reader;
+    if (!reader.connect(base, &error)) return false;
+    const auto reply = reader.locate(agent);
+    if (!reply || reply->status != core::LocateStatus::kFound ||
+        reply->node != 5) {
+      return false;
+    }
+  }
+  return true;
+}
+
+LocateServer one_worker_server() {
+  return LocateServer(LocateServer::Config{/*workers=*/1, /*partitions=*/8});
+}
+
+TEST(WorkerConfig, StartRefusesATakenTcpPort) {
+  SKIP_WITHOUT_SOCKETS();
+  // Listeners do not share ports, so the kernel refuses a second listener
+  // on a live one and new clients cannot be split between two directories.
+  SocketAddress base;
+  std::string error;
+  ASSERT_TRUE(SocketAddress::parse(
+      "tcp:127.0.0.1:" + std::to_string(next_tcp_port()), base, &error));
+  LocateServer first = one_worker_server();
+  if (!first.start(base, &error)) GTEST_SKIP() << "tcp bind: " << error;
+  {
+    LocateServer second = one_worker_server();
+    EXPECT_FALSE(second.start(base, &error));
+    EXPECT_NE(error.find("worker 0"), std::string::npos) << error;
+    EXPECT_NE(error.find("in use"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(serves_one_directory(base, util::mix64(1)));
+}
+
+TEST(WorkerConfig, StartRefusesALiveUnixPath) {
+  SKIP_WITHOUT_SOCKETS();
+  const SocketAddress base = unix_address(unique_socket_path("live"));
+  LocateServer first = one_worker_server();
+  std::string error;
+  ASSERT_TRUE(first.start(base, &error)) << error;
+  {
+    LocateServer second = one_worker_server();
+    EXPECT_FALSE(second.start(base, &error));
+    EXPECT_NE(error.find("worker 0"), std::string::npos) << error;
+    EXPECT_NE(error.find("in use"), std::string::npos) << error;
+  }
+  // The refused server left the first one's socket where it was.
+  EXPECT_TRUE(std::filesystem::is_socket(base.path));
+  EXPECT_TRUE(serves_one_directory(base, util::mix64(2)));
+}
+
+TEST(WorkerConfig, StartLeavesARegularFileAlone) {
+  SKIP_WITHOUT_SOCKETS();
+  const std::string path = unique_socket_path("file");
+  std::ofstream(path) << "not a socket\n";
+  LocateServer server = one_worker_server();
+  std::string error;
+  EXPECT_FALSE(server.start(unix_address(path), &error));
+  EXPECT_NE(error.find("worker 0"), std::string::npos) << error;
+  EXPECT_NE(error.find("not a socket"), std::string::npos) << error;
+  std::string kept;
+  std::getline(std::ifstream(path), kept);
+  EXPECT_EQ(kept, "not a socket");
+  std::filesystem::remove(path);
+}
+
+TEST(WorkerConfig, StartReclaimsAStaleUnixSocket) {
+  SKIP_WITHOUT_SOCKETS();
+  // A listener that closed without unlinking its path, as after a crash:
+  // the socket file stays, and connecting to it is refused.
+  const SocketAddress base = unix_address(unique_socket_path("stale"));
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un sun{};
+  sun.sun_family = AF_UNIX;
+  std::strncpy(sun.sun_path, base.path.c_str(), sizeof(sun.sun_path) - 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&sun), sizeof(sun)), 0);
+  ASSERT_EQ(::listen(fd, 1), 0);
+  ::close(fd);
+  ASSERT_TRUE(std::filesystem::is_socket(base.path));
+
+  LocateServer server = one_worker_server();
+  std::string error;
+  ASSERT_TRUE(server.start(base, &error)) << error;
+  EXPECT_TRUE(serves_one_directory(base, util::mix64(3)));
+}
+
 TEST(WorkerPartitionMap, EncodeDecodeRoundTrips) {
   PartitionMap map;
   map.workers = 3;
@@ -149,11 +250,9 @@ TEST(WorkerPartitionMap, EncodeDecodeRoundTrips) {
 }
 
 TEST(WorkerPartitionMap, DecodeRejectsOutOfRangeOwner) {
-  PartitionMap map;
-  map.workers = 2;
-  map.partitions = 2;
-  map.addresses = {"", "unix:/tmp/x.w1"};
-  map.owner = {0, 1};
+  const PartitionMap map =
+      PartitionMap::round_robin({"unix:/tmp/x", "unix:/tmp/x.w1"}, 2);
+  ASSERT_EQ(map.owner, (std::vector<std::uint32_t>{0, 1}));
   util::ByteWriter writer;
   map.encode(writer);
   std::vector<std::uint8_t> bytes = std::move(writer).take();

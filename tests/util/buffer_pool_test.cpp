@@ -57,31 +57,33 @@ TEST(BufferPool, AcquireGrowsUndersizedPooledBuffer) {
 }
 
 TEST(BufferPool, MaxBuffersBoundDiscards) {
-  BufferPool pool(BufferPool::Config{/*max_buffers=*/2,
-                                     /*max_retained_bytes=*/1u << 20});
+  BufferPool pool;
   for (int i = 0; i < 4; ++i) {
     auto buffer = pool.acquire(64);
     buffer.push_back(1);  // ensure nonzero capacity
     pool.release(std::move(buffer));
   }
-  // Releases 3 and 4 found the pool momentarily empty again (each acquire
-  // popped one), so count discards by forcing 4 concurrent buffers instead.
+  // Each release above found the pool momentarily empty again (each acquire
+  // popped one), so count discards by forcing kMaxBuffers + 2 concurrent
+  // buffers instead.
   std::vector<std::vector<std::uint8_t>> live;
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < BufferPool::kMaxBuffers + 2; ++i) {
     live.push_back(pool.acquire(64));
     live.back().push_back(1);
   }
   const std::uint64_t discards_before = pool.stats().discards;
   for (auto& buffer : live) pool.release(std::move(buffer));
-  EXPECT_EQ(pool.pooled_count(), 2u);
+  EXPECT_EQ(pool.pooled_count(), BufferPool::kMaxBuffers);
   EXPECT_EQ(pool.stats().discards, discards_before + 2);
 }
 
 TEST(BufferPool, MaxRetainedBytesBoundDiscards) {
-  BufferPool pool(BufferPool::Config{/*max_buffers=*/64,
-                                     /*max_retained_bytes=*/4096});
-  auto a = pool.acquire(4096);
-  auto b = pool.acquire(4096);
+  // Two buffers of just over half the byte bound: the second would take
+  // the pool past it.
+  constexpr std::size_t kHalfPlus = BufferPool::kMaxRetainedBytes / 2 + 1;
+  BufferPool pool;
+  auto a = pool.acquire(kHalfPlus);
+  auto b = pool.acquire(kHalfPlus);
   a.push_back(1);
   b.push_back(1);
   pool.release(std::move(a));

@@ -92,6 +92,29 @@ TEST(Flags, TrailingGarbageIsAnErrorNamingTheFlag) {
             std::string::npos);
 }
 
+TEST(Flags, BareFlagIsTrueOnlyToGetBool) {
+  // A bare flag has no value: a boolean reads it as true, and any other
+  // getter refuses it naming the flag, so `--json-out` with its path
+  // forgotten cannot become a file named "true".
+  Flags flags({"--json-out", "--fast", "--n"});
+  EXPECT_TRUE(flags.get_bool("fast", false));
+  EXPECT_TRUE(flags.has("json-out"));
+  EXPECT_EQ(flag_error([&] { flags.get_string("json-out", "out.json"); }),
+            "--json-out: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_int("n", 0); }), "--n: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_int_in("n", 1, 1); }),
+            "--n: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_double("n", 0); }),
+            "--n: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_int_list("n", {}); }),
+            "--n: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_double_list("n", {}); }),
+            "--n: expects a value");
+  EXPECT_EQ(flag_error([&] { flags.get_string_list("json-out", {}); }),
+            "--json-out: expects a value");
+  EXPECT_NO_THROW(flags.fail_on_unknown());
+}
+
 TEST(Flags, DoubleListRefusesPartialNumbers) {
   Flags flags({"--skew=0,0.5,0.95", "--bad=0.5x"});
   EXPECT_EQ(flags.get_double_list("skew", {}),
