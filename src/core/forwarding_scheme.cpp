@@ -57,7 +57,7 @@ void ForwardingLocationScheme::register_agent(platform::Agent& self,
     done(false);
     return;
   }
-  const std::uint64_t seq = ++seqs_[self.id()];
+  const std::uint64_t seq = self.next_report_seq();
   last_node_[self.id()] = *node;
   system_.send(self.id(), forwarder_at(*node),
                PresenceNotice{self.id(), true, seq},
@@ -80,7 +80,7 @@ void ForwardingLocationScheme::update_location(platform::Agent& self,
     done(false);
     return;
   }
-  const std::uint64_t seq = ++seqs_[self.id()];
+  const std::uint64_t seq = self.next_report_seq();
   const net::NodeId* previous = last_node_.find(self.id());
   if (previous != nullptr && *previous != *node) {
     // Leave a pointer behind; no name-service update (Voyager's lazy mode —
@@ -99,7 +99,7 @@ void ForwardingLocationScheme::deregister_agent(platform::Agent& self) {
   ++stats_.deregisters;
   const auto node = system_.node_of(self.id());
   if (!node) return;
-  const std::uint64_t seq = ++seqs_[self.id()];
+  const std::uint64_t seq = self.next_report_seq();
   system_.send(self.id(), forwarder_at(*node),
                PresenceNotice{self.id(), false, seq},
                PresenceNotice::kWireBytes);
@@ -164,11 +164,14 @@ void ForwardingLocationScheme::chase(
         if (reply->kind == ChaseReply::Kind::kHere) {
           ++stats_.locates_found;
           chase_hops_ += static_cast<std::uint64_t>(hops);
-          // Lazy name-service refresh (path compression for future chases).
-          system_.send(requester, name_service_address_,
-                       UpdateRequest{LocationEntry{
-                           target, reply->next, ++seqs_[target]}},
-                       UpdateRequest::kWireBytes);
+          // Lazy name-service refresh (path compression for future chases)
+          // at the target's next seq; a target already gone needs none.
+          if (platform::Agent* found = system_.find(target)) {
+            system_.send(requester, name_service_address_,
+                         UpdateRequest{LocationEntry{
+                             target, reply->next, found->next_report_seq()}},
+                         UpdateRequest::kWireBytes);
+          }
           done(LocateOutcome{true, reply->next, attempt});
           return;
         }

@@ -45,7 +45,7 @@ class ForwarderAgent : public platform::Agent {
 
   std::size_t pointer_count() const noexcept { return state_.size(); }
   std::size_t resident_bytes() const noexcept {
-    return state_.capacity() * (sizeof(platform::AgentId) + sizeof(Slot));
+    return state_.resident_bytes();
   }
   void reserve(std::size_t agents) { state_.reserve(agents); }
 
@@ -84,13 +84,9 @@ class ForwardingLocationScheme : public LocationScheme {
   std::size_t tracker_count() const override { return 1 + forwarders_.size(); }
 
   std::size_t estimated_resident_bytes() const noexcept override {
-    std::size_t bytes =
-        seqs_.capacity() *
-            (sizeof(platform::AgentId) + sizeof(std::uint64_t)) +
-        last_node_.capacity() *
-            (sizeof(platform::AgentId) + sizeof(net::NodeId)) +
-        forwarders_.capacity() * sizeof(ForwarderAgent*) +
-        name_service_->resident_bytes();
+    std::size_t bytes = last_node_.resident_bytes() +
+                        forwarders_.capacity() * sizeof(ForwarderAgent*) +
+                        name_service_->resident_bytes();
     for (const ForwarderAgent* forwarder : forwarders_) {
       bytes += forwarder->resident_bytes();
     }
@@ -98,7 +94,6 @@ class ForwardingLocationScheme : public LocationScheme {
   }
 
   void reserve(std::size_t agents) override {
-    seqs_.reserve(agents + 1);
     last_node_.reserve(agents + 1);
     name_service_->reserve(agents);
     // Pointers concentrate where agents linger; a uniform share is the best
@@ -125,9 +120,7 @@ class ForwardingLocationScheme : public LocationScheme {
   CentralTracker* name_service_ = nullptr;
   platform::AgentAddress name_service_address_;
   std::vector<ForwarderAgent*> forwarders_;
-  /// Per-agent update sequence numbers and last-reported nodes (flat
-  /// storage; see HashLocationScheme).
-  util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
+  /// Per-agent last-reported nodes.
   util::FlatMap<platform::AgentId, net::NodeId, platform::kNoAgent>
       last_node_;
   std::uint64_t chase_hops_ = 0;

@@ -79,7 +79,7 @@ LHAgent* HashLocationScheme::local_lhagent(platform::AgentId agent) {
 void HashLocationScheme::register_agent(platform::Agent& self,
                                         std::function<void(bool)> done) {
   ++stats_.registers;
-  send_register(self.id(), ++seqs_[self.id()], kMaxLocateRetries,
+  send_register(self.id(), self.next_report_seq(), kMaxLocateRetries,
                 std::move(done));
 }
 
@@ -147,15 +147,17 @@ void HashLocationScheme::deregister_agent(platform::Agent& self) {
   lhagent->cache_invalidate(self.id());
   const auto target = lhagent->resolve(self.id());
   system_.send(self.id(), target,
-               DeregisterRequest{self.id(), ++seqs_[self.id()]},
+               DeregisterRequest{self.id(), self.next_report_seq()},
                DeregisterRequest::kWireBytes);
 }
 
 void HashLocationScheme::send_update(platform::AgentId self) {
-  LHAgent* lhagent = local_lhagent(self);
-  const auto node = system_.node_of(self);
-  if (lhagent == nullptr || !node) return;  // moved on; next arrival reports
-  const LocationEntry entry{self, *node, ++seqs_[self]};
+  platform::Agent* agent = system_.find(self);
+  if (agent == nullptr || agent->node() == net::kNoNode) {
+    return;  // disposed, or in transit: its next arrival reports
+  }
+  LHAgent* lhagent = lhagents_[agent->node()];
+  const LocationEntry entry{self, agent->node(), agent->next_report_seq()};
   if (config_.update_batching) {
     // Hand the report to the co-located LHAgent (same-node IPC, free by the
     // DESIGN.md §2 cost model); it coalesces reports from every local mover
@@ -506,9 +508,7 @@ std::size_t HashLocationScheme::estimated_resident_bytes() const noexcept {
     primary = backup_;
   }
 
-  std::size_t bytes =
-      seqs_.capacity() * (sizeof(platform::AgentId) + sizeof(std::uint64_t));
-  if (primary != nullptr) bytes += primary->resident_bytes();
+  std::size_t bytes = primary != nullptr ? primary->resident_bytes() : 0;
   if (backup_ != nullptr && backup_ != primary) {
     bytes += backup_->resident_bytes();
   }
@@ -530,7 +530,6 @@ std::size_t HashLocationScheme::estimated_resident_bytes() const noexcept {
 }
 
 void HashLocationScheme::reserve(std::size_t agents) {
-  seqs_.reserve(agents);
   const HAgent* primary = system_.exists(hagent_id_) ? hagent_ : backup_;
   if (primary == nullptr || primary->iagent_count() == 0) return;
   // Responsibility is hash-partitioned across the current leaves; size each

@@ -9,7 +9,6 @@
 #include "core/hagent.hpp"
 #include "core/lhagent.hpp"
 #include "core/scheme.hpp"
-#include "util/flat_map.hpp"
 
 namespace agentloc::core {
 
@@ -50,12 +49,11 @@ class HashLocationScheme : public LocationScheme {
   /// read time (they accumulate inside each LHAgent's cache).
   const SchemeStats& stats() const noexcept override;
 
-  /// Client seq table + every live IAgent's tables + both hash-copy tiers
-  /// (HAgent primary + journal, per-node LHAgent copies, batchers, caches).
+  /// Every live IAgent's tables + both hash-copy tiers (HAgent primary +
+  /// journal, per-node LHAgent copies, batchers, caches).
   std::size_t estimated_resident_bytes() const noexcept override;
 
-  /// Pre-sizes the client seq table and the current IAgents' tables for an
-  /// expected tracked population.
+  /// Pre-sizes the current IAgents' tables for an expected population.
   void reserve(std::size_t agents) override;
 
   std::size_t tracker_count() const override {
@@ -147,13 +145,6 @@ class HashLocationScheme : public LocationScheme {
   platform::AgentId hagent_id_ = platform::kNoAgent;
   HAgent* backup_ = nullptr;
   std::vector<LHAgent*> lhagents_;
-  /// Per-agent update sequence numbers. Open-addressing flat storage: at
-  /// million-agent populations this table holds one slot per tracked agent,
-  /// so the node-and-bucket overhead of `std::unordered_map` (~56 bytes per
-  /// entry) would rival the payload; a FlatMap slot is 16 bytes. Never
-  /// erased: a re-registered agent continues above its own deregister
-  /// tombstone (`LocationTable`).
-  util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
   std::vector<std::unique_ptr<PendingWatch>> pending_watches_;
   std::uint64_t watch_tokens_ = 0;
 };

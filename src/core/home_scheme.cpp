@@ -44,7 +44,7 @@ platform::AgentAddress HomeRegistryLocationScheme::home_of(
 void HomeRegistryLocationScheme::register_agent(
     platform::Agent& self, std::function<void(bool)> done) {
   ++stats_.registers;
-  send_register(self.id(), ++seqs_[self.id()], kMaxLocateRetries,
+  send_register(self.id(), self.next_report_seq(), kMaxLocateRetries,
                 std::move(done));
 }
 
@@ -55,7 +55,7 @@ void HomeRegistryLocationScheme::update_location(
   if (node) {
     system_.send(self.id(), home_of(self.id()),
                  UpdateRequest{LocationEntry{self.id(), *node,
-                                             ++seqs_[self.id()]}},
+                                             self.next_report_seq()}},
                  UpdateRequest::kWireBytes);
   }
   done(true);
@@ -65,7 +65,7 @@ void HomeRegistryLocationScheme::deregister_agent(platform::Agent& self) {
   ++stats_.deregisters;
   if (!system_.node_of(self.id())) return;
   system_.send(self.id(), home_of(self.id()),
-               DeregisterRequest{self.id(), ++seqs_[self.id()]},
+               DeregisterRequest{self.id(), self.next_report_seq()},
                DeregisterRequest::kWireBytes);
 }
 

@@ -6,7 +6,6 @@
 #include "core/scheme.hpp"
 #include "core/tracker_table.hpp"
 #include "platform/agent.hpp"
-#include "util/flat_map.hpp"
 
 namespace agentloc::core {
 
@@ -68,8 +67,7 @@ class HomeRegistryLocationScheme : public LocationScheme {
   std::size_t tracker_count() const override { return registries_.size(); }
 
   std::size_t estimated_resident_bytes() const noexcept override {
-    std::size_t bytes = seqs_.capacity() *
-                        (sizeof(platform::AgentId) + sizeof(std::uint64_t));
+    std::size_t bytes = 0;
     for (const CentralTracker* registry : registries_) {
       bytes += registry->resident_bytes();
     }
@@ -77,7 +75,6 @@ class HomeRegistryLocationScheme : public LocationScheme {
   }
 
   void reserve(std::size_t agents) override {
-    seqs_.reserve(agents);
     // Homes spread by `id mod #registries` — size each registry for its
     // share, rounded up.
     const std::size_t count = registries_.size();
@@ -102,9 +99,6 @@ class HomeRegistryLocationScheme : public LocationScheme {
 
   platform::AgentSystem& system_;
   std::vector<CentralTracker*> registries_;
-  /// Per-agent update sequence numbers (flat storage, never erased; see
-  /// HashLocationScheme).
-  util::FlatMap<platform::AgentId, std::uint64_t, platform::kNoAgent> seqs_;
 };
 
 }  // namespace agentloc::core

@@ -78,10 +78,7 @@ class IAgent : public platform::Agent {
   /// table, load window, watcher lists, and the locality scratch histogram.
   /// Feeds `LocationScheme::estimated_resident_bytes`.
   std::size_t resident_bytes() const noexcept {
-    std::size_t watcher_bytes =
-        watchers_.capacity() *
-        (sizeof(platform::AgentId) +
-         sizeof(std::vector<platform::AgentAddress>));
+    std::size_t watcher_bytes = watchers_.resident_bytes();
     watchers_.for_each(
         [&](platform::AgentId,
             const std::vector<platform::AgentAddress>& list) {

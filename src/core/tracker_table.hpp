@@ -76,11 +76,9 @@ class LocationTable {
   /// would otherwise rehash repeatedly while inserting.
   void reserve(std::size_t count) { entries_.reserve(count); }
 
-  /// Allocated bytes of the backing slot array (key + value per slot, the
-  /// unit FlatMap allocates). Feeds the scheme-side memory attribution.
+  /// Allocated bytes of the backing slot array (scheme-side attribution).
   std::size_t resident_bytes() const noexcept {
-    return entries_.capacity() *
-           (sizeof(platform::AgentId) + sizeof(Stored));
+    return entries_.resident_bytes();
   }
 
   /// Remove and return every entry matching `predicate`, tombstones
@@ -173,8 +171,7 @@ class LoadWindow {
 
   /// Allocated bytes of both count tables.
   std::size_t resident_bytes() const noexcept {
-    return (open_counts_.capacity() + closed_counts_.capacity()) *
-           (sizeof(platform::AgentId) + sizeof(std::uint32_t));
+    return open_counts_.resident_bytes() + closed_counts_.resident_bytes();
   }
 
  private:

@@ -57,8 +57,7 @@ class UpdateBatcher {
   /// Allocated bytes of the pending pool and its id index.
   std::size_t resident_bytes() const noexcept {
     return pending_.capacity() * sizeof(LocationEntry) +
-           index_.capacity() *
-               (sizeof(platform::AgentId) + sizeof(std::uint32_t));
+           index_.resident_bytes();
   }
 
  private:

@@ -1,5 +1,9 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "platform/message.hpp"
 
 namespace agentloc::platform {
@@ -22,6 +26,16 @@ class Agent {
 
   /// Node currently hosting this agent. Valid except while in transit.
   net::NodeId node() const noexcept { return node_; }
+
+  /// The seq a scheme stamps on this agent's next register, update or
+  /// deregister: 1, 2, 3, ... over its whole life, so a re-registered agent
+  /// continues above its own tombstone. Throws rather than wrap at 2^32.
+  std::uint64_t next_report_seq() {
+    if (report_seq_ == std::numeric_limits<std::uint32_t>::max()) {
+      throw std::overflow_error("Agent::next_report_seq: seq exhausted");
+    }
+    return ++report_seq_;
+  }
 
   /// Size of the serialized agent image charged when migrating. The default
   /// matches a small Java agent (class refs + state); stateful agents (e.g.
@@ -56,6 +70,9 @@ class Agent {
   AgentSystem* system_ = nullptr;
   AgentId id_ = kNoAgent;
   net::NodeId node_ = net::kNoNode;
+  std::uint32_t report_seq_ = 0;  // fills the padding after `node_`
 };
+
+static_assert(sizeof(Agent) == 32, "the report seq rides in padding");
 
 }  // namespace agentloc::platform

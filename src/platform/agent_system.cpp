@@ -37,28 +37,32 @@ AgentSystem::AgentSystem(sim::Simulator& simulator, net::Network& network,
 AgentSystem::~AgentSystem() = default;
 
 void AgentSystem::reserve(std::size_t agents) {
-  index_.reserve(agents);
+  ordinal_slots_.reserve(agents);
   slots_.reserve(agents);
   agents_.reserve(agents);
 }
 
 AgentId AgentSystem::allocate_id() {
+  // A bijective mix never collides; only the ordinal mixing to 0 is skipped.
   for (;;) {
-    ++id_counter_;
-    const AgentId id =
-        config_.mixed_ids ? util::mix64(id_counter_) : id_counter_;
-    if (id != kNoAgent && !index_.contains(id)) return id;
+    ordinal_slots_.push_back(kNoRecord);
+    const std::uint64_t ordinal = ordinal_slots_.size();
+    const AgentId id = config_.mixed_ids ? util::mix64(ordinal) : ordinal;
+    if (id != kNoAgent) return id;
   }
 }
 
-std::uint32_t AgentSystem::record_index(AgentId id) const noexcept {
-  const std::uint32_t* slot = index_.find(id);
-  return slot == nullptr ? kNoRecord : *slot;
+std::uint64_t AgentSystem::ordinal_of(AgentId id) const noexcept {
+  return config_.mixed_ids ? util::unmix64(id) : id;
 }
 
-AgentSystem::Slot* AgentSystem::find_record(AgentId id) noexcept {
-  const std::uint32_t slot = record_index(id);
-  return slot == kNoRecord ? nullptr : &slots_[slot];
+std::uint32_t AgentSystem::record_index(AgentId id) const noexcept {
+  const std::uint64_t ordinal = ordinal_of(id);
+  if (ordinal == 0 || ordinal > ordinal_slots_.size()) return kNoRecord;
+  const std::uint32_t slot = ordinal_slots_[ordinal - 1];
+  // Each ordinal has one id, so the id check only guards that invariant.
+  if (slot == kNoRecord || slots_[slot].id != id) return kNoRecord;
+  return slot;
 }
 
 const AgentSystem::Slot* AgentSystem::find_record(AgentId id) const noexcept {
@@ -140,7 +144,7 @@ void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
   record.id = id;
   record.node = node;
   agents_[slot] = std::move(owned);
-  index_.emplace(id, slot);
+  ordinal_slots_[ordinal_of(id) - 1] = slot;
   note_memory_high_water();
   ++stats_.agents_created;
 
@@ -174,7 +178,7 @@ void AgentSystem::dispose(AgentId id) {
   // The agent may be disposing itself from inside one of its own callbacks;
   // defer destruction until the stack unwinds.
   graveyard_.push_back(std::move(agents_[slot]));
-  index_.erase(id);
+  ordinal_slots_[ordinal_of(id) - 1] = kNoRecord;
   release_record_slot(slot);
   ++stats_.agents_disposed;
   if (!graveyard_sweep_scheduled_) {
@@ -553,7 +557,7 @@ bool AgentSystem::hosts(net::NodeId node, AgentId agent) const noexcept {
 }
 
 bool AgentSystem::exists(AgentId id) const noexcept {
-  return index_.contains(id);
+  return record_index(id) != kNoRecord;
 }
 
 bool AgentSystem::in_transit(AgentId id) const noexcept {
@@ -581,14 +585,12 @@ std::size_t AgentSystem::inbox_depth(AgentId id) const noexcept {
 
 MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
   MemoryBreakdown memory;
-  // Slot sizes count key + value, the unit FlatMap actually allocates.
   memory.agent_records =
+      ordinal_slots_.capacity() * sizeof(std::uint32_t) +
       slots_.capacity() * sizeof(Slot) +
       agents_.capacity() * sizeof(std::unique_ptr<Agent>) +
-      free_slots_.capacity() * sizeof(std::uint32_t) +
-      index_.capacity() * (sizeof(AgentId) + sizeof(std::uint32_t));
-  memory.rpc_table =
-      pending_rpcs_.capacity() * (sizeof(std::uint64_t) + sizeof(PendingRpc));
+      free_slots_.capacity() * sizeof(std::uint32_t);
+  memory.rpc_table = pending_rpcs_.resident_bytes();
   memory.in_flight = in_flight_.capacity() * sizeof(InFlight);
   return memory;
 }

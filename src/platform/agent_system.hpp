@@ -45,7 +45,7 @@ inline constexpr sim::SimTime kDefaultRpcTimeout = sim::SimTime::millis(250);
 /// steady state.
 struct MemoryBreakdown {
   /// Agent record storage: hot slot array, cold agent-pointer array, the
-  /// free-slot list, and the id → slot index table.
+  /// free-slot list, and the ordinal → slot array.
   std::size_t agent_records = 0;
   /// Always 0: queued messages wait in the in-flight pool and are counted
   /// under `in_flight`. Kept because perfbench reports the field.
@@ -140,11 +140,11 @@ struct PlatformStats {
 ///
 /// Agent records live in generation-tagged slab storage (DESIGN.md §15): a
 /// dense array of hot `Slot`s (id, node mirror, generation, lifecycle flags,
-/// inbox chain) parallel to a cold array of owning agent pointers,
-/// indexed by an open-addressing id → slot `util::FlatMap`. Scheduled events
-/// capture `{slot, generation}` — validity is one array probe, slots are
-/// recycled through a free list, and erasing an agent never moves another
-/// agent's record.
+/// inbox chain) parallel to a cold array of owning agent pointers. An id is
+/// found by inverting its mix to its allocation ordinal and reading a dense
+/// ordinal → slot array. Scheduled events capture `{slot, generation}` —
+/// validity is one array probe, slots are recycled through a free list, and
+/// erasing an agent never moves another agent's record.
 class AgentSystem {
  public:
   struct Config {
@@ -155,9 +155,9 @@ class AgentSystem {
     /// disable this to get small sequential ids.
     bool mixed_ids = true;
 
-    /// Pre-size the record slab and id index for this many agents (0 = grow
-    /// on demand). Million-agent runs set this so the install storm never
-    /// rehashes the index or reallocates the slab mid-run.
+    /// Pre-size the record slab and ordinal array for this many agents
+    /// (0 = grow on demand). Million-agent runs set this so the install
+    /// storm never reallocates them mid-run.
     std::size_t reserve_agents = 0;
   };
 
@@ -250,7 +250,9 @@ class AgentSystem {
   /// Agent pointer for white-box assertions; nullptr if disposed.
   Agent* find(AgentId id) noexcept;
 
-  std::size_t live_agent_count() const noexcept { return index_.size(); }
+  std::size_t live_agent_count() const noexcept {
+    return slots_.size() - free_slots_.size();
+  }
 
   /// Number of messages waiting in an agent's inbox (including the one in
   /// service).
@@ -265,7 +267,7 @@ class AgentSystem {
   /// The same estimate, itemized by subsystem.
   MemoryBreakdown memory_breakdown() const noexcept;
 
-  /// Pre-size the record slab and id index for `agents` installs (also
+  /// Pre-size the record slab and ordinal array for `agents` installs (also
   /// reachable via `Config::reserve_agents`). Purely an allocation hint:
   /// trajectories are identical with or without it.
   void reserve(std::size_t agents);
@@ -363,7 +365,8 @@ class AgentSystem {
 
   /// id → slot index, `kNoRecord` when the id is not installed.
   std::uint32_t record_index(AgentId id) const noexcept;
-  Slot* find_record(AgentId id) noexcept;
+  /// The ordinal `id` was allocated at (1 for the first): the mix inverted.
+  std::uint64_t ordinal_of(AgentId id) const noexcept;
   const Slot* find_record(AgentId id) const noexcept;
 
   std::uint32_t acquire_record_slot();
@@ -406,16 +409,16 @@ class AgentSystem {
   Config config_;
   PlatformStats stats_;
 
-  std::uint64_t id_counter_ = 0;
   std::uint64_t correlation_counter_ = 0;
 
-  /// Agent records, slab style: `index_` maps the (uniformly mixed, public)
-  /// id to a dense slot; `slots_` holds the hot fields; `agents_` the cold
-  /// owning pointers, parallel to `slots_`. Vacant slots are recycled via
-  /// `free_slots_`. `slots_` only ever grows (push_back may reallocate, so
-  /// never hold a `Slot&` across agent callbacks — re-index instead; erasure
-  /// never moves records).
-  util::FlatMap<AgentId, std::uint32_t, kNoAgent> index_;
+  /// Agent records, slab style: `ordinal_slots_[k - 1]` is the slot of the
+  /// id allocated k-th (`kNoRecord` once disposed), 4 bytes per id ever
+  /// allocated; `slots_` holds the hot fields, `agents_` the cold owning
+  /// pointers, parallel to `slots_`; vacant slots wait on `free_slots_`.
+  /// `slots_` only ever grows (push_back may reallocate, so never hold a
+  /// `Slot&` across agent callbacks — re-index instead; erasure never moves
+  /// records).
+  std::vector<std::uint32_t> ordinal_slots_;
   std::vector<Slot> slots_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<std::uint32_t> free_slots_;

@@ -31,10 +31,11 @@ class FlatMap {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Allocated slots (zero until the first insert); `capacity() *
-  /// sizeof(slot)` is the map's resident footprint, which the platform's
-  /// memory accounting reports.
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  /// Allocated bytes (zero until the first insert): every slot, padding
+  /// included, so a `{uint64_t, uint32_t}` slot counts 16 bytes, not 12.
+  std::size_t resident_bytes() const noexcept {
+    return slots_.size() * sizeof(Slot);
+  }
 
   /// Grow (never shrink) so `count` entries fit without rehashing.
   void reserve(std::size_t count) {

@@ -17,6 +17,21 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 }
 }  // namespace
 
+// mix64's multipliers times their inverses modulo 2^64.
+static_assert(0xbf58476d1ce4e5b9ull * 0x96de1b173f119089ull == 1);
+static_assert(0x94d049bb133111ebull * 0x319642b2d24d8ec3ull == 1);
+
+std::uint64_t unmix64(std::uint64_t x) noexcept {
+  // mix64's steps in reverse: y = x ^ (x >> s) is undone by y ^ (y >> s) ^
+  // (y >> 2s) ^ ..., and each multiply by its inverse.
+  x ^= (x >> 31) ^ (x >> 62);
+  x *= 0x319642b2d24d8ec3ull;
+  x ^= (x >> 27) ^ (x >> 54);
+  x *= 0x96de1b173f119089ull;
+  x ^= (x >> 30) ^ (x >> 60);
+  return x - 0x9e3779b97f4a7c15ull;
+}
+
 Rng::Rng(std::uint64_t seed) noexcept {
   // Expand the seed through SplitMix64 as the xoshiro authors recommend;
   // guards against the all-zero state.

@@ -12,6 +12,10 @@ namespace agentloc::util {
 /// distribution extendible hashing assumes.
 std::uint64_t mix64(std::uint64_t x) noexcept;
 
+/// The inverse of `mix64`: `unmix64(mix64(x)) == x`. The platform recovers
+/// an agent id's allocation ordinal this way instead of hashing the id.
+std::uint64_t unmix64(std::uint64_t x) noexcept;
+
 /// Deterministic pseudo-random generator (xoshiro256**).
 ///
 /// Every stochastic component in the library — workload generation, latency

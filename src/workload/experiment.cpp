@@ -97,10 +97,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   auto scheme = make_scheme(config.scheme, system, mechanism);
   if (at_scale) scheme->reserve(config.tagents);
 
-  // The tracked population, spread round-robin across nodes.
-  std::vector<TAgent*> tagents;
+  // The tracked population, spread round-robin across nodes. Its ids are
+  // the only list of it the run keeps.
   std::vector<platform::AgentId> targets;
-  tagents.reserve(config.tagents);
   targets.reserve(config.tagents);
   for (std::size_t i = 0; i < config.tagents; ++i) {
     TAgent::Config tconfig;
@@ -108,9 +107,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     tconfig.exponential_residence = config.exponential_residence;
     tconfig.start_stagger = config.start_stagger;
     tconfig.seed = master.next();
-    auto& agent = system.create<TAgent>(
+    const auto& agent = system.create<TAgent>(
         static_cast<net::NodeId>(i % config.nodes), *scheme, tconfig);
-    tagents.push_back(&agent);
     targets.push_back(agent.id());
   }
 
@@ -158,8 +156,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.queries_failed += querier->failed();
     result.wrong_location += querier->wrong_location();
   }
-  for (const TAgent* agent : tagents) {
-    result.tagent_moves += agent->moves_completed();
+  for (const platform::AgentId id : *shared_targets) {
+    if (const auto* agent = static_cast<const TAgent*>(system.find(id))) {
+      result.tagent_moves += agent->moves_completed();
+    }
   }
   if (config.on_finish) config.on_finish(*scheme);
   result.trackers_at_end = scheme->tracker_count();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hashtree/paper_figures.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace agentloc::core {
@@ -315,6 +316,30 @@ TEST(LoadWindow, PerAgentCounts) {
   }
   EXPECT_EQ(seven, 5u);
   EXPECT_EQ(eight, 1u);
+}
+
+TEST(LoadWindow, ResidentBytesAreItsTwoMapsSlots) {
+  // Two maps driven like the window's own open and closed counts: its byte
+  // estimate must be theirs, padding of the {id, count} slots included.
+  using Counts = util::FlatMap<platform::AgentId, std::uint32_t,
+                               platform::kNoAgent>;
+  LoadWindow window;
+  Counts open;
+  Counts closed;
+  for (platform::AgentId agent = 1; agent <= 100; ++agent) {
+    window.record(agent);
+    ++open[agent];
+  }
+  window.roll();
+  closed = std::move(open);
+  open.clear();
+  for (platform::AgentId agent = 1; agent <= 30; ++agent) {
+    window.record(agent);
+    ++open[agent];
+  }
+  EXPECT_GT(open.resident_bytes(), 0u);
+  EXPECT_EQ(window.resident_bytes(),
+            open.resident_bytes() + closed.resident_bytes());
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 // partitions over a unix socket) in a forked child process, so client and
 // directory sit on two sides of a real kernel boundary. SetUp starts one
 // worker; `start_server` restarts it with more. Skips cleanly where the
-// sandbox forbids sockets.
+// sandbox forbids sockets. The child stops cleanly on SIGTERM and must exit
+// 0, so a ThreadSanitizer report in it (which sets its exit status) fails
+// the test.
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,27 +40,56 @@ class ForkedLocateServer : public ::testing::Test {
   /// stopping the one running.
   void start_server(std::size_t workers) {
     stop_server();
+    // The child inherits SIGTERM blocked, before any of its threads start,
+    // so the signal only ever reaches its sigwait.
+    sigset_t term;
+    sigemptyset(&term);
+    sigaddset(&term, SIGTERM);
+    sigset_t previous;
+    ::pthread_sigmask(SIG_BLOCK, &term, &previous);
     child_ = ::fork();
-    ASSERT_GE(child_, 0) << "fork failed";
     if (child_ == 0) {
-      // Server process: the workers serve on their own threads until the
-      // process is killed. _exit (not exit) everywhere so gtest machinery
-      // inherited from the parent never runs twice.
+      // Server process: the workers serve on their own threads until
+      // SIGTERM, then join. _exit (not exit) everywhere so gtest machinery
+      // inherited from the parent never runs twice; ThreadSanitizer
+      // intercepts _exit and turns a reported race into the exit status.
       LocateServer::Config config;
       config.workers = workers;
       config.partitions = 8;
       LocateServer server(config);
       std::string error;
       if (!server.start(address_, &error)) _exit(1);
-      for (;;) ::pause();
+      int signal = 0;
+      while (::sigwait(&term, &signal) != 0) {
+      }
+      server.stop();
+      _exit(0);
     }
+    ::pthread_sigmask(SIG_SETMASK, &previous, nullptr);
+    ASSERT_GE(child_, 0) << "fork failed";
   }
 
+  /// SIGTERM the child and require a clean exit within 10 s.
   void stop_server() {
     if (child_ > 0) {
-      ::kill(child_, SIGKILL);
+      ::kill(child_, SIGTERM);
       int status = 0;
-      ::waitpid(child_, &status, 0);
+      pid_t done = 0;
+      for (int waited_ms = 0; done == 0 && waited_ms < 10000;
+           waited_ms += 10) {
+        done = ::waitpid(child_, &status, WNOHANG);
+        if (done == 0) ::usleep(10 * 1000);
+      }
+      if (done == 0) {
+        ::kill(child_, SIGKILL);
+        ::waitpid(child_, &status, 0);
+        ADD_FAILURE() << "server child still running 10 s after SIGTERM";
+      } else {
+        EXPECT_EQ(done, child_) << "waitpid failed";
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "server child did not exit cleanly (wait status " << status
+            << ")";
+      }
       child_ = -1;
     }
     if (!path_.empty()) {

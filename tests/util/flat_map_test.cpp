@@ -24,6 +24,18 @@ TEST(FlatMap, EmptyBehaviour) {
   EXPECT_THROW(map.at(7), std::out_of_range);
 }
 
+TEST(FlatMap, ResidentBytesCountPaddedSlots) {
+  // An {8-byte key, 4-byte value} slot is padded to 16 bytes, and the
+  // footprint counts whole slots: 100 keys at under 3/4 load take 256.
+  FlatMap<std::uint64_t, std::uint32_t, 0> map;
+  EXPECT_EQ(map.resident_bytes(), 0u);
+  map.reserve(100);
+  EXPECT_EQ(map.resident_bytes(), 256u * 16);
+  Map wide;
+  wide.emplace(1, 1);
+  EXPECT_EQ(wide.resident_bytes(), 8u * 16);  // the minimum capacity
+}
+
 TEST(FlatMap, EmplaceFindErase) {
   Map map;
   EXPECT_TRUE(map.emplace(5, 50));
@@ -194,8 +206,8 @@ TEST(FlatMap, MillionKeyGrowthReservedAndIncrementalAgree) {
   constexpr std::uint64_t kKeys = 1'000'000;
   Map reserved;
   reserved.reserve(kKeys);
-  const std::size_t reserved_capacity = reserved.capacity();
-  ASSERT_GT(reserved_capacity, kKeys);
+  const std::size_t reserved_bytes = reserved.resident_bytes();
+  ASSERT_GT(reserved_bytes, kKeys * 16);  // more 16-byte slots than keys
 
   Map incremental;
   util::Rng rng(2026);
@@ -210,7 +222,7 @@ TEST(FlatMap, MillionKeyGrowthReservedAndIncrementalAgree) {
     reserved.emplace(key, static_cast<int>(key & 0x7fffffff));
     incremental.emplace(key, static_cast<int>(key & 0x7fffffff));
   }
-  EXPECT_EQ(reserved.capacity(), reserved_capacity);  // reserve held
+  EXPECT_EQ(reserved.resident_bytes(), reserved_bytes);  // reserve held
   EXPECT_EQ(reserved.size(), incremental.size());
 
   // Every key survived the incremental map's rehashes with its value.

@@ -18,6 +18,19 @@ TEST(Mix64, IsDeterministicAndDispersive) {
   EXPECT_LT(differing, 48);
 }
 
+TEST(Mix64, UnmixInvertsMix) {
+  Rng rng(11);
+  std::vector<std::uint64_t> values = {
+      0, 1, 2, 3, ~std::uint64_t{0}, ~std::uint64_t{0} - 1,
+      std::uint64_t{1} << 63, (std::uint64_t{1} << 32) - 1,
+      0x9e3779b97f4a7c15ull, mix64(0)};
+  for (int i = 0; i < 10000; ++i) values.push_back(rng.next());
+  for (const std::uint64_t x : values) {
+    EXPECT_EQ(unmix64(mix64(x)), x) << x;
+    EXPECT_EQ(mix64(unmix64(x)), x) << x;
+  }
+}
+
 TEST(Rng, SameSeedSameStream) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

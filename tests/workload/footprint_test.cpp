@@ -3,7 +3,8 @@
 // allocation functions with counting versions and pins that cost: one
 // allocation of at most 120 bytes per agent at creation, none when it
 // starts, none per move, no private copy of the target list per querier,
-// and no private hash-tree copy per LHAgent.
+// no private hash-tree copy per LHAgent, and no id-keyed side table sized
+// to the population.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/hash_scheme.hpp"
+#include "core/iagent.hpp"
 #include "core/scheme.hpp"
 #include "net/network.hpp"
 #include "platform/agent_system.hpp"
@@ -244,6 +246,47 @@ TEST_F(FootprintTest, LHAgentsShareOneTreeSnapshot) {
   for (net::NodeId node = 1; node < kSchemeNodes; ++node) {
     EXPECT_EQ(&scheme.lhagent(node).tree(), &scheme.lhagent(0).tree());
   }
+}
+
+TEST_F(FootprintTest, ReservedPopulationHoldsNoIdKeyedTables) {
+  // Reserving a population costs the record slab (a 32-byte slot and an
+  // owner pointer per agent) and the IAgents' location tables. What is left
+  // (the ordinal array, 4 bytes per agent, and the scheme's fixed agents)
+  // stays within 8 bytes per agent. An id-keyed hash index or seq table
+  // would each add 16-byte slots at no more than 3/4 load: over 21 bytes.
+  constexpr std::size_t kPopulation = 100'000;
+  constexpr std::size_t kSlabBytesPerAgent =
+      32 + sizeof(std::unique_ptr<platform::Agent>);
+  sim::Simulator simulator;
+  simulator.reserve(4096);
+  net::Network network(simulator, kNodes,
+                       std::make_unique<net::FixedLatencyModel>(
+                           sim::SimTime::millis(1)),
+                       util::Rng(5));
+  core::MechanismConfig mechanism;
+  mechanism.initial_iagents = kPopulation / 4096 + 1;
+  platform::AgentSystem::Config config;
+  config.reserve_agents = kPopulation;
+
+  const AllocationWindow window;
+  platform::AgentSystem system(simulator, network, config);
+  core::HashLocationScheme scheme(system, mechanism);
+  scheme.reserve(kPopulation);
+  const std::uint64_t allocated = window.bytes();
+
+  std::size_t iagent_tables = 0;
+  scheme.hagent().tree().for_each_leaf(
+      [&](hashtree::IAgentId leaf, hashtree::NodeLocation) {
+        const auto* iagent =
+            dynamic_cast<const core::IAgent*>(system.find(leaf));
+        ASSERT_NE(iagent, nullptr);
+        iagent_tables += iagent->resident_bytes();
+      });
+  ASSERT_GE(allocated, kPopulation * kSlabBytesPerAgent + iagent_tables);
+  const std::uint64_t rest =
+      allocated - kPopulation * kSlabBytesPerAgent - iagent_tables;
+  EXPECT_LE(rest, 8 * kPopulation)
+      << static_cast<double>(rest) / kPopulation << " bytes per agent";
 }
 
 }  // namespace
