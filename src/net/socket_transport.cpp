@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -23,6 +24,9 @@ constexpr std::size_t kSendBufferCap = 16u << 10;
 constexpr std::size_t kReadChunk = 64u << 10;
 /// Pending connections the kernel queues on the listen socket.
 constexpr int kListenBacklog = 16;
+/// A unix listener binds `<path>.~<pid as 8 hex digits>` and links `<path>`
+/// to it only once it listens; sun_path must hold that longer name.
+constexpr std::size_t kListenTempSuffix = 10;
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -77,9 +81,15 @@ bool SocketAddress::parse(const std::string& text, SocketAddress& out,
       if (error) *error = "unix address needs a path: unix:/some/path";
       return false;
     }
-    // sun_path is a fixed-size array; reject what bind() would truncate.
-    if (out.path.size() >= sizeof(sockaddr_un{}.sun_path)) {
-      if (error) *error = "unix socket path too long";
+    // sun_path is a fixed-size array; reject what bind() would truncate,
+    // counting the temporary name a listener binds first.
+    const std::size_t longest =
+        sizeof(sockaddr_un{}.sun_path) - 1 - kListenTempSuffix;
+    if (out.path.size() > longest) {
+      if (error) {
+        *error = "unix socket path too long: at most " +
+                 std::to_string(longest) + " bytes";
+      }
       return false;
     }
     return true;
@@ -191,10 +201,12 @@ bool SocketTransport::listen(const SocketAddress& address,
     return false;
   }
   int fd = -1;
-  // Every failure after socket() closes the fd and unlinks a bound path.
+  std::string temp_path;  // the unix socket's name until it listens
+  // Every failure after socket() closes the fd and unlinks what it bound.
   const auto fail = [&](std::string what) {
     if (error) *error = std::move(what);
     ::close(fd);
+    if (!temp_path.empty()) ::unlink(temp_path.c_str());
     if (!listen_unix_path_.empty()) {
       ::unlink(listen_unix_path_.c_str());
       listen_unix_path_.clear();
@@ -208,11 +220,31 @@ bool SocketTransport::listen(const SocketAddress& address,
       if (error) *error = errno_text("socket(AF_UNIX)");
       return false;
     }
-    const sockaddr_un sun = unix_sockaddr(address.path);
+    // Bind and listen under a name of this process's own, and publish the
+    // requested path only then: a connect that finds the path is accepted,
+    // so another listener's probe never takes this one for stale.
+    char suffix[kListenTempSuffix + 1];
+    std::snprintf(suffix, sizeof(suffix), ".~%08x",
+                  static_cast<unsigned>(::getpid()));
+    const std::string temp = address.path + suffix;
+    const sockaddr_un sun = unix_sockaddr(temp);
+    if (temp.size() >= sizeof(sun.sun_path)) {
+      return fail("unix socket path too long");
+    }
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&sun), sizeof(sun)) !=
         0) {
       return fail(errno_text("bind(unix)"));
     }
+    temp_path = temp;
+    if (::listen(fd, kListenBacklog) != 0) return fail(errno_text("listen"));
+    // link() never replaces: a path taken since the probe stays its owner's.
+    if (::link(temp_path.c_str(), address.path.c_str()) != 0) {
+      return fail(errno == EEXIST
+                      ? "bind(unix): " + address.path + " is in use"
+                      : errno_text("link(unix)"));
+    }
+    ::unlink(temp_path.c_str());
+    temp_path.clear();
     listen_unix_path_ = address.path;
   } else {
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -233,8 +265,8 @@ bool SocketTransport::listen(const SocketAddress& address,
     if (::bind(fd, reinterpret_cast<sockaddr*>(&sin), sizeof(sin)) != 0) {
       return fail(errno_text("bind(tcp)"));
     }
+    if (::listen(fd, kListenBacklog) != 0) return fail(errno_text("listen"));
   }
-  if (::listen(fd, kListenBacklog) != 0) return fail(errno_text("listen"));
   set_nonblocking(fd);
   if (!loop_.add(fd, /*want_read=*/true, /*want_write=*/false)) {
     return fail(errno_text("epoll_ctl(listen)"));

@@ -26,7 +26,9 @@ struct SocketAddress {
   std::uint16_t port = 0;
 
   /// Parse the "unix:…" / "tcp:host:port" syntax. Returns false and fills
-  /// `error` on malformed input.
+  /// `error` on malformed input, or on a unix path that leaves no room in
+  /// `sun_path` for the temporary name a listener binds first (at most 97
+  /// bytes).
   static bool parse(const std::string& text, SocketAddress& out,
                     std::string* error);
 
@@ -104,6 +106,9 @@ class SocketTransport {
   /// unix path that holds anything but a socket (nothing there is removed),
   /// or a listen socket the event loop refuses to watch. A stale unix
   /// socket, one that no listener accepts on, is unlinked and reclaimed.
+  /// A unix socket is bound and listening under a temporary name before
+  /// `link(2)` publishes it at the requested path, so a connect to that path
+  /// is never refused by a listener that is still starting.
   bool listen(const SocketAddress& address, std::string* error);
 
   /// Connect to a listening transport. Returns the new peer id, or

@@ -38,8 +38,9 @@ AgentSystem::~AgentSystem() = default;
 
 void AgentSystem::reserve(std::size_t agents) {
   ordinal_slots_.reserve(agents);
-  slots_.reserve(agents);
-  agents_.reserve(agents);
+  const std::size_t chunks = (agents + kChunkSlots - 1) / kChunkSlots;
+  chunks_.reserve(chunks);
+  while (chunks_.size() < chunks) chunks_.push_back(std::make_unique<Chunk>());
 }
 
 AgentId AgentSystem::allocate_id() {
@@ -59,15 +60,14 @@ std::uint64_t AgentSystem::ordinal_of(AgentId id) const noexcept {
 std::uint32_t AgentSystem::record_index(AgentId id) const noexcept {
   const std::uint64_t ordinal = ordinal_of(id);
   if (ordinal == 0 || ordinal > ordinal_slots_.size()) return kNoRecord;
-  const std::uint32_t slot = ordinal_slots_[ordinal - 1];
-  // Each ordinal has one id, so the id check only guards that invariant.
-  if (slot == kNoRecord || slots_[slot].id != id) return kNoRecord;
-  return slot;
+  // Each ordinal has exactly one id (the mix is a bijection), and `dispose`
+  // clears the entry before it releases the slot, so the entry is the answer.
+  return ordinal_slots_[ordinal - 1];
 }
 
 const AgentSystem::Slot* AgentSystem::find_record(AgentId id) const noexcept {
   const std::uint32_t slot = record_index(id);
-  return slot == kNoRecord ? nullptr : &slots_[slot];
+  return slot == kNoRecord ? nullptr : &record_at(slot);
 }
 
 std::uint32_t AgentSystem::acquire_record_slot() {
@@ -76,14 +76,14 @@ std::uint32_t AgentSystem::acquire_record_slot() {
     free_slots_.pop_back();
     return slot;
   }
-  slots_.emplace_back();
-  agents_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  if (slot_count_ == chunks_.size() * kChunkSlots) {
+    chunks_.push_back(std::make_unique<Chunk>());
+  }
+  return slot_count_++;
 }
 
 void AgentSystem::release_record_slot(std::uint32_t slot) noexcept {
-  Slot& record = slots_[slot];
-  record.id = kNoAgent;
+  Slot& record = record_at(slot);
   record.node = net::kNoNode;
   // Invalidate every event still holding this slot's previous tenancy —
   // whoever is installed here next starts with a fresh generation.
@@ -119,9 +119,10 @@ Message AgentSystem::take_message(std::uint32_t slot) {
 void AgentSystem::bounce_inbox(std::uint32_t target) {
   // Detach the whole chain before the first bounce: each bounce transmits
   // into the pool, which may reuse the slot just freed or reallocate.
-  std::uint32_t slot = slots_[target].inbox_head;
-  slots_[target].inbox_head = kNoSlot;
-  slots_[target].inbox_size = 0;
+  Slot& record = record_at(target);
+  std::uint32_t slot = record.inbox_head;
+  record.inbox_head = kNoSlot;
+  record.inbox_size = 0;
   while (slot != kNoSlot) {
     const std::uint32_t next = in_flight_[slot].next;
     bounce(take_message(slot));
@@ -130,54 +131,54 @@ void AgentSystem::bounce_inbox(std::uint32_t target) {
 }
 
 void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
-  const AgentId id = allocate_id();
+  // Checked before an id is allocated, so a refused create leaves no trace.
   if (node >= transport_->node_count()) {
     throw std::out_of_range("AgentSystem::create: node out of range");
   }
+  const AgentId id = allocate_id();
   Agent& agent = *owned;
   agent.system_ = this;
   agent.id_ = id;
   agent.node_ = node;
 
   const std::uint32_t slot = acquire_record_slot();
-  Slot& record = slots_[slot];
-  record.id = id;
+  Slot& record = record_at(slot);
+  record.agent = std::move(owned);
   record.node = node;
-  agents_[slot] = std::move(owned);
   ordinal_slots_[ordinal_of(id) - 1] = slot;
   note_memory_high_water();
   ++stats_.agents_created;
 
   const std::uint32_t generation = record.generation;
   simulator_.schedule_after(sim::SimTime::zero(), [this, slot, generation] {
-    if (slots_[slot].generation != generation) return;
-    agents_[slot]->on_start();
+    Slot& started = record_at(slot);
+    if (started.generation != generation) return;
+    started.agent->on_start();
   });
 }
 
 void AgentSystem::dispose(AgentId id) {
   const std::uint32_t slot = record_index(id);
-  if (slot == kNoRecord || slots_[slot].disposing) return;
-  slots_[slot].disposing = true;  // reentrant dispose(id) becomes a no-op
-  ++slots_[slot].generation;
+  if (slot == kNoRecord) return;
+  Slot& record = record_at(slot);
+  if (record.disposing) return;
+  record.disposing = true;  // reentrant dispose(id) becomes a no-op
+  ++record.generation;
 
   // Queued messages can no longer be served; bounce them to their senders.
   bounce_inbox(slot);
 
-  // The dropped-RPC callbacks and on_dispose may create or dispose other
-  // agents; erasure never moves slab records, but growth may reallocate the
-  // arrays, so re-index `slots_[slot]` after each.
   drop_rpcs_from(id);
 
   // The contract protocol teardown relies on: on_dispose runs before
   // removal, so the agent can still send (e.g. deregister itself).
-  agents_[slot]->on_dispose();
+  record.agent->on_dispose();
 
-  agents_[slot]->system_ = nullptr;
+  record.agent->system_ = nullptr;
 
   // The agent may be disposing itself from inside one of its own callbacks;
   // defer destruction until the stack unwinds.
-  graveyard_.push_back(std::move(agents_[slot]));
+  graveyard_.push_back(std::move(record.agent));
   ordinal_slots_[ordinal_of(id) - 1] = kNoRecord;
   release_record_slot(slot);
   ++stats_.agents_disposed;
@@ -198,7 +199,7 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   if (slot == kNoRecord) {
     throw std::logic_error("AgentSystem::migrate: unknown agent");
   }
-  Slot& record = slots_[slot];
+  Slot& record = record_at(slot);
   if (record.state != State::kActive) {
     throw std::logic_error("AgentSystem::migrate: agent already in transit");
   }
@@ -210,10 +211,10 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   bounce_inbox(slot);
 
   record.node = net::kNoNode;
-  agents_[slot]->node_ = net::kNoNode;
+  record.agent->node_ = net::kNoNode;
   ++stats_.migrations_started;
   ship_migration(slot, record.generation, source, destination,
-                 agents_[slot]->serialized_size());
+                 record.agent->serialized_size());
 }
 
 void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
@@ -235,7 +236,7 @@ void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
     simulator_.schedule_after(
         kMigrationRetry,
         [this, slot, generation, source, destination, bytes] {
-          if (slots_[slot].generation != generation) return;
+          if (record_at(slot).generation != generation) return;
           ship_migration(slot, generation, source, destination, bytes);
         });
   }
@@ -244,16 +245,16 @@ void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
 void AgentSystem::on_arrival(std::uint32_t slot, std::uint32_t generation,
                              net::NodeId source, net::NodeId destination) {
   transport_->note_delivered(destination);
-  Slot& record = slots_[slot];
+  Slot& record = record_at(slot);
   if (record.generation != generation) return;
   // A fault plan may duplicate the transfer; only the first copy installs
   // the agent.
   if (record.state != State::kInTransit) return;
   record.state = State::kActive;
   record.node = destination;
-  agents_[slot]->node_ = destination;
+  record.agent->node_ = destination;
   ++stats_.migrations_completed;
-  agents_[slot]->on_arrival(source);
+  record.agent->on_arrival(source);
 }
 
 void AgentSystem::send(AgentId from, const AgentAddress& to,
@@ -418,8 +419,8 @@ void AgentSystem::on_burst(std::uint32_t head, net::NodeId node) {
 void AgentSystem::deliver(net::NodeId node, std::uint32_t slot) {
   const std::uint32_t target = record_index(in_flight_[slot].message.to);
   const bool present = target != kNoRecord &&
-                       slots_[target].state == State::kActive &&
-                       slots_[target].node == node;
+                       record_at(target).state == State::kActive &&
+                       record_at(target).node == node;
   if (!present) {
     bounce(take_message(slot));
     return;
@@ -429,7 +430,7 @@ void AgentSystem::deliver(net::NodeId node, std::uint32_t slot) {
 
 void AgentSystem::enqueue(std::uint32_t target, std::uint32_t slot) {
   in_flight_[slot].next = kNoSlot;
-  Slot& record = slots_[target];
+  Slot& record = record_at(target);
   if (record.inbox_size == 0) {
     record.inbox_head = slot;
   } else {
@@ -449,27 +450,24 @@ void AgentSystem::enqueue(std::uint32_t target, std::uint32_t slot) {
 }
 
 void AgentSystem::serve_next(std::uint32_t slot, std::uint32_t generation) {
-  Slot* record = &slots_[slot];
-  if (record->generation != generation || !record->serving ||
-      record->inbox_size == 0) {
+  Slot& record = record_at(slot);
+  if (record.generation != generation || !record.serving ||
+      record.inbox_size == 0) {
     return;
   }
   // Unlink the head and free its pool slot before dispatch: the handler may
   // transmit, which can grow (reallocate) the pool.
-  const std::uint32_t head = record->inbox_head;
-  record->inbox_head = in_flight_[head].next;
-  --record->inbox_size;
+  const std::uint32_t head = record.inbox_head;
+  record.inbox_head = in_flight_[head].next;
+  --record.inbox_size;
   Message message = take_message(head);
   ++stats_.messages_processed;
-  dispatch(*agents_[slot], message);
+  dispatch(*record.agent, message);
 
-  // The handler may have installed agents, which can reallocate the slab
-  // arrays — re-index (erasure never moves records, so the slot itself is
-  // still ours unless the generation moved).
-  record = &slots_[slot];
-  if (record->generation != generation) return;
-  if (record->inbox_size == 0) {
-    record->serving = false;
+  // The slot is still ours unless the handler disposed or moved the agent.
+  if (record.generation != generation) return;
+  if (record.inbox_size == 0) {
+    record.serving = false;
   } else {
     simulator_.schedule_after(config_.service_time, [this, slot, generation] {
       serve_next(slot, generation);
@@ -574,8 +572,8 @@ std::optional<net::NodeId> AgentSystem::node_of(AgentId id) const noexcept {
 }
 
 Agent* AgentSystem::find(AgentId id) noexcept {
-  const std::uint32_t slot = record_index(id);
-  return slot == kNoRecord ? nullptr : agents_[slot].get();
+  const Slot* record = find_record(id);
+  return record == nullptr ? nullptr : record->agent.get();
 }
 
 std::size_t AgentSystem::inbox_depth(AgentId id) const noexcept {
@@ -587,8 +585,8 @@ MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
   MemoryBreakdown memory;
   memory.agent_records =
       ordinal_slots_.capacity() * sizeof(std::uint32_t) +
-      slots_.capacity() * sizeof(Slot) +
-      agents_.capacity() * sizeof(std::unique_ptr<Agent>) +
+      chunks_.size() * sizeof(Chunk) +
+      chunks_.capacity() * sizeof(std::unique_ptr<Chunk>) +
       free_slots_.capacity() * sizeof(std::uint32_t);
   memory.rpc_table = pending_rpcs_.resident_bytes();
   memory.in_flight = in_flight_.capacity() * sizeof(InFlight);

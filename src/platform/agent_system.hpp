@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -44,7 +45,7 @@ inline constexpr sim::SimTime kDefaultRpcTimeout = sim::SimTime::millis(250);
 /// momentary occupancy, because pooled capacity is what the process holds at
 /// steady state.
 struct MemoryBreakdown {
-  /// Agent record storage: hot slot array, cold agent-pointer array, the
+  /// Agent record storage: the allocated slot chunks, the chunk table, the
   /// free-slot list, and the ordinal → slot array.
   std::size_t agent_records = 0;
   /// Always 0: queued messages wait in the in-flight pool and are counted
@@ -138,13 +139,13 @@ struct PlatformStats {
 /// transmit and dispatch waits in one slot pool, so delivery events capture
 /// 16 trivially-copyable bytes and an inbox is a FIFO chain of pool slots.
 ///
-/// Agent records live in generation-tagged slab storage (DESIGN.md §15): a
-/// dense array of hot `Slot`s (id, node mirror, generation, lifecycle flags,
-/// inbox chain) parallel to a cold array of owning agent pointers. An id is
+/// Agent records live in generation-tagged slab storage (DESIGN.md §15):
+/// 32-byte `Slot`s (owning agent pointer, node mirror, generation, lifecycle
+/// flags, inbox chain) in fixed-size chunks that are never copied, so a
+/// record stays where it was installed until its agent is disposed. An id is
 /// found by inverting its mix to its allocation ordinal and reading a dense
 /// ordinal → slot array. Scheduled events capture `{slot, generation}` —
-/// validity is one array probe, slots are recycled through a free list, and
-/// erasing an agent never moves another agent's record.
+/// validity is one slot probe, and slots are recycled through a free list.
 class AgentSystem {
  public:
   struct Config {
@@ -155,9 +156,9 @@ class AgentSystem {
     /// disable this to get small sequential ids.
     bool mixed_ids = true;
 
-    /// Pre-size the record slab and ordinal array for this many agents
-    /// (0 = grow on demand). Million-agent runs set this so the install
-    /// storm never reallocates them mid-run.
+    /// Allocate the record chunks and the ordinal array for this many
+    /// agents up front (0 = grow on demand). Million-agent runs set this so
+    /// the install storm never grows them mid-run.
     std::size_t reserve_agents = 0;
   };
 
@@ -251,7 +252,7 @@ class AgentSystem {
   Agent* find(AgentId id) noexcept;
 
   std::size_t live_agent_count() const noexcept {
-    return slots_.size() - free_slots_.size();
+    return slot_count_ - free_slots_.size();
   }
 
   /// Number of messages waiting in an agent's inbox (including the one in
@@ -267,9 +268,9 @@ class AgentSystem {
   /// The same estimate, itemized by subsystem.
   MemoryBreakdown memory_breakdown() const noexcept;
 
-  /// Pre-size the record slab and ordinal array for `agents` installs (also
-  /// reachable via `Config::reserve_agents`). Purely an allocation hint:
-  /// trajectories are identical with or without it.
+  /// Allocate the record chunks and the ordinal array for `agents` installs
+  /// (also reachable via `Config::reserve_agents`). Purely an allocation
+  /// hint: trajectories are identical with or without it.
   void reserve(std::size_t agents);
 
  private:
@@ -278,15 +279,14 @@ class AgentSystem {
   static constexpr std::uint32_t kNoSlot = 0xffffffff;
   static constexpr std::uint32_t kNoRecord = 0xffffffff;
 
-  /// Hot per-agent record: everything the delivery and serve paths touch,
-  /// packed into half a cache line, separate from the cold owning pointer in
-  /// `agents_`. A vacant slot has `id == kNoAgent` and waits on
-  /// `free_slots_`.
+  /// Per-agent record: everything the delivery and serve paths touch,
+  /// packed into half a cache line with the owning agent pointer. A vacant
+  /// slot has no agent and waits on `free_slots_`.
   struct Slot {
-    AgentId id = kNoAgent;
+    std::unique_ptr<Agent> agent;
     /// Mirror of `Agent::node_` (the system is the only writer of both), so
-    /// residency checks never touch the cold agent object. `kNoNode` while
-    /// in transit.
+    /// residency checks never touch the agent object. `kNoNode` while in
+    /// transit.
     net::NodeId node = net::kNoNode;
     /// Bumped on migrate, dispose, and slot release so stale scheduled
     /// events (which capture `{slot, generation}`) become no-ops — the slab
@@ -302,7 +302,14 @@ class AgentSystem {
     std::uint32_t inbox_tail = kNoSlot;
     std::uint32_t inbox_size = 0;
   };
-  static_assert(sizeof(Slot) <= 32, "two hot records per cache line");
+  static_assert(sizeof(Slot) == 32, "two records per cache line");
+
+  /// Records live in chunks of 128 slots (4 KiB): small enough that a
+  /// few-hundred-agent system allocates little past its population, and
+  /// never copied, so a `Slot&` stays valid across agent callbacks.
+  static constexpr std::uint32_t kChunkBits = 7;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
+  using Chunk = std::array<Slot, kChunkSlots>;
 
   struct PendingRpc {
     AgentId from = kNoAgent;
@@ -368,6 +375,12 @@ class AgentSystem {
   /// The ordinal `id` was allocated at (1 for the first): the mix inverted.
   std::uint64_t ordinal_of(AgentId id) const noexcept;
   const Slot* find_record(AgentId id) const noexcept;
+  Slot& record_at(std::uint32_t slot) noexcept {
+    return (*chunks_[slot >> kChunkBits])[slot & (kChunkSlots - 1)];
+  }
+  const Slot& record_at(std::uint32_t slot) const noexcept {
+    return (*chunks_[slot >> kChunkBits])[slot & (kChunkSlots - 1)];
+  }
 
   std::uint32_t acquire_record_slot();
   void release_record_slot(std::uint32_t slot) noexcept;
@@ -413,14 +426,13 @@ class AgentSystem {
 
   /// Agent records, slab style: `ordinal_slots_[k - 1]` is the slot of the
   /// id allocated k-th (`kNoRecord` once disposed), 4 bytes per id ever
-  /// allocated; `slots_` holds the hot fields, `agents_` the cold owning
-  /// pointers, parallel to `slots_`; vacant slots wait on `free_slots_`.
-  /// `slots_` only ever grows (push_back may reallocate, so never hold a
-  /// `Slot&` across agent callbacks — re-index instead; erasure never moves
-  /// records).
+  /// allocated; slot i lives at `record_at(i)`, in chunk `i >> kChunkBits`;
+  /// `slot_count_` slots have been handed out, and vacant ones wait on
+  /// `free_slots_`. Chunks are added one at a time and freed only with the
+  /// system.
   std::vector<std::uint32_t> ordinal_slots_;
-  std::vector<Slot> slots_;
-  std::vector<std::unique_ptr<Agent>> agents_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
 
   util::FlatMap<std::uint64_t, PendingRpc, 0> pending_rpcs_;

@@ -90,11 +90,12 @@ TEST(WorkerAddress, RefusesTcpPortPastRange) {
 }
 
 TEST(WorkerAddress, RefusesUnixPathPastSunPath) {
-  // 105 bytes fit sun_path (108 with the NUL); 105 + ".w1" does not, and
-  // bind would silently truncate it.
+  // 95 bytes leave room in sun_path (108 with the NUL) for the temporary
+  // name a listener binds first; 95 + ".w1" does not, and bind would
+  // silently truncate it.
   std::string path = unique_socket_path("long");
-  path.insert(5, 105 - path.size(), 'x');
-  ASSERT_EQ(path.size(), 105u);
+  path.insert(5, 95 - path.size(), 'x');
+  ASSERT_EQ(path.size(), 95u);
   const std::string error = start_error(2, 4, "unix:" + path);
   EXPECT_NE(error.find("worker 1"), std::string::npos) << error;
   // Refused before anything bound: worker 0's path was never created.

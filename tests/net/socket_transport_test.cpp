@@ -4,11 +4,39 @@
 
 #include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+// This binary links with -Wl,--wrap=listen, so every listen(2) the
+// transport makes runs through __wrap_listen first. While `watched` is set,
+// it counts the calls, notes whether the watched path already exists, and
+// can plant a regular file there, as a listener that won a race would.
+namespace listen_hook {
+std::string watched;
+int calls = 0;
+int path_existed = 0;
+bool plant = false;
+}  // namespace listen_hook
+
+extern "C" int __real_listen(int fd, int backlog);
+extern "C" int __wrap_listen(int fd, int backlog) {
+  if (!listen_hook::watched.empty()) {
+    ++listen_hook::calls;
+    struct stat st {};
+    if (::lstat(listen_hook::watched.c_str(), &st) == 0) {
+      ++listen_hook::path_existed;
+    }
+    if (listen_hook::plant) std::ofstream(listen_hook::watched) << "planted";
+  }
+  return __real_listen(fd, backlog);
+}
 
 namespace agentloc::net {
 namespace {
@@ -31,6 +59,19 @@ TEST(SocketAddress, ParsesUnixAndTcp) {
   EXPECT_EQ(address.host, "127.0.0.1");
   EXPECT_EQ(address.port, 7421);
   EXPECT_EQ(address.to_string(), "tcp:127.0.0.1:7421");
+}
+
+TEST(SocketAddress, RefusesUnixPathWithoutRoomForTheListenName) {
+  // sun_path holds 107 bytes and a NUL; a listener binds the path plus a
+  // 10-byte suffix before it publishes the path, so 97 bytes is the most.
+  SocketAddress address;
+  std::string error;
+  const std::string longest = "/tmp/" + std::string(92, 'x');
+  ASSERT_EQ(longest.size(), 97u);
+  EXPECT_TRUE(SocketAddress::parse("unix:" + longest, address, &error))
+      << error;
+  EXPECT_FALSE(SocketAddress::parse("unix:" + longest + "y", address, &error));
+  EXPECT_NE(error.find("at most 97 bytes"), std::string::npos) << error;
 }
 
 TEST(SocketAddress, RejectsMalformedInput) {
@@ -184,18 +225,10 @@ TEST(SocketTransport, SendToClosedPeerFailsCleanly) {
                            nullptr));
 }
 
-TEST(SocketTransport, ListenConnectOverUnixSocket) {
-  SKIP_WITHOUT_SOCKETS();
-  const std::string path =
-      "/tmp/agentloc-test-" + std::to_string(::getpid()) + ".sock";
-  SocketAddress address;
-  address.kind = SocketAddress::Kind::kUnix;
-  address.path = path;
-
-  SocketTransport server;
-  std::string error;
-  ASSERT_TRUE(server.listen(address, &error)) << error;
-
+/// Send 41 from a fresh client through `address`, let `server` answer it
+/// plus one, and return {what the server read, what the client read}.
+std::pair<std::uint64_t, std::uint64_t> echo_once(
+    SocketTransport& server, const SocketAddress& address) {
   std::uint64_t echoed = 0;
   server.on_frame([&](SocketTransport::PeerId peer, const FrameView& frame) {
     auto reader = frame.payload_reader();
@@ -205,8 +238,10 @@ TEST(SocketTransport, ListenConnectOverUnixSocket) {
   });
 
   SocketTransport client;
+  std::string error;
   const auto peer = client.connect(address, &error);
-  ASSERT_NE(peer, SocketTransport::kInvalidPeer) << error;
+  EXPECT_NE(peer, SocketTransport::kInvalidPeer) << error;
+  if (peer == SocketTransport::kInvalidPeer) return {echoed, 0};
   std::uint64_t answer = 0;
   client.on_frame([&](SocketTransport::PeerId, const FrameView& frame) {
     auto reader = frame.payload_reader();
@@ -219,10 +254,87 @@ TEST(SocketTransport, ListenConnectOverUnixSocket) {
     server.poll_once(50);
     client.poll_once(50);
   }
+  return {echoed, answer};
+}
+
+SocketAddress unix_address(const std::string& tag) {
+  SocketAddress address;
+  address.kind = SocketAddress::Kind::kUnix;
+  address.path = "/tmp/agentloc-" + tag + "-" + std::to_string(::getpid()) +
+                 ".sock";
+  return address;
+}
+
+/// Entries beside `path` whose names extend it, e.g. a temporary name.
+std::size_t names_extending(const std::string& path) {
+  const std::filesystem::path file(path);
+  const std::string prefix = file.filename().string() + ".";
+  std::size_t found = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(file.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++found;
+  }
+  return found;
+}
+
+TEST(SocketTransport, ListenConnectOverUnixSocket) {
+  SKIP_WITHOUT_SOCKETS();
+  const SocketAddress address = unix_address("test");
+  SocketTransport server;
+  std::string error;
+  ASSERT_TRUE(server.listen(address, &error)) << error;
+  const auto [echoed, answer] = echo_once(server, address);
   EXPECT_EQ(server.stats().accepts, 1u);
   EXPECT_EQ(echoed, 41u);
   EXPECT_EQ(answer, 42u);
-  ::unlink(path.c_str());
+  ::unlink(address.path.c_str());
+}
+
+TEST(SocketTransport, UnixPathAppearsOnlyOnceListening) {
+  SKIP_WITHOUT_SOCKETS();
+  // A path that exists before listen(2) refuses connects, and another
+  // listener's probe would take this live one for stale.
+  const SocketAddress address = unix_address("published");
+  listen_hook::watched = address.path;
+  listen_hook::calls = 0;
+  listen_hook::path_existed = 0;
+  SocketTransport server;
+  std::string error;
+  const bool listening = server.listen(address, &error);
+  listen_hook::watched.clear();
+  ASSERT_TRUE(listening) << error;
+  EXPECT_EQ(listen_hook::calls, 1);
+  EXPECT_EQ(listen_hook::path_existed, 0)
+      << address.path << " existed before its socket listened";
+  EXPECT_TRUE(std::filesystem::is_socket(address.path));
+  EXPECT_EQ(names_extending(address.path), 0u);  // no temporary name left
+
+  const auto [echoed, answer] = echo_once(server, address);
+  EXPECT_EQ(echoed, 41u);
+  EXPECT_EQ(answer, 42u);
+  server.close_all();
+  EXPECT_FALSE(std::filesystem::exists(address.path));
+}
+
+TEST(SocketTransport, UnixListenKeepsAPathTakenBeforeItsLink) {
+  SKIP_WITHOUT_SOCKETS();
+  // Something appears at the path between the stale-socket probe and the
+  // link: the listen fails, leaves it in place, and unlinks its own name.
+  const SocketAddress address = unix_address("raced");
+  listen_hook::watched = address.path;
+  listen_hook::plant = true;
+  SocketTransport server;
+  std::string error;
+  const bool listening = server.listen(address, &error);
+  listen_hook::watched.clear();
+  listen_hook::plant = false;
+  EXPECT_FALSE(listening);
+  EXPECT_NE(error.find("is in use"), std::string::npos) << error;
+  std::string kept;
+  std::getline(std::ifstream(address.path), kept);
+  EXPECT_EQ(kept, "planted");
+  EXPECT_EQ(names_extending(address.path), 0u);
+  std::filesystem::remove(address.path);
 }
 
 TEST(SocketTransport, AdoptRejectsUnwatchableFd) {

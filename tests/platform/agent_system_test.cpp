@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -331,6 +332,26 @@ TEST_F(AgentSystemTest, SequentialIdsWhenMixedDisabled) {
   AgentSystem plain(sim_, network_, config);
   EXPECT_EQ(plain.create<Probe>(0).id(), 1u);
   EXPECT_EQ(plain.create<Probe>(0).id(), 2u);
+}
+
+TEST_F(AgentSystemTest, RefusedCreateLeavesNoTrace) {
+  // A create at a node past the network throws before an id is allocated,
+  // so the next agent gets the id (and the hash-tree placement) it would
+  // have had without the refused call.
+  for (const bool mixed : {true, false}) {
+    SCOPED_TRACE(mixed ? "mixed ids" : "sequential ids");
+    AgentSystem::Config config;
+    config.mixed_ids = mixed;
+    AgentSystem fresh(sim_, network_, config);
+    AgentSystem refused(sim_, network_, config);
+    EXPECT_THROW(
+        refused.create<Probe>(static_cast<net::NodeId>(refused.node_count())),
+        std::out_of_range);
+    EXPECT_EQ(refused.live_agent_count(), 0u);
+    EXPECT_EQ(refused.stats().agents_created, 0u);
+    EXPECT_EQ(refused.create<Probe>(0).id(), fresh.create<Probe>(0).id());
+    sim_.run();  // both on_starts, while their systems are alive
+  }
 }
 
 TEST_F(AgentSystemTest, MessagesInFlightDuringMigrationBounce) {

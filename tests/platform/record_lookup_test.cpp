@@ -1,12 +1,17 @@
 // Record lookup against a reference model: seeded scripts create, migrate,
 // dispose (some agents dispose themselves from their own callbacks) and
-// send, with mixed and with sequential ids. After every op and again after
-// the step's events, each lookup the platform offers must agree with a
+// send, with mixed and with sequential ids. Crowds of creates and culls of
+// disposals take the population across several record chunks and recycle
+// slots across the chunk boundaries. After every op and again after the
+// step's events, each lookup the platform offers must agree with a
 // std::unordered_map of what the script did, and ids the system never
-// handed out (or took back) must never be found.
+// handed out (or took back) must never be found. Last, an agent that
+// creates whole chunks of agents from inside its own message handler must
+// go on serving its queued inbox.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -26,6 +31,8 @@ constexpr net::NodeId kNodes = 6;
 // cause and every migration all land inside the step that started them.
 constexpr sim::SimTime kHop = sim::SimTime::millis(1);
 constexpr sim::SimTime kStep = sim::SimTime::millis(3);
+// Slots per record chunk in `AgentSystem`.
+constexpr std::size_t kChunkSlots = 128;
 
 struct Ping {
   static constexpr std::size_t kWireBytes = 24;
@@ -46,6 +53,30 @@ class Scripted : public Agent {
 
  private:
   Fate fate_;
+};
+
+/// Creates `per_message` agents at its own node from each message it serves,
+/// and notes whether the platform's record storage grew meanwhile.
+class Spawner : public Agent {
+ public:
+  explicit Spawner(std::size_t per_message) : per_message_(per_message) {}
+
+  void on_message(const Message&) override {
+    const std::size_t before = system().memory_breakdown().agent_records;
+    for (std::size_t i = 0; i < per_message_; ++i) {
+      spawned.push_back(
+          &system().create<Scripted>(node(), Scripted::Fate::kLive));
+    }
+    if (system().memory_breakdown().agent_records > before) ++grew;
+    ++served;
+  }
+
+  std::vector<Agent*> spawned;
+  int served = 0;
+  int grew = 0;
+
+ private:
+  std::size_t per_message_;
 };
 
 /// What the script knows of one live agent.
@@ -77,10 +108,32 @@ class RecordLookup
   }
 
   AgentId create(net::NodeId node, Scripted::Fate fate) {
-    Agent& agent = system_.create<Scripted>(node, fate);
+    return add_to_model(system_.create<Scripted>(node, fate), fate);
+  }
+
+  AgentId add_to_model(Agent& agent, Scripted::Fate fate) {
     ++allocated_;
-    model_[agent.id()] = Expected{&agent, node, false, 0, fate};
+    model_[agent.id()] = Expected{&agent, agent.node(), false, 0, fate};
+    peak_live_ = std::max(peak_live_, model_.size());
     return agent.id();
+  }
+
+  Scripted::Fate draw_fate() {
+    const auto fate_roll = rng_.next_below(10);
+    return fate_roll == 0   ? Scripted::Fate::kDieOnStart
+           : fate_roll == 1 ? Scripted::Fate::kDieOnArrival
+                            : Scripted::Fate::kLive;
+  }
+
+  net::NodeId draw_node() {
+    return static_cast<net::NodeId>(rng_.next_below(kNodes));
+  }
+
+  void dispose(AgentId victim) {
+    bounce_inbox_of(model_.at(victim));
+    system_.dispose(victim);
+    model_.erase(victim);
+    disposed_.push_back(victim);
   }
 
   /// The id `allocate_id` hands out `ordinal`-th, in either id mode.
@@ -158,11 +211,16 @@ class RecordLookup
     }
   }
 
-  AgentId pick_other_than_source() {
+  std::vector<AgentId> others_than_source() const {
     std::vector<AgentId> candidates;
     for (const auto& [id, expected] : model_) {
       if (id != source_) candidates.push_back(id);
     }
+    return candidates;
+  }
+
+  AgentId pick_other_than_source() {
+    const std::vector<AgentId> candidates = others_than_source();
     if (candidates.empty()) return kNoAgent;
     return candidates[rng_.next_below(candidates.size())];
   }
@@ -176,6 +234,7 @@ class RecordLookup
   /// Recipients of the messages in flight this step, one entry each.
   std::vector<AgentId> landing_;
   std::uint64_t allocated_ = 0;
+  std::size_t peak_live_ = 0;
   AgentId source_ = kNoAgent;
 };
 
@@ -186,27 +245,34 @@ TEST_P(RecordLookup, LookupsMatchReferenceModel) {
   simulator_.run_until(simulator_.now() + kStep);
   check(0);
 
+  std::size_t created_after_disposal = 0;
   for (int step = 1; step <= 300; ++step) {
     const auto roll = rng_.next_below(100);
     const AgentId victim = pick_other_than_source();
-    if (roll < 25 || victim == kNoAgent) {
-      const auto node = static_cast<net::NodeId>(rng_.next_below(kNodes));
-      const auto fate_roll = rng_.next_below(10);
-      create(node, fate_roll == 0   ? Scripted::Fate::kDieOnStart
-                   : fate_roll == 1 ? Scripted::Fate::kDieOnArrival
-                                    : Scripted::Fate::kLive);
+    if (roll < 5) {
+      // A crowd: up to two chunks' worth of creates in one step.
+      const std::size_t crowd = 1 + rng_.next_below(2 * kChunkSlots);
+      for (std::size_t i = 0; i < crowd; ++i) create(draw_node(), draw_fate());
+      if (!disposed_.empty()) created_after_disposal += crowd;
+    } else if (roll < 25 || victim == kNoAgent) {
+      create(draw_node(), draw_fate());
     } else if (roll < 45) {
       Expected& expected = model_.at(victim);
-      const auto node = static_cast<net::NodeId>(rng_.next_below(kNodes));
+      const net::NodeId node = draw_node();
       system_.migrate(victim, node);
       bounce_inbox_of(expected);
       expected.node = node;
       expected.in_transit = true;
+    } else if (roll < 57) {
+      dispose(victim);
     } else if (roll < 60) {
-      bounce_inbox_of(model_.at(victim));
-      system_.dispose(victim);
-      model_.erase(victim);
-      disposed_.push_back(victim);
+      // A cull: a random third of the population, from every chunk.
+      std::vector<AgentId> candidates = others_than_source();
+      for (std::size_t i = 0; i < candidates.size() / 3; ++i) {
+        std::swap(candidates[i],
+                  candidates[i + rng_.next_below(candidates.size() - i)]);
+        dispose(candidates[i]);
+      }
     } else if (roll < 90) {
       const AgentId target = rng_.chance(0.2) ? source_ : victim;
       system_.send(source_, AgentAddress{model_.at(target).node, target},
@@ -230,7 +296,32 @@ TEST_P(RecordLookup, LookupsMatchReferenceModel) {
     check(step);
     if (::testing::Test::HasFailure()) return;
   }
-  EXPECT_GT(disposed_.size(), 20u);
+  EXPECT_GT(peak_live_, 3 * kChunkSlots);
+  EXPECT_GT(disposed_.size(), kChunkSlots);
+  EXPECT_GT(created_after_disposal, kChunkSlots);
+
+  // Each message the spawner serves creates more agents than there are free
+  // slots, so its handler adds chunks while the platform holds its record;
+  // the platform must then go on serving the spawner's queued inbox.
+  constexpr int kSpawnMessages = 3;
+  Spawner& spawner = system_.create<Spawner>(
+      0, disposed_.size() + 2 * kChunkSlots + 1);
+  add_to_model(spawner, Scripted::Fate::kLive);
+  for (int i = 0; i < kSpawnMessages; ++i) {
+    system_.send(source_, AgentAddress{0, spawner.id()}, Ping{},
+                 Ping::kWireBytes);
+    landing_.push_back(spawner.id());
+  }
+  finish_step();
+  check(301);
+  simulator_.run();  // serves every queued message, an hour apiece
+  EXPECT_EQ(spawner.served, kSpawnMessages);
+  EXPECT_EQ(spawner.grew, kSpawnMessages);
+  for (auto& [id, expected] : model_) expected.inbox = 0;
+  for (Agent* agent : spawner.spawned) {
+    add_to_model(*agent, Scripted::Fate::kLive);
+  }
+  check(302);
 }
 
 INSTANTIATE_TEST_SUITE_P(

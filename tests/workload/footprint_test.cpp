@@ -3,8 +3,9 @@
 // allocation functions with counting versions and pins that cost: one
 // allocation of at most 120 bytes per agent at creation, none when it
 // starts, none per move, no private copy of the target list per querier,
-// no private hash-tree copy per LHAgent, and no id-keyed side table sized
-// to the population.
+// no private hash-tree copy per LHAgent, no id-keyed side table sized
+// to the population, and no copy of the agent records when the population
+// outgrows its reserve.
 
 #include <gtest/gtest.h>
 
@@ -249,14 +250,14 @@ TEST_F(FootprintTest, LHAgentsShareOneTreeSnapshot) {
 }
 
 TEST_F(FootprintTest, ReservedPopulationHoldsNoIdKeyedTables) {
-  // Reserving a population costs the record slab (a 32-byte slot and an
-  // owner pointer per agent) and the IAgents' location tables. What is left
-  // (the ordinal array, 4 bytes per agent, and the scheme's fixed agents)
-  // stays within 8 bytes per agent. An id-keyed hash index or seq table
-  // would each add 16-byte slots at no more than 3/4 load: over 21 bytes.
+  // Reserving a population costs the record slab (a 32-byte slot per agent,
+  // which holds the owner pointer) and the IAgents' location tables. What
+  // is left (the ordinal array, 4 bytes per agent, the chunk table and the
+  // scheme's fixed agents) stays within 8 bytes per agent. An id-keyed hash
+  // index or seq table would each add 16-byte slots at no more than 3/4
+  // load: over 21 bytes.
   constexpr std::size_t kPopulation = 100'000;
-  constexpr std::size_t kSlabBytesPerAgent =
-      32 + sizeof(std::unique_ptr<platform::Agent>);
+  constexpr std::size_t kSlabBytesPerAgent = 32;
   sim::Simulator simulator;
   simulator.reserve(4096);
   net::Network network(simulator, kNodes,
@@ -287,6 +288,39 @@ TEST_F(FootprintTest, ReservedPopulationHoldsNoIdKeyedTables) {
       allocated - kPopulation * kSlabBytesPerAgent - iagent_tables;
   EXPECT_LE(rest, 8 * kPopulation)
       << static_cast<double>(rest) / kPopulation << " bytes per agent";
+}
+
+TEST_F(FootprintTest, GrowthPastTheReserveCopiesNoRecord) {
+  // A system that outgrows its reserve of R agents adds record chunks one
+  // at a time and never copies a record. Past the reserve, only the chunk
+  // table and the ordinal array (4 bytes per id, 8 R bytes once doubled)
+  // are reallocated; a contiguous array of 32-byte slots would double to
+  // 2 R slots there, with the old R resident beside the copy.
+  constexpr std::size_t kReserved = 20'000;
+  sim::Simulator simulator;
+  net::Network network(simulator, kNodes,
+                       std::make_unique<net::FixedLatencyModel>(
+                           sim::SimTime::millis(1)),
+                       util::Rng(5));
+  platform::AgentSystem::Config config;
+  config.reserve_agents = kReserved;
+  platform::AgentSystem system(simulator, network, config);
+  // Each on_start runs before the next create, so the event pool stays at
+  // one record and only the platform's own storage can grow.
+  const auto install = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      system.create<Porter>(static_cast<net::NodeId>(i % kNodes));
+      simulator.run();
+    }
+  };
+  install(kReserved);
+  const std::size_t reserved_records = system.memory_breakdown().agent_records;
+
+  const AllocationWindow window;
+  install(kReserved / 2);
+  EXPECT_EQ(system.live_agent_count(), kReserved + kReserved / 2);
+  EXPECT_GT(system.memory_breakdown().agent_records, reserved_records);
+  EXPECT_LE(window.largest(), 8 * kReserved);
 }
 
 }  // namespace
