@@ -67,9 +67,8 @@ Outcome run(bool locality, std::size_t tagents, std::size_t cluster_size,
     workload::TAgent::Config config;
     config.residence = sim::SimTime::millis(300);
     config.seed = master.next();
-    config.node_pool = pool;
-    auto& agent = system.create<workload::TAgent>(
-        pool[i % pool.size()], scheme, config);
+    auto& agent = system.create<workload::ClusteredTAgent>(
+        pool[i % pool.size()], scheme, config, pool);
     targets.push_back(agent.id());
   }
 

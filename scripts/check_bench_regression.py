@@ -14,7 +14,11 @@ in the fresh run (new benchmarks) or only in the baseline (removed ones) are
 skipped — the gate watches throughput, not coverage. A missing baseline file
 is a warning, not an error: a newly added benchmark has no committed
 reference on the first run, and the gate should not block the PR that
-introduces it.
+introduces it. When the two records' ``meta`` differ in ``build``,
+``compiler`` or ``hardware_threads`` (a field only one of them carries
+counts as a difference), one warning line names each difference: the
+numbers were then measured on different builds or hosts. The warning does
+not change the exit status.
 
 Usage:
   check_bench_regression.py BASELINE FRESH [--threshold-pct=30] [--fail]
@@ -37,11 +41,38 @@ LOWER_IS_BETTER_ROW = ("bytes_per_agent", "peak_resident_bytes")
 # Headline throughputs a bench may carry in ``meta`` (higher is better).
 HEADLINES = ("messages_per_sec", "events_per_sec")
 
+# ``meta`` fields that say what a wall-clock number was measured on.
+HOST_FIELDS = ("build", "compiler", "hardware_threads")
 
-def load_rates(path):
-    """Return (higher_is_better, lower_is_better) metric dicts."""
+
+def load_doc(path):
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        return json.load(handle)
+
+
+def host_differences(baseline_doc, fresh_doc):
+    """Return one line per HOST_FIELDS entry the two records disagree on."""
+
+    def field(doc, key):
+        meta = doc.get("meta", doc)
+        return meta.get(key) if isinstance(meta, dict) else None
+
+    def shown(value):
+        return "absent" if value is None else json.dumps(value)
+
+    lines = []
+    for key in HOST_FIELDS:
+        base, fresh = field(baseline_doc, key), field(fresh_doc, key)
+        if base != fresh:
+            lines.append(
+                f"warning: cross-host comparison: {key} differs "
+                f"(baseline {shown(base)}, fresh {shown(fresh)})"
+            )
+    return lines
+
+
+def load_rates(doc):
+    """Return (higher_is_better, lower_is_better) metric dicts."""
     rates = {}
     lower = {}
     meta = doc.get("meta", doc)
@@ -78,14 +109,18 @@ def main():
     args = parser.parse_args()
 
     try:
-        baseline, baseline_lower = load_rates(args.baseline)
+        baseline_doc = load_doc(args.baseline)
     except FileNotFoundError:
         print(
             f"baseline {args.baseline} not found; skipping comparison "
             "(commit one from a fresh run to arm the gate)"
         )
         return 0
-    fresh, fresh_lower = load_rates(args.fresh)
+    fresh_doc = load_doc(args.fresh)
+    for line in host_differences(baseline_doc, fresh_doc):
+        print(line)
+    baseline, baseline_lower = load_rates(baseline_doc)
+    fresh, fresh_lower = load_rates(fresh_doc)
     if not baseline and not baseline_lower:
         print(f"no throughput entries in baseline {args.baseline}; skipping")
         return 0

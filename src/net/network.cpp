@@ -22,13 +22,37 @@ Network::Network(sim::Simulator& simulator, std::size_t node_count,
 bool Network::send(NodeId from, NodeId to, std::size_t bytes,
                    std::function<void()> deliver) {
   const TransmitPlan plan = plan_transmission(from, to, bytes);
-  for (int copy = 0; copy < plan.copies; ++copy) {
-    simulator_.schedule_after(plan.delay[copy], [this, deliver] {
-      note_delivered();
-      deliver();
-    });
+  if (plan.copies == 0) return false;
+  std::uint32_t slot;
+  if (free_parked_.empty()) {
+    slot = static_cast<std::uint32_t>(parked_.size());
+    parked_.emplace_back();
+  } else {
+    slot = free_parked_.back();
+    free_parked_.pop_back();
   }
-  return plan.copies > 0;
+  parked_[slot].deliver = std::move(deliver);
+  parked_[slot].copies = plan.copies;
+  for (int copy = 0; copy < plan.copies; ++copy) {
+    simulator_.schedule_after(plan.delay[copy],
+                              [this, slot] { deliver_parked(slot); });
+  }
+  return true;
+}
+
+void Network::deliver_parked(std::uint32_t slot) {
+  note_delivered();
+  // Run a local: the thunk may send, which can reuse the slot or grow the
+  // pool.
+  Parked& parked = parked_[slot];
+  std::function<void()> deliver;
+  if (--parked.copies == 0) {
+    deliver = std::exchange(parked.deliver, nullptr);
+    free_parked_.push_back(slot);
+  } else {
+    deliver = parked.deliver;  // a duplicate: the other copy still needs it
+  }
+  deliver();
 }
 
 TransmitPlan Network::plan_transmission(NodeId from, NodeId to,

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "net/latency.hpp"
 #include "sim/simulator.hpp"
@@ -67,8 +68,10 @@ struct TransmitPlan {
 /// Simulated datagram network.
 ///
 /// `send` charges the latency model for the serialized size and schedules the
-/// delivery thunk on the simulator; the caller (the agent platform) captures
-/// its typed message inside the thunk, so this layer stays payload-agnostic.
+/// delivery thunk on the simulator; the caller captures its typed message
+/// inside the thunk, so this layer stays payload-agnostic. The thunk waits in
+/// a pooled slot until its last copy is delivered, so each scheduled event
+/// captures only `{this, slot}` and fits the simulator's inline handler.
 /// Delivery is unordered (jitter may reorder) and, under a fault plan,
 /// unreliable — exactly the properties the location protocol must tolerate.
 ///
@@ -103,12 +106,23 @@ class Network {
   const NetworkStats& stats() const noexcept { return stats_; }
 
  private:
+  /// A `send` thunk waiting for its `copies` scheduled deliveries.
+  struct Parked {
+    std::function<void()> deliver;
+    int copies = 0;
+  };
+
+  /// Run one delivery of the thunk parked at `slot`; the last copy frees it.
+  void deliver_parked(std::uint32_t slot);
+
   sim::Simulator& simulator_;
   std::size_t node_count_;
   std::unique_ptr<LatencyModel> latency_;
   util::Rng rng_;
   FaultPlan faults_;
   NetworkStats stats_;
+  std::vector<Parked> parked_;
+  std::vector<std::uint32_t> free_parked_;
 };
 
 }  // namespace agentloc::net

@@ -324,7 +324,7 @@ SocketTransport::PeerId SocketTransport::adopt(int fd) {
 
 bool SocketTransport::send(
     PeerId peer, FrameType type, std::uint64_t correlation,
-    const std::function<void(util::ByteWriter&)>& encode_payload,
+    util::FunctionRef<void(util::ByteWriter&)> encode_payload,
     std::uint8_t flags) {
   if (!peer_open(peer)) return false;
   Peer& p = peers_[static_cast<std::size_t>(peer)];

@@ -10,6 +10,7 @@
 #include "net/frame.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/bytebuffer.hpp"
+#include "util/function_ref.hpp"
 
 namespace agentloc::net {
 
@@ -122,11 +123,12 @@ class SocketTransport {
 
   /// Encode one frame into `peer`'s pending batch; `encode_payload` writes
   /// the payload through the supplied writer (which points into a pooled
-  /// buffer — this is the zero-copy path). Nothing hits the wire until the
-  /// batch seals and a flush or POLLOUT drains it. Returns false if the
-  /// peer is closed.
+  /// buffer — this is the zero-copy path). It is a non-owning reference,
+  /// called before `send` returns, so a capturing encoder never allocates.
+  /// Nothing hits the wire until the batch seals and a flush or POLLOUT
+  /// drains it. Returns false if the peer is closed.
   bool send(PeerId peer, FrameType type, std::uint64_t correlation,
-            const std::function<void(util::ByteWriter&)>& encode_payload,
+            util::FunctionRef<void(util::ByteWriter&)> encode_payload,
             std::uint8_t flags = 0);
 
   /// Seal the open batch and write as much pending data as the kernel

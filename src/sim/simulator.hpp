@@ -40,12 +40,12 @@ inline constexpr EventId kInvalidEvent = 0;
 /// instance is strictly single-threaded.
 class Simulator {
  public:
-  /// Handler storage is small-buffer-optimized: captures up to 40 bytes are
+  /// Handler storage is small-buffer-optimized: captures up to 24 bytes are
   /// stored inline in the event record; larger ones fall back to one heap
-  /// allocation. 40 is the largest hot capture: `this` plus a
-  /// `std::function`, as in the network's delivery closure and
-  /// `Timeout::arm` (DESIGN.md §8).
-  using Handler = util::InlineFunction<void(), 40>;
+  /// allocation. 24 is the largest capture a fault-free run schedules: a
+  /// TAgent's `this` plus a member pointer, and the platform's arrival
+  /// event (DESIGN.md §8).
+  using Handler = util::InlineFunction<void(), 24>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -131,11 +131,12 @@ class Simulator {
   static constexpr std::uint32_t kInNear = UINT32_MAX - 1;
   static constexpr std::uint32_t kFree = UINT32_MAX - 2;
 
-  /// One pooled event, 80 bytes: the pool is the only per-event storage of
-  /// every tier. A slot's generation is bumped whenever the event it held
-  /// is cancelled or executed, so stale `EventId`s and stale near-heap
-  /// entries referring to an earlier occupant are detected in O(1).
-  struct Record {
+  /// One pooled event, one 64-byte cache line: the pool is the only
+  /// per-event storage of every tier. A slot's generation is bumped whenever
+  /// the event it held is cancelled or executed, so stale `EventId`s and
+  /// stale near-heap entries referring to an earlier occupant are detected
+  /// in O(1).
+  struct alignas(64) Record {
     Handler handler;
     SimTime when;
     std::uint64_t seq = 0;
@@ -148,8 +149,8 @@ class Simulator {
     /// The list holding the record while `prev` is a link or kNil.
     std::uint32_t list = 0;
   };
-  static_assert(sizeof(Record) == 80,
-                "one record per pending event; sim-scale keeps ~1M live");
+  static_assert(sizeof(Record) == 64,
+                "one cache line per pending event; sim-scale keeps ~1M live");
 
   struct List {
     std::uint32_t head = kNil;

@@ -33,11 +33,16 @@ void PeriodicTimer::arm() {
 
 void Timeout::arm(SimTime delay, std::function<void()> fn) {
   cancel();
-  event_ = simulator_.schedule_after(
-      delay, [this, fn = std::move(fn)] {
-        event_ = kInvalidEvent;
-        fn();
-      });
+  fn_ = std::move(fn);
+  event_ = simulator_.schedule_after(delay, [this] { fire(); });
+}
+
+void Timeout::fire() {
+  event_ = kInvalidEvent;
+  // Run a local: the callback may re-arm (replacing fn_) or destroy this
+  // timeout (destroying fn_).
+  const std::function<void()> fn = std::exchange(fn_, nullptr);
+  fn();
 }
 
 void Timeout::cancel() {
@@ -45,6 +50,7 @@ void Timeout::cancel() {
     simulator_.cancel(event_);
     event_ = kInvalidEvent;
   }
+  fn_ = nullptr;
 }
 
 }  // namespace agentloc::sim

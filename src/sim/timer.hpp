@@ -41,6 +41,12 @@ class PeriodicTimer {
 };
 
 /// One-shot cancellable timeout with the same ownership story.
+///
+/// The callback is a member, so the scheduled event captures only `this`
+/// and fits the simulator's inline handler. It is moved out before it runs:
+/// a callback may re-arm this timeout or destroy it (the hash scheme's
+/// watch timeout erases the watch that owns it) and still read its own
+/// captures.
 class Timeout {
  public:
   explicit Timeout(Simulator& simulator) : simulator_(simulator) {}
@@ -51,13 +57,17 @@ class Timeout {
   /// Schedule `fn` after `delay`, cancelling any previously pending arm.
   void arm(SimTime delay, std::function<void()> fn);
 
+  /// Stop a pending arm and release the callback's captures at once.
   void cancel();
 
   bool pending() const noexcept { return event_ != kInvalidEvent; }
 
  private:
+  void fire();
+
   Simulator& simulator_;
   EventId event_ = kInvalidEvent;
+  std::function<void()> fn_;
 };
 
 }  // namespace agentloc::sim

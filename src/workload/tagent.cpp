@@ -1,5 +1,9 @@
 #include "workload/tagent.hpp"
 
+#include <limits>
+#include <stdexcept>
+#include <utility>
+
 namespace agentloc::workload {
 
 TAgent::TAgent(core::LocationScheme& scheme, const Config& config)
@@ -7,10 +11,6 @@ TAgent::TAgent(core::LocationScheme& scheme, const Config& config)
       rng_(config.seed),
       residence_(config.residence),
       start_stagger_(config.start_stagger),
-      node_pool_(config.node_pool.empty()
-                     ? nullptr
-                     : std::make_unique<const std::vector<net::NodeId>>(
-                           config.node_pool)),
       exponential_residence_(config.exponential_residence) {}
 
 void TAgent::on_start() {
@@ -74,36 +74,21 @@ void TAgent::schedule_move() {
 }
 
 void TAgent::do_move() {
-  net::NodeId destination = node();
-  if (node_pool_) {
-    // Cluster mobility: uniform over the pool minus the current node.
-    std::size_t options = 0;
-    for (const net::NodeId candidate : *node_pool_) {
-      if (candidate != node()) ++options;
-    }
-    if (options == 0) {
-      schedule_move();
-      return;
-    }
-    std::uint64_t pick = rng_.next_below(options);
-    for (const net::NodeId candidate : *node_pool_) {
-      if (candidate == node()) continue;
-      if (pick-- == 0) {
-        destination = candidate;
-        break;
-      }
-    }
-  } else {
-    const auto nodes = static_cast<net::NodeId>(system().node_count());
-    if (nodes < 2) {
-      schedule_move();
-      return;
-    }
-    // Uniform choice among the *other* nodes.
-    destination = static_cast<net::NodeId>(rng_.next_below(nodes - 1));
-    if (destination >= node()) ++destination;
+  const net::NodeId destination = next_destination(rng_);
+  if (destination == net::kNoNode) {
+    schedule_move();
+    return;
   }
   system().migrate(id(), destination);
+}
+
+net::NodeId TAgent::next_destination(util::Rng& rng) {
+  const auto nodes = static_cast<net::NodeId>(system().node_count());
+  if (nodes < 2) return net::kNoNode;
+  // Uniform choice among the *other* nodes.
+  auto destination = static_cast<net::NodeId>(rng.next_below(nodes - 1));
+  if (destination >= node()) ++destination;
+  return destination;
 }
 
 void TAgent::on_message(const platform::Message& message) {
@@ -118,11 +103,34 @@ void TAgent::on_delivery_failure(const platform::DeliveryFailure& failure) {
 
 void TAgent::on_arrival(net::NodeId from_node) {
   (void)from_node;
+  if (moves_ == std::numeric_limits<std::uint32_t>::max()) {
+    throw std::overflow_error("TAgent::on_arrival: move count exhausted");
+  }
   ++moves_;
   // Paper §2.3 ("Agent Movement"): each time the agent moves, it informs its
   // IAgent about its new location.
   scheme_.update_location(*this, [](bool) {});
   if (mobile_) schedule_move();
+}
+
+ClusteredTAgent::ClusteredTAgent(core::LocationScheme& scheme,
+                                 const Config& config,
+                                 std::vector<net::NodeId> node_pool)
+    : TAgent(scheme, config), node_pool_(std::move(node_pool)) {}
+
+net::NodeId ClusteredTAgent::next_destination(util::Rng& rng) {
+  // Walk the pool to the drawn entry, skipping the current node.
+  std::size_t options = 0;
+  for (const net::NodeId candidate : node_pool_) {
+    if (candidate != node()) ++options;
+  }
+  if (options == 0) return net::kNoNode;
+  std::uint64_t pick = rng.next_below(options);
+  for (const net::NodeId candidate : node_pool_) {
+    if (candidate == node()) continue;
+    if (pick-- == 0) return candidate;
+  }
+  return net::kNoNode;  // unreachable: pick < options
 }
 
 }  // namespace agentloc::workload

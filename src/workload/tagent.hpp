@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "core/scheme.hpp"
@@ -18,6 +17,7 @@ namespace agentloc::workload {
 /// state (DESIGN.md §15): `Config` is read once at construction, and the
 /// pending admission or move is a simulator event the agent owns directly.
 /// `on_dispose` cancels either; `set_mobile(false)` cancels only a move.
+/// A TAgent roams over every node; `ClusteredTAgent` roams a node pool.
 class TAgent : public platform::Agent {
  public:
   struct Config {
@@ -39,11 +39,6 @@ class TAgent : public platform::Agent {
     /// platform's RPC/in-flight/inbox tables size for steady state, not for
     /// one synchronized registration spike no real deployment produces.
     sim::SimTime start_stagger = sim::SimTime::zero();
-
-    /// When non-empty, the agent roams only within these nodes (cluster
-    /// mobility — used by the locality ablation). Must contain at least two
-    /// nodes for movement to happen.
-    std::vector<net::NodeId> node_pool;
   };
 
   TAgent(core::LocationScheme& scheme, const Config& config);
@@ -68,6 +63,11 @@ class TAgent : public platform::Agent {
   std::uint64_t moves_completed() const noexcept { return moves_; }
   bool registered() const noexcept { return registered_; }
 
+ protected:
+  /// The node of the next move, drawn from `rng`: uniform over the other
+  /// nodes. `net::kNoNode` stays put for another residence.
+  virtual net::NodeId next_destination(util::Rng& rng);
+
  private:
   void admit();
   void schedule_move();
@@ -82,16 +82,31 @@ class TAgent : public platform::Agent {
   sim::SimTime residence_;
   sim::SimTime start_stagger_;
   sim::EventId timer_ = sim::kInvalidEvent;
-  /// Cluster mobility's node pool; null unless `Config::node_pool` was set.
-  std::unique_ptr<const std::vector<net::NodeId>> node_pool_;
-  std::uint64_t moves_ = 0;
+  /// `on_arrival` throws rather than wrap it, as the report seq each move
+  /// stamps does.
+  std::uint32_t moves_ = 0;
   bool exponential_residence_;
   bool mobile_ = true;
   bool admitted_ = false;  ///< admit() ran: the timer holds moves only
   bool registered_ = false;
 };
 
-// One 128-byte allocator chunk per agent (DESIGN.md §15).
-static_assert(sizeof(TAgent) <= 120);
+// One 112-byte allocator chunk per agent (DESIGN.md §15).
+static_assert(sizeof(TAgent) <= 104);
+
+/// A TAgent that roams only within `node_pool` (cluster mobility, used by
+/// the locality ablation): each move is uniform over the pool minus the
+/// current node. The pool must hold at least two nodes for movement to
+/// happen.
+class ClusteredTAgent final : public TAgent {
+ public:
+  ClusteredTAgent(core::LocationScheme& scheme, const Config& config,
+                  std::vector<net::NodeId> node_pool);
+
+ private:
+  net::NodeId next_destination(util::Rng& rng) override;
+
+  std::vector<net::NodeId> node_pool_;
+};
 
 }  // namespace agentloc::workload

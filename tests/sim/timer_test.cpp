@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 
 namespace agentloc::sim {
 namespace {
@@ -114,6 +116,70 @@ TEST(Timeout, DestructionCancels) {
   }
   sim.run_until(SimTime::millis(100));
   EXPECT_EQ(fired, 0);
+}
+
+// A Timeout keeps its callback as a member. The callbacks below capture a
+// 32-character string, so each lives on the heap inside its std::function:
+// were a callback run in place, re-arming or destroying the timeout would
+// free it mid-call, and reading the capture afterwards would be a
+// heap-use-after-free that the asan-ubsan preset reports.
+
+TEST(Timeout, CallbackMayReArmItself) {
+  Simulator sim;
+  Timeout timeout(sim);
+  int rounds = 0;
+  std::string seen;
+  std::function<void(char)> arm = [&](char round) {
+    timeout.arm(SimTime::millis(5),
+                [&arm, &rounds, &seen, round, tag = std::string(32, round)] {
+                  ++rounds;
+                  if (round < 'c') arm(static_cast<char>(round + 1));
+                  seen += tag.substr(0, 1);  // after the re-arm replaced it
+                });
+  };
+  arm('a');
+  sim.run_until(SimTime::millis(100));
+  EXPECT_EQ(rounds, 3);
+  EXPECT_EQ(seen, "abc");
+  EXPECT_FALSE(timeout.pending());
+}
+
+TEST(Timeout, CallbackMayDestroyItsOwnerThenReadItsCaptures) {
+  // The hash scheme's watch timeout erases the PendingWatch that owns it.
+  struct Owner {
+    explicit Owner(Simulator& simulator) : timeout(simulator) {}
+    Timeout timeout;
+  };
+  Simulator sim;
+  auto owner = std::make_unique<Owner>(sim);
+  std::string seen;
+  owner->timeout.arm(SimTime::millis(5),
+                     [&owner, &seen, tag = std::string(32, 'w')] {
+                       owner.reset();
+                       seen = tag;
+                     });
+  sim.run_until(SimTime::millis(100));
+  EXPECT_EQ(owner, nullptr);
+  EXPECT_EQ(seen, std::string(32, 'w'));
+}
+
+TEST(Timeout, CancelReleasesTheCallbacksCapturesAtOnce) {
+  Simulator sim;
+  Timeout timeout(sim);
+  const auto token = std::make_shared<int>(7);
+  timeout.arm(SimTime::millis(5), [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  timeout.cancel();
+  EXPECT_EQ(token.use_count(), 1);
+
+  // Re-arming releases the replaced callback's, and firing the callback's
+  // own once it returns.
+  timeout.arm(SimTime::millis(5), [token] {});
+  timeout.arm(SimTime::millis(5), [] {});
+  EXPECT_EQ(token.use_count(), 1);
+  timeout.arm(SimTime::millis(5), [token] {});
+  sim.run_until(SimTime::millis(100));
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // A million TAgents are live at sim-scale, so what each one costs on the
 // heap sets the footprint (DESIGN.md §15). This binary replaces the global
 // allocation functions with counting versions and pins that cost: one
-// allocation of at most 120 bytes per agent at creation, none when it
-// starts, none per move, no private copy of the target list per querier,
-// no private hash-tree copy per LHAgent, no id-keyed side table sized
-// to the population, and no copy of the agent records when the population
-// outgrows its reserve.
+// allocation of at most 104 bytes (a 112-byte chunk) per agent at creation,
+// none when it starts, none per move, no private copy of the target list
+// per querier, no private hash-tree copy per LHAgent, no id-keyed side
+// table sized to the population, and no copy of the agent records when the
+// population outgrows its reserve.
 
 #include <gtest/gtest.h>
 
@@ -150,22 +150,26 @@ class FootprintTest : public ::testing::Test {
     EXPECT_EQ(window.allocations(), 0u);
   }
 
-  /// Create the population, start it, then let it register and roam,
-  /// expecting `allocations_per_agent` at creation and nothing after it.
-  void expect_footprint(TAgent::Config config,
-                        std::uint64_t allocations_per_agent) {
+  /// Create the population with `create(node, config)`, start it, then let
+  /// it register and roam, expecting `allocations_per_agent` of at most
+  /// `largest` bytes at creation and nothing after it.
+  template <typename Create>
+  void expect_footprint(Create create, std::uint64_t allocations_per_agent,
+                        std::size_t largest) {
     expect_migrations_allocate_nothing();
     std::vector<TAgent*> agents;
     agents.reserve(kAgents);
+    TAgent::Config config;
+    config.residence = sim::SimTime::millis(20);
+    config.start_stagger = sim::SimTime::millis(50);
 
     AllocationWindow window;
     for (std::size_t i = 0; i < kAgents; ++i) {
       config.seed = 100 + i;
-      agents.push_back(&system_.create<TAgent>(
-          static_cast<net::NodeId>(i % kNodes), scheme_, config));
+      agents.push_back(&create(static_cast<net::NodeId>(i % kNodes), config));
     }
     EXPECT_EQ(window.allocations(), allocations_per_agent * kAgents);
-    EXPECT_LE(window.largest(), 120u);
+    EXPECT_LE(window.largest(), largest);
 
     window.reset();
     simulator_.run_until(simulator_.now());  // every on_start
@@ -193,19 +197,21 @@ class FootprintTest : public ::testing::Test {
 };
 
 TEST_F(FootprintTest, TAgentIsOneChunkAndAllocatesNothingOnceCreated) {
-  TAgent::Config config;
-  config.residence = sim::SimTime::millis(20);
-  config.start_stagger = sim::SimTime::millis(50);
-  expect_footprint(config, /*allocations_per_agent=*/1);
+  expect_footprint(
+      [&](net::NodeId node, const TAgent::Config& config) -> TAgent& {
+        return system_.create<TAgent>(node, scheme_, config);
+      },
+      /*allocations_per_agent=*/1, /*largest=*/104);
 }
 
 TEST_F(FootprintTest, ClusteredTAgentAllocatesNothingPerMove) {
-  // The pool is copied once at creation (the vector and its buffer).
-  TAgent::Config config;
-  config.residence = sim::SimTime::millis(20);
-  config.start_stagger = sim::SimTime::millis(50);
-  config.node_pool = {2, 3, 5, 7};
-  expect_footprint(config, /*allocations_per_agent=*/3);
+  // The agent and its copy of the pool's buffer, once at creation.
+  const std::vector<net::NodeId> pool = {2, 3, 5, 7};
+  expect_footprint(
+      [&](net::NodeId node, const TAgent::Config& config) -> TAgent& {
+        return system_.create<ClusteredTAgent>(node, scheme_, config, pool);
+      },
+      /*allocations_per_agent=*/2, /*largest=*/sizeof(ClusteredTAgent));
 }
 
 TEST_F(FootprintTest, QueriersShareOneTargetList) {

@@ -152,9 +152,9 @@ TEST_F(TAgentTest, SetResidenceChangesPace) {
 TEST_F(TAgentTest, NodePoolRestrictsRoaming) {
   TAgent::Config config;
   config.residence = sim::SimTime::millis(50);
-  config.node_pool = {2, 3, 4};
   config.seed = 9;
-  TAgent& agent = spawn(config, 2);
+  TAgent& agent = system_.create<ClusteredTAgent>(
+      2, scheme_, config, std::vector<net::NodeId>{2, 3, 4});
   for (int i = 0; i < 100; ++i) {
     simulator_.run_until(simulator_.now() + sim::SimTime::millis(100));
     if (const auto node = system_.node_of(agent.id())) {
