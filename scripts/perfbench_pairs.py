@@ -3,6 +3,7 @@
 
 Usage:
   perfbench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --pairs N
+  perfbench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S --trace-diff
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, T being BENCHMARK.json's run_seconds. The
@@ -21,9 +22,17 @@ verdict:
   within bound  otherwise
 
 It also flags runs that print "correct": false and a change in the failed
-ratio (failed / attempted over all runs of a side). It is a measuring tool,
-not a gate: it exits 0 once every run has produced a record, 1 if a run
-did not, and 2 on bad arguments.
+ratio (failed / attempted over all runs of a side).
+
+With --trace-diff it instead runs `perfbench/run.py ... --trace 1` once in
+each checkout, parent first, and prints every per-layer metric whose value
+differs: counts and ratios first, then bytes, then times, each group in
+BENCHMARK.json's order. A change meant to move no simulated number should
+list only its timing-driven metrics and the memory estimates it means to
+move.
+
+It is a measuring tool, not a gate: it exits 0 once every run has produced
+a record, 1 if a run did not, and 2 on bad arguments.
 """
 
 import argparse
@@ -128,11 +137,56 @@ def report(spec, runs, out=sys.stdout):
                   (ratios["parent"], ratios["change"]))
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One `perfbench/run.py --trace 0` run; its record, or None."""
+# The groups --trace-diff lists, in order, and the group of each per-layer
+# unit; any other unit is a time.
+DIFF_GROUPS = ("counts and ratios", "bytes", "times")
+UNIT_GROUP = {"count": 0, "ratio": 0, "bits": 0, "bytes": 1}
+
+
+def trace_diff(spec, parent, change, out=sys.stdout):
+    """Print every per-layer metric of BENCHMARK.json whose value differs
+    between the traced records `parent` and `change`."""
+    moved = []
+    for order, metric in enumerate(spec["per_layer"]):
+        name = metric["name"]
+        values = [record["metrics"].get(name, {}).get("value")
+                  for record in (parent, change)]
+        if values[0] != values[1]:
+            moved.append((UNIT_GROUP.get(metric["unit"], 2), order, metric,
+                          values))
+    moved.sort(key=lambda entry: entry[:2])
+    for side, record in (("parent", parent), ("change", change)):
+        if not record["correct"]:
+            out.write("FLAG: %s run printed \"correct\": false\n" % side)
+    for key in ("attempted", "failed"):
+        if parent[key] != change[key]:
+            out.write("FLAG: %s changed: parent %s, change %s\n" %
+                      (key, parent[key], change[key]))
+    if not moved:
+        out.write("no per-layer metric differs\n")
+        return
+    out.write("%d per-layer metrics differ, parent to change:\n" %
+              len(moved))
+    group = None
+    for index, _, metric, (before, after) in moved:
+        if index != group:
+            group = index
+            out.write("%s:\n" % DIFF_GROUPS[index])
+        line = "  %s (%s): %s -> %s" % (
+            metric["name"], metric["unit"],
+            "missing" if before is None else "%.10g" % before,
+            "missing" if after is None else "%.10g" % after)
+        if before is not None and after is not None:
+            line += " (%+.6g, %s)" % (after - before,
+                                      share(after - before, before))
+        out.write(line + "\n")
+
+
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """One `perfbench/run.py` run; its record, or None."""
     command = [sys.executable, os.path.join("perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
-               "--seconds", repr(seconds), "--trace", "0"]
+               "--seconds", repr(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
                           text=True, check=False)
     lines = done.stdout.strip().splitlines()
@@ -150,9 +204,11 @@ def main():
     parser.add_argument("change_dir")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pairs", type=int)
+    mode.add_argument("--trace-diff", action="store_true")
     args = parser.parse_args()
-    if args.pairs < 1:
+    if not args.trace_diff and args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec_path = os.path.join(args.parent_dir, "BENCHMARK.json")
     try:
@@ -162,6 +218,19 @@ def main():
         parser.error("cannot read %s: %s" % (spec_path, error))
 
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
+    if args.trace_diff:
+        records = {}
+        for side in SIDES:
+            records[side] = run_once(dirs[side], args.workload, args.seed,
+                                     spec["run_seconds"], trace=1)
+            if records[side] is None:
+                sys.stderr.write("perfbench_pairs: %s traced run produced "
+                                 "no record\n" % side)
+                return 1
+        print("workload %s, seed %d, %d s traced runs" %
+              (args.workload, args.seed, spec["run_seconds"]))
+        trace_diff(spec, records["parent"], records["change"])
+        return 0
     runs = {side: [] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]

@@ -52,19 +52,19 @@ ForwardingLocationScheme::ForwardingLocationScheme(
 void ForwardingLocationScheme::register_agent(platform::Agent& self,
                                               std::function<void(bool)> done) {
   ++stats_.registers;
-  const auto node = system_.node_of(self.id());
-  if (!node) {
+  const net::NodeId node = self.node();
+  if (node == net::kNoNode) {
     done(false);
     return;
   }
   const std::uint64_t seq = self.next_report_seq();
-  last_node_[self.id()] = *node;
-  system_.send(self.id(), forwarder_at(*node),
+  last_node_[self.id()] = node;
+  system_.send(self.id(), forwarder_at(node),
                PresenceNotice{self.id(), true, seq},
                PresenceNotice::kWireBytes);
   system_.request(
       self.id(), name_service_address_,
-      RegisterRequest{LocationEntry{self.id(), *node, seq}},
+      RegisterRequest{LocationEntry{self.id(), node, seq}},
       RegisterRequest::kWireBytes,
       [done = std::move(done)](platform::RpcResult result) {
         done(result.ok());
@@ -75,21 +75,21 @@ void ForwardingLocationScheme::register_agent(platform::Agent& self,
 void ForwardingLocationScheme::update_location(platform::Agent& self,
                                                std::function<void(bool)> done) {
   ++stats_.updates;
-  const auto node = system_.node_of(self.id());
-  if (!node) {
+  const net::NodeId node = self.node();
+  if (node == net::kNoNode) {
     done(false);
     return;
   }
   const std::uint64_t seq = self.next_report_seq();
   const net::NodeId* previous = last_node_.find(self.id());
-  if (previous != nullptr && *previous != *node) {
+  if (previous != nullptr && *previous != node) {
     // Leave a pointer behind; no name-service update (Voyager's lazy mode —
     // the name service learns on the next successful chase).
     system_.send(self.id(), forwarder_at(*previous),
-                 SetForward{self.id(), *node, seq}, SetForward::kWireBytes);
+                 SetForward{self.id(), node, seq}, SetForward::kWireBytes);
   }
-  last_node_[self.id()] = *node;
-  system_.send(self.id(), forwarder_at(*node),
+  last_node_[self.id()] = node;
+  system_.send(self.id(), forwarder_at(node),
                PresenceNotice{self.id(), true, seq},
                PresenceNotice::kWireBytes);
   done(true);
@@ -97,10 +97,10 @@ void ForwardingLocationScheme::update_location(platform::Agent& self,
 
 void ForwardingLocationScheme::deregister_agent(platform::Agent& self) {
   ++stats_.deregisters;
-  const auto node = system_.node_of(self.id());
-  if (!node) return;
+  const net::NodeId node = self.node();
+  if (node == net::kNoNode) return;
   const std::uint64_t seq = self.next_report_seq();
-  system_.send(self.id(), forwarder_at(*node),
+  system_.send(self.id(), forwarder_at(node),
                PresenceNotice{self.id(), false, seq},
                PresenceNotice::kWireBytes);
   system_.send(self.id(), name_service_address_,

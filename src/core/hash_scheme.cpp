@@ -70,23 +70,17 @@ HashLocationScheme::HashLocationScheme(platform::AgentSystem& system,
   }
 }
 
-LHAgent* HashLocationScheme::local_lhagent(platform::AgentId agent) {
-  const auto node = system_.node_of(agent);
-  if (!node) return nullptr;  // caller is mid-migration; abort the attempt
-  return lhagents_[*node];
-}
-
 void HashLocationScheme::register_agent(platform::Agent& self,
                                         std::function<void(bool)> done) {
   ++stats_.registers;
-  send_register(self.id(), self.next_report_seq(), kMaxLocateRetries,
-                std::move(done));
+  send_register(self.id(), self.node(), self.next_report_seq(),
+                kMaxLocateRetries, std::move(done));
 }
 
 void HashLocationScheme::update_location(platform::Agent& self,
                                          std::function<void(bool)> done) {
   ++stats_.updates;
-  send_update(self.id());
+  send_update(self);
   // One-way semantics: "sent" is all the mover learns (paper §2.3); the
   // error paths come back through handle_agent_message / bounce notices.
   done(true);
@@ -97,7 +91,7 @@ bool HashLocationScheme::handle_agent_message(
   if (const auto* notify = message.body_as<WatchNotify>()) {
     // The notification carries a fresh authoritative binding — deposit it
     // at the watcher's node before firing the callbacks.
-    if (LHAgent* lhagent = local_lhagent(self.id()); lhagent != nullptr) {
+    if (LHAgent* lhagent = lhagent_at(self.node()); lhagent != nullptr) {
       lhagent->cache_store(notify->entry);
     }
     // Fire every pending watch of this (requester, target) pair.
@@ -123,7 +117,7 @@ bool HashLocationScheme::handle_agent_message(
     // longer serves us. Refresh the local copy and resend.
     if (notice->agent == self.id()) {
       ++stats_.stale_retries;
-      refresh_and_resend_update(self.id());
+      refresh_and_resend_update(self);
     }
     return true;
   }
@@ -136,12 +130,12 @@ void HashLocationScheme::handle_delivery_failure(
   // A one-way update chased an IAgent that migrated or retired; the node in
   // our copy is stale.
   ++stats_.delivery_retries;
-  refresh_and_resend_update(self.id());
+  refresh_and_resend_update(self);
 }
 
 void HashLocationScheme::deregister_agent(platform::Agent& self) {
   ++stats_.deregisters;
-  LHAgent* lhagent = local_lhagent(self.id());
+  LHAgent* lhagent = lhagent_at(self.node());
   if (lhagent == nullptr) return;
   // The departing agent's binding must not outlive it on this node.
   lhagent->cache_invalidate(self.id());
@@ -151,13 +145,10 @@ void HashLocationScheme::deregister_agent(platform::Agent& self) {
                DeregisterRequest::kWireBytes);
 }
 
-void HashLocationScheme::send_update(platform::AgentId self) {
-  platform::Agent* agent = system_.find(self);
-  if (agent == nullptr || agent->node() == net::kNoNode) {
-    return;  // disposed, or in transit: its next arrival reports
-  }
-  LHAgent* lhagent = lhagents_[agent->node()];
-  const LocationEntry entry{self, agent->node(), agent->next_report_seq()};
+void HashLocationScheme::send_update(platform::Agent& self) {
+  LHAgent* lhagent = lhagent_at(self.node());
+  if (lhagent == nullptr) return;  // in transit: its next arrival reports
+  const LocationEntry entry{self.id(), self.node(), self.next_report_seq()};
   if (config_.update_batching) {
     // Hand the report to the co-located LHAgent (same-node IPC, free by the
     // DESIGN.md §2 cost model); it coalesces reports from every local mover
@@ -168,23 +159,26 @@ void HashLocationScheme::send_update(platform::AgentId self) {
   // Same free deposit the batched path gets inside enqueue_update: the
   // mover reporting from here is the freshest binding this node can know.
   lhagent->cache_store(entry);
-  system_.send(self, lhagent->resolve(self), UpdateRequest{entry},
+  system_.send(self.id(), lhagent->resolve(self.id()), UpdateRequest{entry},
                UpdateRequest::kWireBytes);
 }
 
-void HashLocationScheme::refresh_and_resend_update(platform::AgentId self) {
+void HashLocationScheme::refresh_and_resend_update(platform::Agent& self) {
   ++stats_.refreshes_triggered;
-  LHAgent* lhagent = local_lhagent(self);
+  LHAgent* lhagent = lhagent_at(self.node());
   if (lhagent == nullptr) return;
-  lhagent->refresh([this, self] { send_update(self); });
+  lhagent->refresh([this, self = self.id()] {
+    // The refresh outlives this call, and the mover may be gone by now.
+    if (platform::Agent* agent = system_.find(self)) send_update(*agent);
+  });
 }
 
 void HashLocationScheme::send_register(platform::AgentId self,
-                                       std::uint64_t seq, int attempts_left,
+                                       net::NodeId node, std::uint64_t seq,
+                                       int attempts_left,
                                        std::function<void(bool)> done) {
-  LHAgent* lhagent = local_lhagent(self);
-  const auto node = system_.node_of(self);
-  if (lhagent == nullptr || !node) {
+  LHAgent* lhagent = lhagent_at(node);
+  if (lhagent == nullptr) {
     done(false);
     return;
   }
@@ -195,7 +189,7 @@ void HashLocationScheme::send_register(platform::AgentId self,
     return;
   }
 
-  const LocationEntry entry{self, *node, seq};
+  const LocationEntry entry{self, node, seq};
   const platform::AgentAddress target = lhagent->resolve(self);
   system_.request(
       self, target, RegisterRequest{entry}, RegisterRequest::kWireBytes,
@@ -214,18 +208,20 @@ void HashLocationScheme::send_register(platform::AgentId self,
         } else {
           // Timeout: slow, not stale. Retry without refreshing.
           ++stats_.timeout_retries;
-          send_register(self, seq, attempts_left - 1, std::move(done));
+          send_register(self, node_of(self), seq, attempts_left - 1,
+                        std::move(done));
           return;
         }
         ++stats_.refreshes_triggered;
-        LHAgent* lhagent_now = local_lhagent(self);
+        LHAgent* lhagent_now = lhagent_at(node_of(self));
         if (lhagent_now == nullptr) {
           done(false);
           return;
         }
         lhagent_now->refresh([this, self, seq, attempts_left,
                               done = std::move(done)]() mutable {
-          send_register(self, seq, attempts_left - 1, std::move(done));
+          send_register(self, node_of(self), seq, attempts_left - 1,
+                        std::move(done));
         });
       },
       kRpcTimeout);
@@ -234,13 +230,13 @@ void HashLocationScheme::send_register(platform::AgentId self,
 void HashLocationScheme::watch(platform::Agent& requester,
                                platform::AgentId target,
                                std::function<void(const WatchOutcome&)> done) {
-  watch_attempt(requester.id(), target, 1, std::move(done));
+  watch_attempt(requester.id(), lhagent_at(requester.node()), target, 1,
+                std::move(done));
 }
 
 void HashLocationScheme::watch_attempt(
-    platform::AgentId requester, platform::AgentId target, int attempt,
-    std::function<void(const WatchOutcome&)> done) {
-  LHAgent* lhagent = local_lhagent(requester);
+    platform::AgentId requester, LHAgent* lhagent, platform::AgentId target,
+    int attempt, std::function<void(const WatchOutcome&)> done) {
   if (attempt > kMaxLocateRetries || lhagent == nullptr) {
     done(WatchOutcome{});
     return;
@@ -268,18 +264,20 @@ void HashLocationScheme::watch_attempt(
           ++stats_.delivery_retries;
         } else if (!result.ok()) {
           ++stats_.timeout_retries;
-          watch_attempt(requester, target, attempt + 1, std::move(done));
+          watch_attempt(requester, lhagent_at(node_of(requester)), target,
+                        attempt + 1, std::move(done));
           return;
         }
         ++stats_.refreshes_triggered;
-        LHAgent* lhagent_now = local_lhagent(requester);
+        LHAgent* lhagent_now = lhagent_at(node_of(requester));
         if (lhagent_now == nullptr) {
           done(WatchOutcome{});
           return;
         }
         lhagent_now->refresh([this, requester, target, attempt,
                               done = std::move(done)]() mutable {
-          watch_attempt(requester, target, attempt + 1, std::move(done));
+          watch_attempt(requester, lhagent_at(node_of(requester)), target,
+                        attempt + 1, std::move(done));
         });
       },
       kRpcTimeout);
@@ -313,18 +311,18 @@ void HashLocationScheme::locate(platform::Agent& requester,
                                 platform::AgentId target,
                                 std::function<void(const LocateOutcome&)> done) {
   ++stats_.locates;
-  locate_attempt(requester.id(), target, 1, std::move(done));
+  locate_attempt(requester.id(), lhagent_at(requester.node()), target, 1,
+                 std::move(done));
 }
 
 void HashLocationScheme::locate_attempt(
-    platform::AgentId requester, platform::AgentId target, int attempt,
-    std::function<void(const LocateOutcome&)> done) {
+    platform::AgentId requester, LHAgent* lhagent, platform::AgentId target,
+    int attempt, std::function<void(const LocateOutcome&)> done) {
   if (attempt > kMaxLocateRetries) {
     ++stats_.locates_failed;
     done(LocateOutcome{false, net::kNoNode, attempt - 1});
     return;
   }
-  LHAgent* lhagent = local_lhagent(requester);
   if (lhagent == nullptr) {
     ++stats_.locates_failed;
     done(LocateOutcome{false, net::kNoNode, attempt - 1});
@@ -336,26 +334,23 @@ void HashLocationScheme::locate_attempt(
   if (attempt == 1 && lhagent->location_cache() != nullptr) {
     LocationCache& cache = *lhagent->location_cache();
     if (const auto hit = cache.lookup(target, system_.now())) {
-      probe_cached_node(requester, target, hit->node, attempt,
+      probe_cached_node(requester, *lhagent, target, hit->node, attempt,
                         std::move(done));
       return;
     }
   }
-  locate_via_iagent(requester, target, attempt, std::move(done));
+  locate_via_iagent(requester, lhagent, target, attempt, std::move(done));
 }
 
 void HashLocationScheme::probe_cached_node(
-    platform::AgentId requester, platform::AgentId target,
+    platform::AgentId requester, LHAgent& lhagent, platform::AgentId target,
     net::NodeId cached_node, int attempt,
     std::function<void(const LocateOutcome&)> done) {
   if (cached_node >= lhagents_.size()) {
     // A binding for a node this deployment does not have (corrupt entry);
     // treat as stale.
-    if (LHAgent* lhagent = local_lhagent(requester);
-        lhagent != nullptr && lhagent->location_cache() != nullptr) {
-      lhagent->location_cache()->note_stale(target);
-    }
-    locate_via_iagent(requester, target, attempt, std::move(done));
+    lhagent.location_cache()->note_stale(target);
+    locate_via_iagent(requester, &lhagent, target, attempt, std::move(done));
     return;
   }
   const platform::AgentAddress probe_address{cached_node,
@@ -377,19 +372,20 @@ void HashLocationScheme::probe_cached_node(
         }
         // The target moved away (or the probe was lost): drop the binding
         // and fall back to the authoritative path, same attempt budget.
-        if (LHAgent* lhagent = local_lhagent(requester);
-            lhagent != nullptr && lhagent->location_cache() != nullptr) {
-          lhagent->location_cache()->note_stale(target);
+        LHAgent* lhagent_now = lhagent_at(node_of(requester));
+        if (lhagent_now != nullptr &&
+            lhagent_now->location_cache() != nullptr) {
+          lhagent_now->location_cache()->note_stale(target);
         }
-        locate_via_iagent(requester, target, attempt, std::move(done));
+        locate_via_iagent(requester, lhagent_now, target, attempt,
+                          std::move(done));
       },
       kRpcTimeout);
 }
 
 void HashLocationScheme::locate_via_iagent(
-    platform::AgentId requester, platform::AgentId target, int attempt,
-    std::function<void(const LocateOutcome&)> done) {
-  LHAgent* lhagent = local_lhagent(requester);
+    platform::AgentId requester, LHAgent* lhagent, platform::AgentId target,
+    int attempt, std::function<void(const LocateOutcome&)> done) {
   if (lhagent == nullptr) {
     ++stats_.locates_failed;
     done(LocateOutcome{false, net::kNoNode, attempt - 1});
@@ -413,7 +409,7 @@ void HashLocationScheme::handle_locate_reply(
     const platform::RpcResult& result) {
   auto refresh_and_retry = [&]() mutable {
     ++stats_.refreshes_triggered;
-    LHAgent* lhagent_now = local_lhagent(requester);
+    LHAgent* lhagent_now = lhagent_at(node_of(requester));
     if (lhagent_now == nullptr) {
       ++stats_.locates_failed;
       done(LocateOutcome{false, net::kNoNode, attempt});
@@ -421,7 +417,8 @@ void HashLocationScheme::handle_locate_reply(
     }
     lhagent_now->refresh([this, requester, target, attempt,
                           done = std::move(done)]() mutable {
-      locate_attempt(requester, target, attempt + 1, std::move(done));
+      locate_attempt(requester, lhagent_at(node_of(requester)), target,
+                     attempt + 1, std::move(done));
     });
   };
 
@@ -433,7 +430,8 @@ void HashLocationScheme::handle_locate_reply(
     } else {
       // Timeout: slow or lossy, not stale — retry without refreshing.
       ++stats_.timeout_retries;
-      locate_attempt(requester, target, attempt + 1, std::move(done));
+      locate_attempt(requester, lhagent_at(node_of(requester)), target,
+                     attempt + 1, std::move(done));
     }
     return;
   }
@@ -447,7 +445,8 @@ void HashLocationScheme::handle_locate_reply(
     case LocateStatus::kFound:
       // Remember the authoritative answer for the requester's node; the
       // carried seq keeps out-of-order deposits newest-wins.
-      if (LHAgent* lhagent = local_lhagent(requester); lhagent != nullptr) {
+      if (LHAgent* lhagent = lhagent_at(node_of(requester));
+          lhagent != nullptr) {
         lhagent->cache_store(LocationEntry{target, reply->node, reply->seq});
       }
       ++stats_.locates_found;
@@ -465,7 +464,8 @@ void HashLocationScheme::handle_locate_reply(
       system_.simulator().schedule_after(
           kTransientRetryDelay,
           [this, requester, target, attempt, done = std::move(done)]() mutable {
-            locate_attempt(requester, target, attempt + 1, std::move(done));
+            locate_attempt(requester, lhagent_at(node_of(requester)), target,
+                           attempt + 1, std::move(done));
           });
       return;
     case LocateStatus::kUnknown:

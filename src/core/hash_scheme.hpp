@@ -90,28 +90,34 @@ class HashLocationScheme : public LocationScheme {
   const MechanismConfig& config() const noexcept { return config_; }
 
  private:
-  void send_register(platform::AgentId self, std::uint64_t seq,
-                     int attempts_left, std::function<void(bool)> done);
+  /// Register `self`, hosted at `node` (`kNoNode`: in transit or gone).
+  void send_register(platform::AgentId self, net::NodeId node,
+                     std::uint64_t seq, int attempts_left,
+                     std::function<void(bool)> done);
 
   /// Fire one one-way location report from the agent's current node.
-  void send_update(platform::AgentId self);
+  void send_update(platform::Agent& self);
 
   /// Refresh the agent's local hash copy, then resend its location.
-  void refresh_and_resend_update(platform::AgentId self);
+  void refresh_and_resend_update(platform::Agent& self);
 
-  void locate_attempt(platform::AgentId requester, platform::AgentId target,
-                      int attempt, std::function<void(const LocateOutcome&)> done);
+  /// `lhagent` is the requester's local one (nullptr while it is in
+  /// transit or once it is gone).
+  void locate_attempt(platform::AgentId requester, LHAgent* lhagent,
+                      platform::AgentId target, int attempt,
+                      std::function<void(const LocateOutcome&)> done);
 
   /// Optimistic jump (DESIGN.md §12): verify a cached binding with one probe
   /// to the cached node's LHAgent; fall back to the authoritative path (and
   /// invalidate the binding) on a stale miss.
-  void probe_cached_node(platform::AgentId requester, platform::AgentId target,
-                         net::NodeId cached_node, int attempt,
+  void probe_cached_node(platform::AgentId requester, LHAgent& lhagent,
+                         platform::AgentId target, net::NodeId cached_node,
+                         int attempt,
                          std::function<void(const LocateOutcome&)> done);
 
   /// The authoritative leg: one LocateRequest RPC to the responsible IAgent.
-  void locate_via_iagent(platform::AgentId requester, platform::AgentId target,
-                         int attempt,
+  void locate_via_iagent(platform::AgentId requester, LHAgent* lhagent,
+                         platform::AgentId target, int attempt,
                          std::function<void(const LocateOutcome&)> done);
 
   /// Continuation of a locate RPC.
@@ -120,14 +126,24 @@ class HashLocationScheme : public LocationScheme {
                            std::function<void(const LocateOutcome&)> done,
                            const platform::RpcResult& result);
 
-  void watch_attempt(platform::AgentId requester, platform::AgentId target,
-                     int attempt,
+  void watch_attempt(platform::AgentId requester, LHAgent* lhagent,
+                     platform::AgentId target, int attempt,
                      std::function<void(const WatchOutcome&)> done);
   void arm_watch(platform::AgentId requester, platform::AgentId target,
                  std::function<void(const WatchOutcome&)> done);
 
-  /// The LHAgent co-located with an agent, by its current node.
-  LHAgent* local_lhagent(platform::AgentId agent);
+  /// The LHAgent at `node`; nullptr for `net::kNoNode`. A call handed the
+  /// agent passes `Agent::node()`, which the platform keeps equal to its
+  /// record's node; a retry that holds only an id passes `node_of(id)`.
+  LHAgent* lhagent_at(net::NodeId node) const noexcept {
+    return node == net::kNoNode ? nullptr : lhagents_[node];
+  }
+
+  /// An agent's node by id: `net::kNoNode` while it is in transit or once it
+  /// is disposed.
+  net::NodeId node_of(platform::AgentId agent) const noexcept {
+    return system_.node_of(agent).value_or(net::kNoNode);
+  }
 
   struct PendingWatch {
     std::uint64_t token = 0;

@@ -44,17 +44,16 @@ platform::AgentAddress HomeRegistryLocationScheme::home_of(
 void HomeRegistryLocationScheme::register_agent(
     platform::Agent& self, std::function<void(bool)> done) {
   ++stats_.registers;
-  send_register(self.id(), self.next_report_seq(), kMaxLocateRetries,
-                std::move(done));
+  send_register(self.id(), self.node(), self.next_report_seq(),
+                kMaxLocateRetries, std::move(done));
 }
 
 void HomeRegistryLocationScheme::update_location(
     platform::Agent& self, std::function<void(bool)> done) {
   ++stats_.updates;
-  const auto node = system_.node_of(self.id());
-  if (node) {
+  if (self.node() != net::kNoNode) {
     system_.send(self.id(), home_of(self.id()),
-                 UpdateRequest{LocationEntry{self.id(), *node,
+                 UpdateRequest{LocationEntry{self.id(), self.node(),
                                              self.next_report_seq()}},
                  UpdateRequest::kWireBytes);
   }
@@ -63,23 +62,22 @@ void HomeRegistryLocationScheme::update_location(
 
 void HomeRegistryLocationScheme::deregister_agent(platform::Agent& self) {
   ++stats_.deregisters;
-  if (!system_.node_of(self.id())) return;
+  if (self.node() == net::kNoNode) return;
   system_.send(self.id(), home_of(self.id()),
                DeregisterRequest{self.id(), self.next_report_seq()},
                DeregisterRequest::kWireBytes);
 }
 
 void HomeRegistryLocationScheme::send_register(
-    platform::AgentId self, std::uint64_t seq, int attempts_left,
-    std::function<void(bool)> done) {
-  const auto node = system_.node_of(self);
-  if (!node || attempts_left <= 0) {
+    platform::AgentId self, net::NodeId node, std::uint64_t seq,
+    int attempts_left, std::function<void(bool)> done) {
+  if (node == net::kNoNode || attempts_left <= 0) {
     done(false);
     return;
   }
   system_.request(
       self, home_of(self),
-      RegisterRequest{LocationEntry{self, *node, seq}},
+      RegisterRequest{LocationEntry{self, node, seq}},
       RegisterRequest::kWireBytes,
       [this, self, seq, attempts_left,
        done = std::move(done)](platform::RpcResult result) mutable {
@@ -88,7 +86,8 @@ void HomeRegistryLocationScheme::send_register(
           return;
         }
         ++stats_.timeout_retries;
-        send_register(self, seq, attempts_left - 1, std::move(done));
+        send_register(self, system_.node_of(self).value_or(net::kNoNode), seq,
+                      attempts_left - 1, std::move(done));
       },
       kRpcTimeout);
 }
@@ -97,13 +96,15 @@ void HomeRegistryLocationScheme::locate(
     platform::Agent& requester, platform::AgentId target,
     std::function<void(const LocateOutcome&)> done) {
   ++stats_.locates;
-  locate_attempt(requester.id(), target, 1, std::move(done));
+  locate_attempt(requester.id(), requester.node(), target, 1,
+                 std::move(done));
 }
 
 void HomeRegistryLocationScheme::locate_attempt(
-    platform::AgentId requester, platform::AgentId target, int attempt,
+    platform::AgentId requester, net::NodeId requester_node,
+    platform::AgentId target, int attempt,
     std::function<void(const LocateOutcome&)> done) {
-  if (attempt > kMaxLocateRetries || !system_.node_of(requester)) {
+  if (attempt > kMaxLocateRetries || requester_node == net::kNoNode) {
     ++stats_.locates_failed;
     done(LocateOutcome{false, net::kNoNode, attempt - 1});
     return;
@@ -127,7 +128,9 @@ void HomeRegistryLocationScheme::locate_attempt(
             kTransientRetryDelay,
             [this, requester, target, attempt,
              done = std::move(done)]() mutable {
-              locate_attempt(requester, target, attempt + 1, std::move(done));
+              locate_attempt(requester,
+                             system_.node_of(requester).value_or(net::kNoNode),
+                             target, attempt + 1, std::move(done));
             });
       },
       kRpcTimeout);

@@ -91,10 +91,14 @@ class HomeRegistryLocationScheme : public LocationScheme {
   }
 
  private:
-  void send_register(platform::AgentId self, std::uint64_t seq,
-                     int attempts_left, std::function<void(bool)> done);
-  void locate_attempt(platform::AgentId requester, platform::AgentId target,
-                      int attempt,
+  /// `node` is where `self` is hosted, and `requester_node` where the
+  /// requester is: the agent's own `node()` when it is at hand, else the
+  /// platform's `node_of` (`net::kNoNode` in transit or once disposed).
+  void send_register(platform::AgentId self, net::NodeId node,
+                     std::uint64_t seq, int attempts_left,
+                     std::function<void(bool)> done);
+  void locate_attempt(platform::AgentId requester, net::NodeId requester_node,
+                      platform::AgentId target, int attempt,
                       std::function<void(const LocateOutcome&)> done);
 
   platform::AgentSystem& system_;

@@ -1,5 +1,7 @@
 #include "core/tracker_table.hpp"
 
+#include <algorithm>
+
 #include "core/config.hpp"
 
 namespace agentloc::core {
@@ -14,29 +16,26 @@ Predicate predicate_of(const hashtree::HashTree& tree,
   return predicate;
 }
 
-void LoadWindow::record(platform::AgentId agent) {
-  ++open_counts_[agent];
-  ++open_total_;
-}
-
 void LoadWindow::roll() {
-  closed_counts_ = std::move(open_counts_);
-  open_counts_.clear();  // restore a consistent (empty) moved-from state
-  closed_total_ = open_total_;
-  open_total_ = 0;
+  open_log_.swap(closed_log_);
+  open_log_.clear();
   ++rolls_;
 }
 
 double LoadWindow::rate() const noexcept {
-  return static_cast<double>(closed_total_) / kStatsWindow.as_seconds();
+  return static_cast<double>(total()) / kStatsWindow.as_seconds();
 }
 
 std::vector<AgentLoad> LoadWindow::loads() const {
+  std::vector<platform::AgentId> ids = closed_log_;
+  std::sort(ids.begin(), ids.end());
   std::vector<AgentLoad> out;
-  out.reserve(closed_counts_.size());
-  closed_counts_.for_each([&](platform::AgentId agent, std::uint32_t count) {
-    out.push_back(AgentLoad{agent, count});
-  });
+  for (const platform::AgentId agent : ids) {
+    if (out.empty() || out.back().agent != agent) {
+      out.push_back(AgentLoad{agent, 0});
+    }
+    ++out.back().requests;
+  }
   return out;
 }
 

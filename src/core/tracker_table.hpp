@@ -152,7 +152,7 @@ class LocationTable {
 /// the *closed* window, so they always see a full interval.
 class LoadWindow {
  public:
-  void record(platform::AgentId agent);
+  void record(platform::AgentId agent) { open_log_.push_back(agent); }
 
   /// Close the current window.
   void roll();
@@ -161,27 +161,27 @@ class LoadWindow {
   double rate() const noexcept;
 
   /// Total requests in the last closed window.
-  std::uint64_t total() const noexcept { return closed_total_; }
+  std::uint64_t total() const noexcept { return closed_log_.size(); }
 
-  /// Per-agent request counts of the last closed window, unordered.
+  /// Per-agent request counts of the last closed window, by ascending id.
+  /// Built on demand: only a split request asks.
   std::vector<AgentLoad> loads() const;
 
   /// Number of windows closed so far.
   std::uint64_t rolls() const noexcept { return rolls_; }
 
-  /// Allocated bytes of both count tables.
+  /// Allocated bytes of both request logs.
   std::size_t resident_bytes() const noexcept {
-    return open_counts_.resident_bytes() + closed_counts_.resident_bytes();
+    return (open_log_.capacity() + closed_log_.capacity()) *
+           sizeof(platform::AgentId);
   }
 
  private:
-  using Counts = util::FlatMap<platform::AgentId, std::uint32_t,
-                               platform::kNoAgent>;
-
-  Counts open_counts_;
-  std::uint64_t open_total_ = 0;
-  Counts closed_counts_;
-  std::uint64_t closed_total_ = 0;
+  /// One id per request counted, in the open and in the last closed window.
+  /// `roll` swaps them and clears the new open log in place, so once both
+  /// have grown to a window's load, counting allocates nothing.
+  std::vector<platform::AgentId> open_log_;
+  std::vector<platform::AgentId> closed_log_;
   std::uint64_t rolls_ = 0;
 };
 

@@ -37,61 +37,39 @@ AgentSystem::AgentSystem(sim::Simulator& simulator, net::Network& network,
 AgentSystem::~AgentSystem() = default;
 
 void AgentSystem::reserve(std::size_t agents) {
-  ordinal_slots_.reserve(agents);
   const std::size_t chunks = (agents + kChunkSlots - 1) / kChunkSlots;
   chunks_.reserve(chunks);
   while (chunks_.size() < chunks) chunks_.push_back(std::make_unique<Chunk>());
 }
 
 AgentId AgentSystem::allocate_id() {
-  // A bijective mix never collides; only the ordinal mixing to 0 is skipped.
+  // A bijective mix never collides; only the ordinal mixing to 0 is skipped,
+  // and its slot stays vacant.
   for (;;) {
-    ordinal_slots_.push_back(kNoRecord);
-    const std::uint64_t ordinal = ordinal_slots_.size();
+    if (slot_count_ == kNoRecord) {
+      throw std::length_error("AgentSystem::create: ids exhausted");
+    }
+    if (slot_count_ == chunks_.size() * kChunkSlots) {
+      chunks_.push_back(std::make_unique<Chunk>());
+    }
+    const std::uint64_t ordinal = ++slot_count_;
     const AgentId id = config_.mixed_ids ? util::mix64(ordinal) : ordinal;
     if (id != kNoAgent) return id;
   }
 }
 
-std::uint64_t AgentSystem::ordinal_of(AgentId id) const noexcept {
-  return config_.mixed_ids ? util::unmix64(id) : id;
-}
-
 std::uint32_t AgentSystem::record_index(AgentId id) const noexcept {
-  const std::uint64_t ordinal = ordinal_of(id);
-  if (ordinal == 0 || ordinal > ordinal_slots_.size()) return kNoRecord;
-  // Each ordinal has exactly one id (the mix is a bijection), and `dispose`
-  // clears the entry before it releases the slot, so the entry is the answer.
-  return ordinal_slots_[ordinal - 1];
+  // Each ordinal has exactly one id (the mix is a bijection), and ordinal 0
+  // (`kNoAgent` with sequential ids) wraps past every slot.
+  const std::uint64_t ordinal = config_.mixed_ids ? util::unmix64(id) : id;
+  if (ordinal - 1 >= slot_count_) return kNoRecord;
+  const auto slot = static_cast<std::uint32_t>(ordinal - 1);
+  return record_at(slot).agent ? slot : kNoRecord;
 }
 
 const AgentSystem::Slot* AgentSystem::find_record(AgentId id) const noexcept {
   const std::uint32_t slot = record_index(id);
   return slot == kNoRecord ? nullptr : &record_at(slot);
-}
-
-std::uint32_t AgentSystem::acquire_record_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  if (slot_count_ == chunks_.size() * kChunkSlots) {
-    chunks_.push_back(std::make_unique<Chunk>());
-  }
-  return slot_count_++;
-}
-
-void AgentSystem::release_record_slot(std::uint32_t slot) noexcept {
-  Slot& record = record_at(slot);
-  record.node = net::kNoNode;
-  // Invalidate every event still holding this slot's previous tenancy —
-  // whoever is installed here next starts with a fresh generation.
-  ++record.generation;
-  record.state = State::kActive;
-  record.serving = false;
-  record.disposing = false;
-  free_slots_.push_back(slot);
 }
 
 std::uint32_t AgentSystem::acquire_slot() {
@@ -141,11 +119,10 @@ void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
   agent.id_ = id;
   agent.node_ = node;
 
-  const std::uint32_t slot = acquire_record_slot();
+  const std::uint32_t slot = slot_count_ - 1;  // the new ordinal, less one
   Slot& record = record_at(slot);
   record.agent = std::move(owned);
   record.node = node;
-  ordinal_slots_[ordinal_of(id) - 1] = slot;
   note_memory_high_water();
   ++stats_.agents_created;
 
@@ -177,10 +154,11 @@ void AgentSystem::dispose(AgentId id) {
   record.agent->system_ = nullptr;
 
   // The agent may be disposing itself from inside one of its own callbacks;
-  // defer destruction until the stack unwinds.
+  // defer destruction until the stack unwinds. The slot stays vacant for
+  // good, and the bump voids what `on_dispose` scheduled on it (a
+  // migration's arrival).
   graveyard_.push_back(std::move(record.agent));
-  ordinal_slots_[ordinal_of(id) - 1] = kNoRecord;
-  release_record_slot(slot);
+  ++record.generation;
   ++stats_.agents_disposed;
   if (!graveyard_sweep_scheduled_) {
     graveyard_sweep_scheduled_ = true;
@@ -583,11 +561,8 @@ std::size_t AgentSystem::inbox_depth(AgentId id) const noexcept {
 
 MemoryBreakdown AgentSystem::memory_breakdown() const noexcept {
   MemoryBreakdown memory;
-  memory.agent_records =
-      ordinal_slots_.capacity() * sizeof(std::uint32_t) +
-      chunks_.size() * sizeof(Chunk) +
-      chunks_.capacity() * sizeof(std::unique_ptr<Chunk>) +
-      free_slots_.capacity() * sizeof(std::uint32_t);
+  memory.agent_records = chunks_.size() * sizeof(Chunk) +
+                          chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
   memory.rpc_table = pending_rpcs_.resident_bytes();
   memory.in_flight = in_flight_.capacity() * sizeof(InFlight);
   return memory;

@@ -45,8 +45,7 @@ inline constexpr sim::SimTime kDefaultRpcTimeout = sim::SimTime::millis(250);
 /// momentary occupancy, because pooled capacity is what the process holds at
 /// steady state.
 struct MemoryBreakdown {
-  /// Agent record storage: the allocated slot chunks, the chunk table, the
-  /// free-slot list, and the ordinal → slot array.
+  /// Agent record storage: the allocated slot chunks and the chunk table.
   std::size_t agent_records = 0;
   /// Always 0: queued messages wait in the in-flight pool and are counted
   /// under `in_flight`. Kept because perfbench reports the field.
@@ -142,10 +141,10 @@ struct PlatformStats {
 /// Agent records live in generation-tagged slab storage (DESIGN.md §15):
 /// 32-byte `Slot`s (owning agent pointer, node mirror, generation, lifecycle
 /// flags, inbox chain) in fixed-size chunks that are never copied, so a
-/// record stays where it was installed until its agent is disposed. An id is
-/// found by inverting its mix to its allocation ordinal and reading a dense
-/// ordinal → slot array. Scheduled events capture `{slot, generation}` —
-/// validity is one slot probe, and slots are recycled through a free list.
+/// record stays where it was installed. The id allocated k-th lives in slot
+/// k − 1, so an id is found by inverting its mix to that ordinal and reading
+/// one slot. A disposed agent's slot stays vacant for good. Scheduled events
+/// capture `{slot, generation}` — validity is one slot probe.
 class AgentSystem {
  public:
   struct Config {
@@ -156,9 +155,9 @@ class AgentSystem {
     /// disable this to get small sequential ids.
     bool mixed_ids = true;
 
-    /// Allocate the record chunks and the ordinal array for this many
-    /// agents up front (0 = grow on demand). Million-agent runs set this so
-    /// the install storm never grows them mid-run.
+    /// Allocate the record chunks for this many agents up front (0 = grow
+    /// on demand). Million-agent runs set this so the install storm never
+    /// grows them mid-run.
     std::size_t reserve_agents = 0;
   };
 
@@ -252,7 +251,7 @@ class AgentSystem {
   Agent* find(AgentId id) noexcept;
 
   std::size_t live_agent_count() const noexcept {
-    return slot_count_ - free_slots_.size();
+    return stats_.agents_created - stats_.agents_disposed;
   }
 
   /// Number of messages waiting in an agent's inbox (including the one in
@@ -268,9 +267,9 @@ class AgentSystem {
   /// The same estimate, itemized by subsystem.
   MemoryBreakdown memory_breakdown() const noexcept;
 
-  /// Allocate the record chunks and the ordinal array for `agents` installs
-  /// (also reachable via `Config::reserve_agents`). Purely an allocation
-  /// hint: trajectories are identical with or without it.
+  /// Allocate the record chunks for `agents` installs (also reachable via
+  /// `Config::reserve_agents`). Purely an allocation hint: trajectories are
+  /// identical with or without it.
   void reserve(std::size_t agents);
 
  private:
@@ -281,16 +280,16 @@ class AgentSystem {
 
   /// Per-agent record: everything the delivery and serve paths touch,
   /// packed into half a cache line with the owning agent pointer. A vacant
-  /// slot has no agent and waits on `free_slots_`.
+  /// slot (its agent disposed) has no agent.
   struct Slot {
     std::unique_ptr<Agent> agent;
     /// Mirror of `Agent::node_` (the system is the only writer of both), so
     /// residency checks never touch the agent object. `kNoNode` while in
     /// transit.
     net::NodeId node = net::kNoNode;
-    /// Bumped on migrate, dispose, and slot release so stale scheduled
-    /// events (which capture `{slot, generation}`) become no-ops — the slab
-    /// analogue of the event pool's generation tags.
+    /// Bumped on migrate and dispose so stale scheduled events (which
+    /// capture `{slot, generation}`) become no-ops — the slab analogue of
+    /// the event pool's generation tags.
     std::uint32_t generation = 0;
     State state = State::kActive;
     bool serving = false;
@@ -370,10 +369,9 @@ class AgentSystem {
   void install(std::unique_ptr<Agent> owned, net::NodeId node);
   AgentId allocate_id();
 
-  /// id → slot index, `kNoRecord` when the id is not installed.
+  /// id → slot index (its allocation ordinal − 1), `kNoRecord` when the id
+  /// was never handed out or its agent is disposed.
   std::uint32_t record_index(AgentId id) const noexcept;
-  /// The ordinal `id` was allocated at (1 for the first): the mix inverted.
-  std::uint64_t ordinal_of(AgentId id) const noexcept;
   const Slot* find_record(AgentId id) const noexcept;
   Slot& record_at(std::uint32_t slot) noexcept {
     return (*chunks_[slot >> kChunkBits])[slot & (kChunkSlots - 1)];
@@ -381,9 +379,6 @@ class AgentSystem {
   const Slot& record_at(std::uint32_t slot) const noexcept {
     return (*chunks_[slot >> kChunkBits])[slot & (kChunkSlots - 1)];
   }
-
-  std::uint32_t acquire_record_slot();
-  void release_record_slot(std::uint32_t slot) noexcept;
 
   void ship_migration(std::uint32_t slot, std::uint32_t generation,
                       net::NodeId source, net::NodeId destination,
@@ -424,16 +419,12 @@ class AgentSystem {
 
   std::uint64_t correlation_counter_ = 0;
 
-  /// Agent records, slab style: `ordinal_slots_[k - 1]` is the slot of the
-  /// id allocated k-th (`kNoRecord` once disposed), 4 bytes per id ever
-  /// allocated; slot i lives at `record_at(i)`, in chunk `i >> kChunkBits`;
-  /// `slot_count_` slots have been handed out, and vacant ones wait on
-  /// `free_slots_`. Chunks are added one at a time and freed only with the
-  /// system.
-  std::vector<std::uint32_t> ordinal_slots_;
+  /// Agent records, slab style: the id allocated k-th lives in slot k − 1,
+  /// at `record_at(k - 1)`, in chunk `(k - 1) >> kChunkBits`, and its slot
+  /// is never handed to another id; `slot_count_` ids have been allocated.
+  /// Chunks are added one at a time and freed only with the system.
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t slot_count_ = 0;
-  std::vector<std::uint32_t> free_slots_;
 
   util::FlatMap<std::uint64_t, PendingRpc, 0> pending_rpcs_;
 

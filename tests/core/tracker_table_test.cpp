@@ -2,9 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <vector>
+
 #include "hashtree/paper_figures.hpp"
-#include "util/flat_map.hpp"
 #include "util/rng.hpp"
+
+// This binary replaces the global allocation functions with counting
+// versions, so a test can assert that a warm load window allocates nothing.
+// GCC 12 reads the replaced pair, once inlined into one function, as
+// `free` on memory from `operator new`; here the two match.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* ptr = std::malloc(size)) return ptr;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
 
 namespace agentloc::core {
 namespace {
@@ -318,28 +361,95 @@ TEST(LoadWindow, PerAgentCounts) {
   EXPECT_EQ(eight, 1u);
 }
 
-TEST(LoadWindow, ResidentBytesAreItsTwoMapsSlots) {
-  // Two maps driven like the window's own open and closed counts: its byte
-  // estimate must be theirs, padding of the {id, count} slots included.
-  using Counts = util::FlatMap<platform::AgentId, std::uint32_t,
-                               platform::kNoAgent>;
+TEST(LoadWindow, LoadsMatchAReferenceCountOverRandomStreams) {
+  // Seeded request streams over few ids (so ids repeat), some windows empty;
+  // after every roll, `loads()` lists each id of the closed window once
+  // with its count, whatever the open window has counted since.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    util::Rng rng(seed);
+    LoadWindow window;
+    std::map<platform::AgentId, std::uint32_t> open;
+    std::map<platform::AgentId, std::uint32_t> closed;
+    std::uint64_t closed_requests = 0;
+    for (std::uint64_t rolls = 1; rolls <= 12; ++rolls) {
+      const std::uint64_t requests =
+          rng.chance(0.25) ? 0 : rng.next_below(600);
+      const std::uint64_t ids = 1 + rng.next_below(64);
+      for (std::uint64_t i = 0; i < requests; ++i) {
+        const platform::AgentId agent = util::mix64(1 + rng.next_below(ids));
+        window.record(agent);
+        ++open[agent];
+        if (i == requests / 2) {
+          // Mid-window, the loads are still the last closed window's.
+          std::map<platform::AgentId, std::uint32_t> listed;
+          for (const AgentLoad& load : window.loads()) {
+            listed[load.agent] = load.requests;
+          }
+          EXPECT_EQ(listed, closed);
+          EXPECT_EQ(window.total(), closed_requests);
+        }
+      }
+      window.roll();
+      closed = std::move(open);
+      open.clear();
+      closed_requests = requests;
+
+      std::map<platform::AgentId, std::uint32_t> listed;
+      for (const AgentLoad& load : window.loads()) {
+        EXPECT_TRUE(listed.emplace(load.agent, load.requests).second)
+            << "agent " << load.agent << " listed twice";
+      }
+      EXPECT_EQ(listed, closed);
+      EXPECT_EQ(window.total(), requests);
+      EXPECT_DOUBLE_EQ(window.rate(), static_cast<double>(requests) / 2.0);
+      EXPECT_EQ(window.rolls(), rolls);
+    }
+  }
+}
+
+TEST(LoadWindow, RecordAndRollAllocateNothingOnceTheLogsHaveGrown) {
+  // Two windows of a load grow both logs; a roll keeps the storage of each,
+  // so later windows of no more requests never touch the heap.
+  constexpr platform::AgentId kLoad = 1000;
   LoadWindow window;
-  Counts open;
-  Counts closed;
+  for (int w = 0; w < 2; ++w) {
+    for (platform::AgentId agent = 1; agent <= kLoad; ++agent) {
+      window.record(agent % 97 + 1);
+    }
+    window.roll();
+  }
+  const std::uint64_t before = g_allocations.load();
+  for (int w = 0; w < 3; ++w) {
+    for (platform::AgentId agent = 1; agent <= kLoad - 100 * w; ++agent) {
+      window.record(agent % 97 + 1);
+    }
+    window.roll();
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(window.total(), kLoad - 200);
+}
+
+TEST(LoadWindow, ResidentBytesAreItsTwoLogsCapacities) {
+  // Two logs driven like the window's own open and closed ones: its byte
+  // estimate must be their capacities, 8 bytes per id.
+  LoadWindow window;
+  std::vector<platform::AgentId> open;
+  std::vector<platform::AgentId> closed;
   for (platform::AgentId agent = 1; agent <= 100; ++agent) {
     window.record(agent);
-    ++open[agent];
+    open.push_back(agent);
   }
   window.roll();
-  closed = std::move(open);
+  open.swap(closed);
   open.clear();
   for (platform::AgentId agent = 1; agent <= 30; ++agent) {
     window.record(agent);
-    ++open[agent];
+    open.push_back(agent);
   }
-  EXPECT_GT(open.resident_bytes(), 0u);
+  EXPECT_GT(open.capacity(), 0u);
   EXPECT_EQ(window.resident_bytes(),
-            open.resident_bytes() + closed.resident_bytes());
+            (open.capacity() + closed.capacity()) * sizeof(platform::AgentId));
 }
 
 }  // namespace

@@ -368,15 +368,15 @@ TEST_F(AgentSystemTest, MessagesInFlightDuringMigrationBounce) {
 }
 
 TEST_F(AgentSystemTest, SlotReuseAfterDisposeKeepsIdentitiesDistinct) {
-  // Slab storage recycles the dense slot, never the AgentId: traffic for
-  // the old tenant must bounce, not reach whoever inherits the slot.
+  // A disposed agent's slot stays vacant and its AgentId is never reused:
+  // traffic for the old tenant must bounce, not reach the next agent.
   Probe& first = system_.create<Probe>(0);
   const AgentId old_id = first.id();
   sim_.run();
   system_.dispose(old_id);
   sim_.run();
 
-  Probe& second = system_.create<Probe>(0);  // reuses the freed slot
+  Probe& second = system_.create<Probe>(0);  // a fresh slot, not the vacant one
   Probe& sender = system_.create<Probe>(1);
   sim_.run();
   ASSERT_NE(second.id(), old_id);

@@ -1,13 +1,15 @@
 // Record lookup against a reference model: seeded scripts create, migrate,
 // dispose (some agents dispose themselves from their own callbacks) and
 // send, with mixed and with sequential ids. Crowds of creates and culls of
-// disposals take the population across several record chunks and recycle
-// slots across the chunk boundaries. After every op and again after the
-// step's events, each lookup the platform offers must agree with a
-// std::unordered_map of what the script did, and ids the system never
-// handed out (or took back) must never be found. Last, an agent that
-// creates whole chunks of agents from inside its own message handler must
-// go on serving its queued inbox.
+// disposals take the population across several record chunks and leave
+// vacant slots in them. After every op and again after the step's events,
+// each lookup the platform offers must agree with a std::unordered_map of
+// what the script did, ids the system never handed out (or took back) must
+// never be found, and no create may take a disposed agent's slot. Then an
+// agent that creates whole chunks of agents from inside its own message
+// handler must go on serving its queued inbox. Last, an agent's own
+// `node()` must read what the platform's record holds, through install,
+// migration, arrival and disposal.
 
 #include <gtest/gtest.h>
 
@@ -31,8 +33,9 @@ constexpr net::NodeId kNodes = 6;
 // cause and every migration all land inside the step that started them.
 constexpr sim::SimTime kHop = sim::SimTime::millis(1);
 constexpr sim::SimTime kStep = sim::SimTime::millis(3);
-// Slots per record chunk in `AgentSystem`.
+// Slots per record chunk in `AgentSystem`, and bytes per slot.
 constexpr std::size_t kChunkSlots = 128;
+constexpr std::size_t kSlotBytes = 32;
 
 struct Ping {
   static constexpr std::size_t kWireBytes = 24;
@@ -113,6 +116,9 @@ class RecordLookup
 
   AgentId add_to_model(Agent& agent, Scripted::Fate fate) {
     ++allocated_;
+    // The k-th create takes the k-th ordinal, and with it slot k − 1, never
+    // a slot a disposal vacated.
+    EXPECT_EQ(agent.id(), id_at(allocated_, std::get<1>(GetParam())));
     model_[agent.id()] = Expected{&agent, agent.node(), false, 0, fate};
     peak_live_ = std::max(peak_live_, model_.size());
     return agent.id();
@@ -155,6 +161,12 @@ class RecordLookup
   void check(int step) {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     EXPECT_EQ(system_.live_agent_count(), model_.size());
+    EXPECT_EQ(system_.live_agent_count(), allocated_ - disposed_.size());
+    // Every id ever handed out keeps its own slot, so the record chunks
+    // cover all of them however many were disposed.
+    const std::size_t chunks = (allocated_ + kChunkSlots - 1) / kChunkSlots;
+    EXPECT_GE(system_.memory_breakdown().agent_records,
+              chunks * kChunkSlots * kSlotBytes);
     for (const auto& [id, expected] : model_) {
       EXPECT_TRUE(system_.exists(id)) << id;
       EXPECT_EQ(system_.find(id), expected.agent) << id;
@@ -300,8 +312,8 @@ TEST_P(RecordLookup, LookupsMatchReferenceModel) {
   EXPECT_GT(disposed_.size(), kChunkSlots);
   EXPECT_GT(created_after_disposal, kChunkSlots);
 
-  // Each message the spawner serves creates more agents than there are free
-  // slots, so its handler adds chunks while the platform holds its record;
+  // Each message the spawner serves creates over two chunks' worth of
+  // agents, so its handler adds chunks while the platform holds its record;
   // the platform must then go on serving the spawner's queued inbox.
   constexpr int kSpawnMessages = 3;
   Spawner& spawner = system_.create<Spawner>(
@@ -328,6 +340,102 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndIdModes, RecordLookup,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u),
                        ::testing::Bool()));
+
+/// `agent.node()` is the platform's `node_of(agent.id())`, and reads
+/// `kNoNode` exactly where that is nullopt: the schemes read the node from
+/// the agent they are handed instead of looking it up.
+void expect_node_mirror(const AgentSystem& system, const Agent& agent,
+                        const char* where) {
+  const std::optional<net::NodeId> truth = system.node_of(agent.id());
+  EXPECT_EQ(agent.node(), truth.value_or(net::kNoNode))
+      << where << ", agent " << agent.id();
+  if (truth) {
+    EXPECT_NE(*truth, net::kNoNode) << where;
+  }
+}
+
+/// Checks the mirror from inside each of its lifecycle callbacks.
+class Mirrored : public Agent {
+ public:
+  struct Checks {
+    int starts = 0;
+    int arrivals = 0;
+    int disposals_in_transit = 0;
+    int disposals_at_rest = 0;
+  };
+  explicit Mirrored(Checks& checks) : checks_(checks) {}
+
+  void on_start() override {
+    expect_node_mirror(system(), *this, "on_start");
+    ++checks_.starts;
+  }
+  void on_arrival(net::NodeId) override {
+    expect_node_mirror(system(), *this, "on_arrival");
+    ++checks_.arrivals;
+  }
+  void on_dispose() override {
+    expect_node_mirror(system(), *this, "on_dispose");
+    ++(node() == net::kNoNode ? checks_.disposals_in_transit
+                              : checks_.disposals_at_rest);
+  }
+
+ private:
+  Checks& checks_;
+};
+
+class NodeMirror : public ::testing::TestWithParam<bool> {};
+
+TEST_P(NodeMirror, AgentNodeIsTheRecordsNode) {
+  sim::Simulator simulator;
+  net::Network network(simulator, kNodes,
+                       std::make_unique<net::FixedLatencyModel>(kHop),
+                       util::Rng(9));
+  AgentSystem::Config config;
+  config.mixed_ids = GetParam();
+  AgentSystem system(simulator, network, config);
+  util::Rng rng(11);
+  const auto draw_node = [&] {
+    return static_cast<net::NodeId>(rng.next_below(kNodes));
+  };
+  const auto expect_all = [&](const std::vector<Mirrored*>& agents,
+                              const char* where) {
+    for (const Mirrored* agent : agents) {
+      expect_node_mirror(system, *agent, where);
+    }
+  };
+
+  Mirrored::Checks checks;
+  std::vector<Mirrored*> agents;
+  for (std::size_t i = 0; i < 3 * kChunkSlots; ++i) {
+    agents.push_back(&system.create<Mirrored>(draw_node(), checks));
+    expect_node_mirror(system, *agents.back(), "install");
+  }
+  simulator.run();
+  for (int round = 0; round < 4; ++round) {
+    for (Mirrored* agent : agents) {
+      if (rng.chance(0.5)) system.migrate(agent->id(), draw_node());
+    }
+    expect_all(agents, "migrating");
+    simulator.run();
+    expect_all(agents, "arrived");
+  }
+  // Dispose every other agent in transit and the rest where they are.
+  for (std::size_t i = 0; i < agents.size(); i += 2) {
+    system.migrate(agents[i]->id(), draw_node());
+  }
+  expect_all(agents, "before disposal");
+  for (Mirrored* agent : agents) system.dispose(agent->id());
+  simulator.run();
+
+  EXPECT_EQ(checks.starts, static_cast<int>(agents.size()));
+  EXPECT_GT(checks.arrivals, static_cast<int>(agents.size()));
+  EXPECT_EQ(checks.disposals_in_transit,
+            static_cast<int>(agents.size() / 2));
+  EXPECT_EQ(checks.disposals_at_rest, static_cast<int>(agents.size() / 2));
+  EXPECT_EQ(system.live_agent_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(IdModes, NodeMirror, ::testing::Bool());
 
 }  // namespace
 }  // namespace agentloc::platform

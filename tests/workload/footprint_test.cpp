@@ -4,7 +4,8 @@
 // allocation of at most 104 bytes (a 112-byte chunk) per agent at creation,
 // none when it starts, none per move, no private copy of the target list
 // per querier, no private hash-tree copy per LHAgent, no id-keyed side
-// table sized to the population, and no copy of the agent records when the
+// table sized to the population (the platform's own record storage is its
+// slot chunks and their table), and no copy of the agent records when the
 // population outgrows its reserve.
 
 #include <gtest/gtest.h>
@@ -258,10 +259,9 @@ TEST_F(FootprintTest, LHAgentsShareOneTreeSnapshot) {
 TEST_F(FootprintTest, ReservedPopulationHoldsNoIdKeyedTables) {
   // Reserving a population costs the record slab (a 32-byte slot per agent,
   // which holds the owner pointer) and the IAgents' location tables. What
-  // is left (the ordinal array, 4 bytes per agent, the chunk table and the
-  // scheme's fixed agents) stays within 8 bytes per agent. An id-keyed hash
-  // index or seq table would each add 16-byte slots at no more than 3/4
-  // load: over 21 bytes.
+  // is left (the chunk table and the scheme's fixed agents) stays within 8
+  // bytes per agent. An id-keyed hash index or seq table would each add
+  // 16-byte slots at no more than 3/4 load: over 21 bytes.
   constexpr std::size_t kPopulation = 100'000;
   constexpr std::size_t kSlabBytesPerAgent = 32;
   sim::Simulator simulator;
@@ -299,9 +299,9 @@ TEST_F(FootprintTest, ReservedPopulationHoldsNoIdKeyedTables) {
 TEST_F(FootprintTest, GrowthPastTheReserveCopiesNoRecord) {
   // A system that outgrows its reserve of R agents adds record chunks one
   // at a time and never copies a record. Past the reserve, only the chunk
-  // table and the ordinal array (4 bytes per id, 8 R bytes once doubled)
-  // are reallocated; a contiguous array of 32-byte slots would double to
-  // 2 R slots there, with the old R resident beside the copy.
+  // table (8 bytes per 128 agents) is reallocated; a contiguous array of
+  // 32-byte slots would double to 2 R slots there, with the old R resident
+  // beside the copy.
   constexpr std::size_t kReserved = 20'000;
   sim::Simulator simulator;
   net::Network network(simulator, kNodes,
@@ -327,6 +327,33 @@ TEST_F(FootprintTest, GrowthPastTheReserveCopiesNoRecord) {
   EXPECT_EQ(system.live_agent_count(), kReserved + kReserved / 2);
   EXPECT_GT(system.memory_breakdown().agent_records, reserved_records);
   EXPECT_LE(window.largest(), 8 * kReserved);
+}
+
+TEST_F(FootprintTest, ReservedPopulationRecordsAreChunksAndTheirTable) {
+  // The id allocated k-th lives in slot k - 1, so a reserved population's
+  // record storage is its 4 KiB chunks of 128 32-byte slots and the table
+  // of chunk pointers, with no array indexed by id (an ordinal -> slot
+  // array would add 4 bytes per id).
+  constexpr std::size_t kPopulation = 100'000;
+  constexpr std::size_t kChunkSlots = 128;
+  constexpr std::size_t kSlotBytes = 32;
+  sim::Simulator simulator;
+  net::Network network(simulator, kNodes,
+                       std::make_unique<net::FixedLatencyModel>(
+                           sim::SimTime::millis(1)),
+                       util::Rng(5));
+  platform::AgentSystem::Config config;
+  config.reserve_agents = kPopulation;
+  platform::AgentSystem system(simulator, network, config);
+  for (std::size_t i = 0; i < kPopulation; ++i) {
+    system.create<Porter>(static_cast<net::NodeId>(i % kNodes));
+  }
+  simulator.run();
+  ASSERT_EQ(system.live_agent_count(), kPopulation);
+
+  const std::size_t chunks = (kPopulation + kChunkSlots - 1) / kChunkSlots;
+  EXPECT_EQ(system.memory_breakdown().agent_records,
+            chunks * (kChunkSlots * kSlotBytes + sizeof(void*)));
 }
 
 }  // namespace
